@@ -439,34 +439,15 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
 # -- subcode stabilizer ----------------------------------------------------------
 
 
-def subcode_stabilizer(group: PermGroup, sub: BinaryCode, *, budget: int | None = None,
+def subcode_stabilizer(code: BinaryCode, sub: BinaryCode, *, budget: int | None = None,
                        progress=None) -> PermGroup:
-    """Setwise stabilizer {p in group : p(sub) = sub} by BSGS backtracking."""
-    n = sub.length
-    if group.degree != n:
-        raise ValueError("degree mismatch between group and subcode")
-    systems = weight_class_systems(sub)
-    vertex = [0] * n
-    pair = [[0] * n for _ in range(n)]
-    for k, words in enumerate(systems):
-        for w in words:
-            pts = []
-            ww = w
-            while ww:
-                low = ww & -ww
-                pts.append(low.bit_length() - 1)
-                ww ^= low
-            for i in pts:
-                vertex[i] += 1 << (8 * k)
-                for j in pts:
-                    if i != j:
-                        pair[i][j] += 1 << (8 * k)
+    """Aut(code) ∩ Stab(sub): the permutations preserving both codes.
 
-    def test(p):
-        return permgrp.apply_code(p, sub) == sub
-
-    return permgrp.subgroup_search(
-        group, test, vertex_inv=vertex, pair_inv=pair, budget=budget, progress=progress
+    One partition search over the joint structure of the two codes, with
+    leaves verified against both.
+    """
+    return automorphism_group(
+        structure_for_codes([code, sub]), budget=budget, progress=progress
     )
 
 
@@ -513,10 +494,9 @@ class _SignSystem:
     def rows_for(self, perm: Perm | None):
         """GF(2) rows (mask, rhs) expressing sign compatibility with perm."""
         rows = []
+        inv = None if perm is None else permgrp.inverse(perm)
         for v in self.code.basis:
-            w = v if perm is None else tuple(
-                v[permgrp.inverse(perm)[j]] for j in range(self.n)
-            )
+            w = v if inv is None else tuple(v[i] for i in inv)
             odd = sum((d & 1) << i for i, d in enumerate(w))
             c = self.lift(odd)
             if c is None:

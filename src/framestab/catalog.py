@@ -264,8 +264,9 @@ def list_ids() -> list[str]:
 
 
 def get(entry_id: str) -> CatalogEntry:
-    if entry_id.startswith("bin-even-"):
-        n = int(entry_id.rsplit("-", 1)[1])
+    suffix = entry_id.removeprefix("bin-even-")
+    if suffix != entry_id and suffix.isdecimal() and int(suffix) > 0:
+        n = int(suffix)
         code = gf2.even_code(n)
         return CatalogEntry(
             id=entry_id,

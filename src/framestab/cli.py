@@ -80,23 +80,26 @@ def analyze(ref, as_json):
     """Basic invariants of a Z4-code: size, shape, residue/torsion, flags."""
     name, code = _load_z4(ref)
     c0, c1 = z4.torsion(code), z4.residue(code)
-    self_orth = z4.is_self_orthogonal(code)
-    self_dual = z4.is_self_dual(code)
-    type_ii = z4.is_type_ii(code)
-    min_w = z4.min_euclidean_weight(code)
-    info = {
-        "id": name,
-        "length": code.length,
-        "size": str(code.size()),
-        "shape": z4.group_shape(code),
-        "c0": {"dim": c0.dim, "min_weight": gf2.min_weight(c0) if c0.dim else None},
-        "c1": {"dim": c1.dim, "min_weight": gf2.min_weight(c1) if c1.dim else None},
-        "self_orthogonal": self_orth,
-        "self_dual": self_dual,
-        "type_ii": type_ii,
-        "min_euclidean_weight": min_w,
-        "extremal": type_ii and min_w == 8 * (code.length // 24 + 1),
-    }
+    try:
+        self_orth = z4.is_self_orthogonal(code)
+        self_dual = z4.is_self_dual(code)
+        type_ii = z4.is_type_ii(code)
+        min_w = z4.min_euclidean_weight(code)
+        info = {
+            "id": name,
+            "length": code.length,
+            "size": str(code.size()),
+            "shape": z4.group_shape(code),
+            "c0": {"dim": c0.dim, "min_weight": gf2.min_weight(c0) if c0.dim else None},
+            "c1": {"dim": c1.dim, "min_weight": gf2.min_weight(c1) if c1.dim else None},
+            "self_orthogonal": self_orth,
+            "self_dual": self_dual,
+            "type_ii": type_ii,
+            "min_euclidean_weight": min_w,
+            "extremal": type_ii and min_w == 8 * (code.length // 24 + 1),
+        }
+    except FramestabError as err:
+        raise click.ClickException(str(err)) from err
     if as_json:
         click.echo(json.dumps(info, indent=2))
         return
@@ -131,7 +134,7 @@ def frame(ref, variant, enumerate_h, aut_budget, as_json):
             budget=budget,
             progress=_progress(f"frame {name}"),
         )
-    except (frames.VariantError, FramestabError) as err:
+    except FramestabError as err:
         raise click.ClickException(str(err)) from err
     if as_json:
         click.echo(json.dumps(report.to_json(), indent=2))
@@ -200,6 +203,8 @@ def aut(ref, binary, aut_budget, as_json):
         raise click.ClickException(
             f"search budget exceeded; partial group order {partial} is a lower bound only"
         ) from err
+    except FramestabError as err:
+        raise click.ClickException(str(err)) from err
     if as_json:
         click.echo(json.dumps(payload, indent=2))
         return

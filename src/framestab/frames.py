@@ -197,7 +197,13 @@ def count_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22)
     return rec(full)
 
 
-def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22):
+def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22,
+                           compatible=None):
+    """Perfect matchings of a graph on bitmask edges, as edge tuples.
+
+    ``compatible(edge, chosen)``, when given, must hold for each edge against
+    the edges already chosen on its path; it only prunes.
+    """
     full = (1 << n_points) - 1
     out: list[tuple[int, ...]] = []
 
@@ -209,7 +215,9 @@ def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22):
             raise EnumerationLimit("matching list cap exceeded")
         low = remaining & -remaining
         for e in edges:
-            if e & low and not (e & ~remaining):
+            if e & low and not (e & ~remaining) and (
+                compatible is None or compatible(e, chosen)
+            ):
                 chosen.append(e)
                 rec(remaining & ~e, chosen)
                 chosen.pop()
@@ -243,25 +251,9 @@ def _compatible_matchings(c0: BinaryCode, cap: int = 1 << 22):
     n = c0.length
     weight4 = set(gf2.weight_words(c0, 4))
     pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, chosen):
-        if not remaining:
-            out.append(tuple(chosen))
-            return
-        if len(out) > cap:
-            raise EnumerationLimit("matching cap exceeded")
-        low = remaining & -remaining
-        for e in pairs:
-            if not (e & low) or e & ~remaining:
-                continue
-            if all((e | f) in weight4 for f in chosen):
-                chosen.append(e)
-                rec(remaining & ~e, chosen)
-                chosen.pop()
-
-    rec((1 << n) - 1, [])
-    return out
+    return list_perfect_matchings(
+        n, pairs, cap, lambda e, chosen: all((e | f) in weight4 for f in chosen)
+    )
 
 
 def _family_one(n: int, matching) -> BinaryCode:
@@ -397,7 +389,6 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
             "transitivity hypotheses"
         )
     a, b = pointwise_order(sc)
-    p = compute_p(sc)
     kernel, image = autsearch.aut_z4(code, budget=budget, progress=progress)
     bar = image.order()
     aut_c0_group = autsearch.aut_binary(c0, budget=budget, progress=progress)
@@ -462,7 +453,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
         r=sc.r,
         dim_c=sc.c_code.dim,
         dim_d=sc.d_code.dim,
-        dim_p=p.dim,
+        dim_p=b + sc.r - sc.c_code.dim,  # b = dim P - dim dual(C)
         holomorphic=holomorphic(sc),
         pointwise=(a, b),
         aut_z4_total=kernel * bar,

@@ -247,10 +247,6 @@ class PermGroup:
     def transversal(self, l: int) -> dict[int, Perm]:
         return self._transversals[l]
 
-    def level_generators(self, l: int) -> list[Perm]:
-        """Strong generators fixing base[:l] pointwise."""
-        return [g for g in self._strong if all(g[b] == b for b in self._base[:l])]
-
     def extended(self, new_gens) -> "PermGroup":
         """Group generated by this group and new_gens, keeping the base prefix."""
         return PermGroup(
@@ -281,16 +277,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def schreier_sims(generators, degree: int | None = None, base=()) -> PermGroup:
-    """Deterministic BSGS construction from a generator list."""
-    gens = [tuple(g) for g in generators]
-    if degree is None:
-        if not gens:
-            raise ValueError("need a degree for the trivial group")
-        degree = len(gens[0])
-    return PermGroup(degree, gens, base=base)
-
-
 def trivial_group(degree: int, base=()) -> PermGroup:
     return PermGroup(degree, [], base=base)
 
@@ -300,23 +286,6 @@ def symmetric_group(n: int) -> PermGroup:
         return trivial_group(max(n, 1))
     gens = [perm_from_cycles(n, [[1, 2]]), perm_from_cycles(n, [list(range(1, n + 1))])]
     return PermGroup(n, gens)
-
-
-def order(g: PermGroup) -> int:
-    return g.order()
-
-
-def index(g: PermGroup, h: PermGroup) -> int:
-    """Index |g : h|; h must be a subgroup of g."""
-    if h.degree != g.degree:
-        raise ValueError("degree mismatch")
-    for s in h.strong_generators:
-        if not g.contains(s):
-            raise ValueError("h is not a subgroup of g")
-    og, oh = g.order(), h.order()
-    if og % oh:
-        raise ValueError("subgroup order does not divide group order")
-    return og // oh
 
 
 def wreath_2(pairs, top: PermGroup) -> PermGroup:
@@ -366,8 +335,6 @@ def subgroup_search(
     group: PermGroup,
     test,
     *,
-    vertex_inv=None,
-    pair_inv=None,
     budget: int | None = None,
     progress=None,
 ) -> PermGroup:
@@ -376,8 +343,7 @@ def subgroup_search(
     Classic base-image backtracking, processed bottom-up along the stabilizer
     chain: at level l we look for one witness per new coset of the part of
     the subgroup already known, so the found group grows monotonically and
-    prunes its own search. ``vertex_inv[x]`` and ``pair_inv[x][y]``, when
-    given, are invariants every solution must preserve; they only prune.
+    prunes its own search.
     """
     base = group.base
     k = len(base)
@@ -396,26 +362,14 @@ def subgroup_search(
                 f"subgroup search exceeded {node_cap} nodes", partial=found
             )
 
-    def compatible(depth: int, images: list[int], y: int) -> bool:
-        if vertex_inv is not None and vertex_inv[base[depth]] != vertex_inv[y]:
-            return False
-        if pair_inv is not None:
-            for i in range(depth):
-                if pair_inv[base[i]][base[depth]] != pair_inv[images[i]][y]:
-                    return False
-        return True
-
-    def extend(depth: int, partial: Perm, images: list[int]):
-        """Find one test-passing element with the given image prefix."""
+    def extend(depth: int, partial: Perm):
+        """Find one test-passing element below the given coset representative."""
         tick()
         if depth == k:
             return partial if test(partial) else None
         for x in sorted(group.basic_orbit(depth)):
-            y = partial[x]
-            if not compatible(depth, images, y):
-                continue
             u = group.transversal(depth)[x]
-            got = extend(depth + 1, compose(u, partial), images + [y])
+            got = extend(depth + 1, compose(u, partial))
             if got is not None:
                 return got
         return None
@@ -425,13 +379,11 @@ def subgroup_search(
         for c in sorted(group.basic_orbit(l)):
             if c == beta:
                 continue
-            if not compatible(l, list(base[:l]), c):
-                continue
             # already covered by the known subgroup?
             if l < len(found.base) and c in found.transversal(l):
                 continue
             u = group.transversal(l)[c]
-            got = extend(l + 1, u, list(base[:l]) + [c])
+            got = extend(l + 1, u)
             if got is not None:
                 found = found.extended([got])
     return found

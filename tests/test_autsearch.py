@@ -147,14 +147,14 @@ def test_phi2_pseudo_golay_equivalent_to_golay():
 def test_stabilizer_of_whole_code_is_whole_group():
     c = gf2.hamming8()
     g = ats.aut_binary(c)
-    assert ats.subcode_stabilizer(g, c).order() == g.order()
+    assert ats.subcode_stabilizer(c, c).order() == g.order()
 
 
 def test_stabilizer_of_doubled_full_code():
     c = gf2.span(16, list(gf2.d_map(gf2.full_code(8)).basis)
                  + list(gf2.e_map(gf2.hamming8()).basis))
     g = ats.aut_binary(c)
-    stab = ats.subcode_stabilizer(g, gf2.d_map(gf2.full_code(8)))
+    stab = ats.subcode_stabilizer(c, gf2.d_map(gf2.full_code(8)))
     assert stab.order() == 2**8 * 1344
     assert g.order() == stab.order()  # the family H has one member here
 
@@ -165,7 +165,7 @@ def test_stabilizer_of_doubled_even_in_reed_muller():
     d_e8 = gf2.d_map(gf2.even_code(8))
     for b in d_e8.basis:
         assert rm.contains(b)
-    stab = ats.subcode_stabilizer(g, d_e8)
+    stab = ats.subcode_stabilizer(rm, d_e8)
     assert stab.order() == 2**4 * 1344
     assert g.order() // stab.order() == 15
 
@@ -174,8 +174,7 @@ def test_stabilizer_matches_brute_force():
     rng = random.Random(9)
     c = gf2.even_code(6)
     sub = gf2.span(6, ["110000", "001100", "000011"])
-    g = ats.aut_binary(c)
-    stab = ats.subcode_stabilizer(g, sub)
+    stab = ats.subcode_stabilizer(c, sub)
     brute = [p for p in brute_aut(c) if permgrp.apply_code(p, sub) == sub]
     assert stab.order() == len(brute)
 
@@ -216,18 +215,38 @@ def test_aut_z4_generators_preserve_code():
         assert system.compatible(s)
 
 
-def test_aut_z4_kernel_times_image_small_brute():
-    # brute force over all signed permutations of a length-3 code
-    code = z4.z4_span(3, [(1, 1, 2), (0, 2, 2)])
-    total = 0
-    for images in permutations(range(3)):
-        for smask in range(8):
-            signs = tuple(-1 if smask >> i & 1 else 1 for i in range(3))
-            sp = permgrp.SignedPerm(images, signs)
-            if z4.z4_span(3, [sp.apply(r) for r in code.basis]) == code:
-                total += 1
-    kernel, image = ats.aut_z4(code)
-    assert kernel * image.order() == total
+def test_aut_z4_kernel_times_image_small_brute(monkeypatch):
+    # brute force over all signed permutations; the codes with a stated
+    # total take the subgroup-search fallback of aut_z4
+    fallback_runs = []
+    search = permgrp.subgroup_search
+
+    def counted_search(*args, **kwargs):
+        fallback_runs.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(permgrp, "subgroup_search", counted_search)
+    cases = [
+        (z4.z4_span(3, [(1, 1, 2), (0, 2, 2)]), None),
+        (z4.z4_span(4, [(3, 2, 3, 0)]), 16),
+        (z4.z4_span(5, [(2, 0, 1, 1, 1)]), 48),
+        (z4.z4_span(5, [(0, 2, 2, 2, 0), (3, 2, 0, 0, 2), (0, 0, 0, 3, 0)]), 64),
+    ]
+    for code, expected in cases:
+        n = code.length
+        total = 0
+        for images in permutations(range(n)):
+            for smask in range(1 << n):
+                signs = tuple(-1 if smask >> i & 1 else 1 for i in range(n))
+                sp = permgrp.SignedPerm(images, signs)
+                if z4.z4_span(n, [sp.apply(r) for r in code.basis]) == code:
+                    total += 1
+        fallback_runs.clear()
+        kernel, image = ats.aut_z4(code)
+        assert kernel * image.order() == total
+        if expected is not None:
+            assert total == expected
+            assert fallback_runs
 
 
 def test_aut_z4_leech_standard():

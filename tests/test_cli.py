@@ -1,4 +1,5 @@
 import json
+import random
 from math import factorial
 
 import pytest
@@ -138,3 +139,33 @@ def test_aut_budget_exceeded(runner):
     )
     assert result.exit_code != 0
     assert "lower bound" in result.output
+
+
+def test_catalog_show_bad_even_length(runner):
+    result = runner.invoke(main, ["catalog", "show", "bin-even-x"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert "unknown catalog id 'bin-even-x'" in result.output
+
+
+def test_analyze_too_large_is_clean_error(runner, tmp_path):
+    # a free code of length 32 and rank 16: |C| = 2^32 is above the scan cap
+    big = tmp_path / "free32.txt"
+    big.write_text("\n".join("0" * i + "1" + "0" * (31 - i) for i in range(16)) + "\n")
+    result = runner.invoke(main, ["analyze", "--input", str(big)])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert "above enumeration cap" in result.output
+
+
+def test_aut_too_large_is_clean_error(runner, tmp_path):
+    # a random [80, 40] binary code: neither side's weight classes are enumerable
+    rng = random.Random(1)
+    big = tmp_path / "rand80.txt"
+    big.write_text("\n".join(
+        "".join(rng.choice("01") for _ in range(80)) for _ in range(40)
+    ) + "\n")
+    result = runner.invoke(main, ["aut", "--input", str(big), "--binary"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert "enumeration cap" in result.output

@@ -435,6 +435,28 @@ def test_frame_report_e8_orbifold():
     assert r.index_aut_c_k == 1
 
 
+def test_stabilizer_of_one_h_member_second_route():
+    # |Stab_Aut(C)(one member of H)| = 2^e * |Aut(C0)|, so times |H| it is |Aut(C)|
+    from framestab import autsearch
+    n = 8
+    cases = [
+        (1, "lattice", 10321920),
+        (2, "lattice", 294912),
+        (3, "lattice", 98304),
+        (4, "lattice", 344064),
+        (4, "orbifold", 21504),
+    ]
+    for k, variant, expected in cases:
+        code = len8(k)
+        sc = frames.structure_codes(code, variant)
+        member = gf2.full_code(n) if variant == "lattice" else gf2.even_code(n)
+        stab = autsearch.subcode_stabilizer(sc.c_code, gf2.d_map(member))
+        e = n if variant == "lattice" else gf2.dual(z4.torsion(code)).dim
+        r = frames.frame_report(code, variant)
+        assert stab.order() == expected == 2**e * r.aut_c0
+        assert stab.order() * r.h_count == r.aut_c
+
+
 def test_frame_report_moonshine():
     lee = catalog.get("z4-leech-standard").code()
     r = frames.frame_report(lee, "orbifold", code_id="z4-leech-standard")
