@@ -1,4 +1,4 @@
-"""Automorphism groups and canonical forms of codes by partition backtracking.
+"""Automorphism groups and equivalence of codes by partition backtracking.
 
 The search operates on an invariant structure over the n coordinates: a
 list of word systems (sets of codeword supports grouped by weight class,
@@ -15,7 +15,8 @@ branches are searched bottom-up for a single automorphism each, skipping
 siblings already reachable by the group found so far; that is enough to
 generate the full automorphism group. Leaves are always verified against
 the actual codes (and any extra leaf predicate), so the invariants only
-ever prune.
+ever prune. Equivalence of two codes uses the same descent on the second
+code's tree, looking for one leaf that matches the first code's first leaf.
 
 Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
@@ -36,6 +37,10 @@ from .gf2 import BinaryCode
 from .permgrp import PermGroup, Perm
 
 DEFAULT_BUDGET = 10**8
+# Weight classes taken into a structure: at most this many classes, and no
+# further class once the words taken reach the word budget.
+MAX_CLASS_WORDS = 1600
+MAX_CLASSES = 2
 
 # -- invariant structure -----------------------------------------------------
 
@@ -73,7 +78,7 @@ def _small_side(code: BinaryCode) -> BinaryCode:
     return code
 
 
-def weight_class_systems(code: BinaryCode, *, max_words: int = 1600, max_classes: int = 2):
+def weight_class_systems(code: BinaryCode):
     """Selected small weight classes of a code, one system per class.
 
     Classes are taken in increasing weight, skipping 0 and the full-support
@@ -90,11 +95,11 @@ def weight_class_systems(code: BinaryCode, *, max_words: int = 1600, max_classes
         if m == 0 or m == side.length:
             continue
         count = dist[m]
-        if systems and total + count > max_words:
+        if systems and total + count > MAX_CLASS_WORDS:
             break
         systems.append(gf2.weight_words(side, m))
         total += count
-        if len(systems) >= max_classes or total >= max_words:
+        if len(systems) >= MAX_CLASSES or total >= MAX_CLASS_WORDS:
             break
     return systems
 
@@ -263,7 +268,11 @@ class _Search:
         return PermGroup(self.struct.n, gens)
 
     def first_path(self, cells):
-        """Descend, always individualizing the first point of the target cell."""
+        """Descend, always individualizing the first point of the target cell.
+
+        Records what find_leaf matches against: the refined shape at each
+        tree level (root first) and the leaf labeling lab0.
+        """
         path = []
         cells = _refine(self.struct, cells)
         while True:
@@ -273,18 +282,13 @@ class _Search:
             point = cells[idx][0]
             path.append((cells, idx, point))
             cells = _refine(self.struct, _individualize(cells, idx, point))
-        return path, cells
+        self.shapes = [_shape(c) for c, _, _ in path] + [_shape(cells)]
+        self.lab0 = _labeling(cells)
+        return path
 
     def automorphism_group(self) -> tuple[PermGroup, tuple[int, ...]]:
         struct = self.struct
-        path, leaf0 = self.first_path(_initial_partition(struct))
-        # shape after individualize+refine at depth d = partition at depth d+1
-        self.path_shapes = [
-            _shape(path[d + 1][0]) if d + 1 < len(path) else _shape(leaf0)
-            for d in range(len(path))
-        ]
-        lab0 = _labeling(leaf0)
-        self.lab0 = lab0
+        path = self.first_path(_initial_partition(struct))
         base = tuple(p for _, _, p in path)
         self.found_gens: list[Perm] = []
         group = permgrp.trivial_group(struct.n, base=base)
@@ -298,7 +302,8 @@ class _Search:
             for v in cells[idx][1:]:
                 if v in reached:
                     continue
-                g = self.find_automorphism(cells, idx, v, depth)
+                # one verified automorphism whose leaf sits under v, or None
+                g = self.find_leaf(_individualize(cells, idx, v), depth + 1, struct.verify)
                 if g is not None:
                     self.found_gens.append(g)
                     group = group.extended([g])
@@ -308,32 +313,30 @@ class _Search:
                 reached.add(v)
         return group, base
 
-    def find_automorphism(self, cells, idx, v, depth):
-        """One verified automorphism whose leaf sits under (cells, v), or None."""
-        struct = self.struct
+    def find_leaf(self, cells, depth, accept):
+        """The first leaf below cells, mapped against lab0, that passes accept.
 
-        def descend(cells, d):
-            self.tick()
-            cells = _refine(struct, cells)
-            if d < len(self.path_shapes) and _shape(cells) != self.path_shapes[d]:
-                return None
-            tgt = _target_cell(cells)
-            if tgt is None:
-                if len(cells) != len(self.lab0):
-                    return None
-                lab = _labeling(cells)
-                cand = [0] * struct.n
-                for pos in range(struct.n):
-                    cand[self.lab0[pos]] = lab[pos]
-                cand = tuple(cand)
-                return cand if struct.verify(cand) else None
-            for w in cells[tgt]:
-                got = descend(_individualize(cells, tgt, w), d + 1)
-                if got is not None:
-                    return got
+        cells is an unrefined partition at tree level depth; a node whose
+        refined shape differs from shapes[depth] cannot lie on the image of
+        the first path and is pruned. The candidate sends lab0[k] to the
+        leaf's k-th point.
+        """
+        self.tick()
+        cells = _refine(self.struct, cells)
+        if _shape(cells) != self.shapes[depth]:
             return None
-
-        return descend(_individualize(cells, idx, v), depth)
+        tgt = _target_cell(cells)
+        if tgt is None:
+            cand = [0] * self.struct.n
+            for pos, point in enumerate(_labeling(cells)):
+                cand[self.lab0[pos]] = point
+            cand = tuple(cand)
+            return cand if accept(cand) else None
+        for w in cells[tgt]:
+            got = self.find_leaf(_individualize(cells, tgt, w), depth + 1, accept)
+            if got is not None:
+                return got
+        return None
 
 
 def _orbit_of(point, gens):
@@ -360,80 +363,35 @@ def aut_binary(code: BinaryCode, *, budget: int | None = None, progress=None) ->
     return automorphism_group(structure_for_codes([code]), budget=budget, progress=progress)
 
 
-# -- canonical labeling ---------------------------------------------------------
-
-
-def _certificate(code: BinaryCode, labeling: Perm):
-    """Canonical bytes of the code relabeled so position k holds labeling[k]."""
-    inv = permgrp.inverse(labeling)
-    moved = gf2.span(code.length, [permgrp.apply_word(inv, b) for b in code.basis])
-    return moved.basis, inv, moved
-
-
-def canonical_form(code: BinaryCode, *, budget: int | None = None, progress=None):
-    """Canonical representative and a relabeling permutation p with p(code)
-    equal to the representative. Equal canonical forms characterize
-    equivalent codes."""
-    struct = structure_for_codes([code])
-    search = _Search(struct, budget, progress)
-    group, _ = search.automorphism_group()
-    best = None
-
-    stab_cache: dict = {}
-
-    def stab_orbits(fixed, cell):
-        gens = stab_cache.get(fixed)
-        if gens is None:
-            gens = group.stabilizer_generators(list(fixed))
-            stab_cache[fixed] = gens
-        reps = []
-        seen = set()
-        for v in cell:
-            if v in seen:
-                continue
-            reps.append(v)
-            seen |= _orbit_of(v, gens)
-        return reps
-
-    def rec(cells, fixed):
-        nonlocal best
-        search.tick()
-        cells = _refine(struct, cells)
-        idx = _target_cell(cells)
-        if idx is None:
-            key, inv, moved = _certificate(code, _labeling(cells))
-            if best is None or key < best[0]:
-                best = (key, inv, moved)
-            return
-        for v in stab_orbits(fixed, cells[idx]):
-            rec(_individualize(cells, idx, v), fixed + (v,))
-
-    rec(_initial_partition(struct), ())
-    _, perm, moved = best
-    return moved, perm
+# -- code equivalence -----------------------------------------------------------
 
 
 def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None):
     """A permutation g with g(a) = b, or None.
 
     Cheap invariants (length, dimension, weight data of the selected
-    classes) are compared first; otherwise canonical forms decide.
+    classes) are compared first. Refinement commutes with relabeling, so if
+    g(a) = b the search tree of b is the image under g of the tree of a, and
+    one leaf of b's tree matching the first leaf of a's tree carries a onto
+    b; find_leaf looks for it, pruned by the shapes along a's first path.
     """
     if a.length != b.length or a.dim != b.dim:
         return None
     if a == b:
         return permgrp.identity(a.length)
-    profile_a = [(len(s), gf2.weight(s[0])) for s in weight_class_systems(a)]
-    profile_b = [(len(s), gf2.weight(s[0])) for s in weight_class_systems(b)]
-    if profile_a != profile_b:
+    struct_a, struct_b = structure_for_codes([a]), structure_for_codes([b])
+    if ([(len(s), gf2.weight(s[0])) for s in struct_a.systems]
+            != [(len(s), gf2.weight(s[0])) for s in struct_b.systems]):
         return None
-    ca, pa = canonical_form(a, budget=budget)
-    cb, pb = canonical_form(b, budget=budget)
-    if ca != cb:
-        return None
-    g = permgrp.compose(pa, permgrp.inverse(pb))
-    assert permgrp.apply_code(g, a) == b
-    return g
+    target = _Search(struct_a, budget)
+    target.first_path(_initial_partition(struct_a))
+    search = _Search(struct_b, budget)
+    search.shapes, search.lab0 = target.shapes, target.lab0
+    small_a, small_b = struct_a.codes[0], struct_b.codes[0]
+    return search.find_leaf(
+        _initial_partition(struct_b), 0,
+        lambda g: permgrp.apply_code(g, small_a) == small_b,
+    )
 
 
 # -- subcode stabilizer ----------------------------------------------------------

@@ -117,8 +117,8 @@ def analyze(ref, as_json):
 @main.command()
 @click.option("--input", "ref", required=True, help="catalog id or matrix file")
 @click.option("--variant", type=click.Choice(["lattice", "orbifold"]), required=True)
-@click.option("--enumerate-h/--no-enumerate-h", default=None,
-              help="force or forbid direct enumeration of the subcode family")
+@click.option("--enumerate-h/--no-enumerate-h", default=True,
+              help="enumerate the subcode family directly (default) or not")
 @click.option("--aut-budget", type=int, default=None, help="search node budget")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def frame(ref, variant, enumerate_h, aut_budget, as_json):

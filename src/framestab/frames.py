@@ -113,24 +113,25 @@ def pointwise_order(sc: StructureCodes) -> tuple[int, int]:
     return a, b
 
 
+def _in_p(sc: StructureCodes, xi: int) -> bool:
+    """xi in P. The condition alpha & xi in C is linear in alpha, so a basis
+    of D decides it."""
+    return all(sc.c_code.contains(alpha & xi) for alpha in sc.d_code.basis)
+
+
 def lift_order(sc: StructureCodes, xi: int):
     """Order of a lift of sigma_xi: 'not_liftable', 2, or 4.
 
-    Liftability (alpha & xi in C for all alpha in D) is linear in alpha, so
-    the basis decides it. The order criterion wt(alpha & xi) mod 4 is a
-    quadratic form on D; for small D it is evaluated on every element,
-    otherwise on a basis plus all pairwise polarization terms.
+    sigma_xi lifts exactly when xi lies in P. The order criterion
+    wt(alpha & xi) mod 4 is a quadratic form on D: by inclusion-exclusion
+    wt((a ^ b) & xi) = wt(a & xi) + wt(b & xi) - 2 wt(a & b & xi), so it
+    vanishes on D exactly when it vanishes on a basis and every pairwise
+    polarization term wt(a & b & xi) is even.
     """
     if xi >> sc.r:
         raise ValueError("xi longer than the frame")
-    for alpha in sc.d_code.basis:
-        if not sc.c_code.contains(alpha & xi):
-            return "not_liftable"
-    if sc.d_code.dim <= 16:
-        for alpha in sc.d_code.codewords():
-            if (alpha & xi).bit_count() % 4:
-                return 4
-        return 2
+    if not _in_p(sc, xi):
+        return "not_liftable"
     basis = sc.d_code.basis
     for a in basis:
         if (a & xi).bit_count() % 4:
@@ -142,19 +143,16 @@ def lift_order(sc: StructureCodes, xi: int):
     return 2
 
 
-def lifts_commute(sc: StructureCodes, xi1: int, xi2: int, *, brute: bool = False) -> bool:
+def lifts_commute(sc: StructureCodes, xi1: int, xi2: int) -> bool:
     """Whether lifts of sigma_xi1 and sigma_xi2 commute.
 
     The pairing <alpha & xi1, alpha & xi2> = |alpha & xi1 & xi2| mod 2 is
-    linear in alpha, so checking a basis of D suffices; brute=True checks
-    every element of D instead (cross-check mode).
+    linear in alpha, so checking a basis of D suffices.
     """
-    p = compute_p(sc)
-    if not (p.contains(xi1) and p.contains(xi2)):
+    if not (_in_p(sc, xi1) and _in_p(sc, xi2)):
         raise ValueError("xi1 and xi2 must lie in P")
     mask = xi1 & xi2
-    alphas = sc.d_code.codewords() if brute else sc.d_code.basis
-    return all((alpha & mask).bit_count() % 2 == 0 for alpha in alphas)
+    return all((alpha & mask).bit_count() % 2 == 0 for alpha in sc.d_code.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,7 @@ def _aut_c_feasible(c_code: BinaryCode) -> bool:
 
 
 def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
-                 enumerate_h: bool | None = None,
+                 enumerate_h: bool = True,
                  compute_aut_c: bool | None = None,
                  budget: int | None = None,
                  progress=None) -> FrameReport:
@@ -383,10 +381,9 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     sc = structure_codes(code, variant)
     n = code.length
     c0, c1 = z4.torsion(code), z4.residue(code)
-    if variant == "orbifold" and gf2.min_weight(c0) < 4:
+    if variant == "orbifold" and (mw := gf2.min_weight(c0)) < 4:
         raise VariantError(
-            f"min weight of C0 is {gf2.min_weight(c0)}: outside the orbifold "
-            "transitivity hypotheses"
+            f"min weight of C0 is {mw}: outside the orbifold transitivity hypotheses"
         )
     a, b = pointwise_order(sc)
     kernel, image = autsearch.aut_z4(code, budget=budget, progress=progress)
@@ -405,8 +402,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
 
     # |H|: direct enumeration where feasible, index formula otherwise
     h_direct = None
-    want_direct = enumerate_h if enumerate_h is not None else True
-    if want_direct:
+    if enumerate_h:
         try:
             if variant == "lattice":
                 h_direct, _ = enumerate_h_lattice(sc)

@@ -253,12 +253,6 @@ class PermGroup:
             self.degree, list(self._strong) + [tuple(g) for g in new_gens], base=self._base
         )
 
-    def stabilizer_generators(self, points) -> list[Perm]:
-        """Generators of the pointwise stabilizer of the given points."""
-        chain = PermGroup(self.degree, self._strong, base=list(points))
-        k = len(points)
-        return [g for g in chain._strong if all(g[b] == b for b in points[:k])] or []
-
     def elements(self, cap: int = 1 << 20):
         """Iterate all elements (order capped); intended for cross-checks."""
         if self.order() > cap:

@@ -156,7 +156,7 @@ class Z4Code:
 
     def __str__(self):
         rows = ",".join("".join(map(str, r)) for r in self.basis)
-        return f"Z4[{self.length}]{self.shape()}<{rows}>"
+        return f"Z4[{self.length}]{group_shape(self)}<{rows}>"
 
 
 def z4_span(length: int, generators) -> Z4Code:
@@ -252,25 +252,21 @@ def is_self_dual(c: Z4Code) -> bool:
 def is_type_ii(c: Z4Code) -> bool:
     """Self-dual with every Euclidean weight divisible by 8.
 
-    For small codes the weight condition is checked on every codeword. Above
-    2^20 codewords it is checked on the generators only, which suffices for a
-    self-orthogonal code: wt(x+y) = wt(x) + wt(y) + 2<x,y> mod 8, and the
-    pairing of any two codewords of a self-orthogonal code vanishes mod 4.
+    A self-dual code is self-orthogonal, so the generator check of
+    all_weights_divisible_by_8 is exact here.
     """
-    if not is_self_dual(c):
-        return False
-    if c.size() <= 1 << 20:
-        return all(euclidean_weight(w) % 8 == 0 for w in c.codewords())
-    return all(euclidean_weight(row) % 8 == 0 for row in c.basis)
+    return is_self_dual(c) and all(euclidean_weight(row) % 8 == 0 for row in c.basis)
 
 
 def all_weights_divisible_by_8(c: Z4Code) -> bool:
-    """Whether every Euclidean weight in c is divisible by 8."""
-    if is_self_orthogonal(c):
-        return all(euclidean_weight(row) % 8 == 0 for row in c.basis)
-    if c.size() <= 1 << 20:
-        return all(euclidean_weight(w) % 8 == 0 for w in c.codewords())
-    raise EnumerationLimit("code too large for the weight-divisibility scan")
+    """Whether every Euclidean weight in c is divisible by 8.
+
+    wt(x+y) = wt(x) + wt(y) + 2<x,y> mod 8. If every weight is divisible by
+    8, every pairing vanishes mod 4, so the code is self-orthogonal; for a
+    self-orthogonal code the same identity carries divisibility from the
+    generators to every codeword.
+    """
+    return is_self_orthogonal(c) and all(euclidean_weight(row) % 8 == 0 for row in c.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -91,20 +91,7 @@ def test_budget_exceeded_reports_partial():
     assert err.value.lower_bound_only
 
 
-# -- canonical forms and equivalence ------------------------------------------
-
-
-def test_canonical_form_invariant_under_relabeling():
-    rng = random.Random(3)
-    for code in (gf2.hamming8(), gf2.span(10, [rng.randrange(1 << 10) for _ in range(4)])):
-        canon, p = ats.canonical_form(code)
-        assert permgrp.apply_code(p, code) == canon
-        for _ in range(5):
-            g = tuple(rng.sample(range(code.length), code.length))
-            moved = permgrp.apply_code(g, code)
-            canon2, p2 = ats.canonical_form(moved)
-            assert canon2 == canon
-            assert permgrp.apply_code(p2, moved) == canon2
+# -- code equivalence ---------------------------------------------------------
 
 
 def test_is_equivalent_identity():
@@ -121,6 +108,14 @@ def test_is_equivalent_finds_witness():
     g = gf2.is_equivalent(c, moved)
     assert g is not None
     assert permgrp.apply_code(g, c) == moved
+    rng = random.Random(3)
+    for code in (gf2.hamming8(), gf2.span(10, [rng.randrange(1 << 10) for _ in range(4)])):
+        for _ in range(5):
+            perm = tuple(rng.sample(range(code.length), code.length))
+            moved = permgrp.apply_code(perm, code)
+            g = gf2.is_equivalent(code, moved)
+            assert g is not None
+            assert permgrp.apply_code(g, code) == moved
 
 
 def test_is_equivalent_rejects_different_invariants():
@@ -130,6 +125,19 @@ def test_is_equivalent_rejects_different_invariants():
     b = gf2.hamming8()
     assert a.dim == b.dim
     assert gf2.is_equivalent(a, b) is None
+
+
+def test_is_equivalent_rejects_equal_weight_enumerators():
+    # e8+e8 and d16+ are both doubly-even self-dual [16,8] codes with the
+    # same weight enumerator, but not equivalent; only the tree search can
+    # tell them apart
+    e8e8 = gf2.span(16, list(gf2.hamming8().basis)
+                    + [b << 8 for b in gf2.hamming8().basis])
+    d16 = gf2.span(16, [0b1111 << 2 * i for i in range(7)] + [0xAAAA])
+    assert gf2.weight_distribution(e8e8) == gf2.weight_distribution(d16)
+    rng = random.Random(4)
+    perm = tuple(rng.sample(range(16), 16))
+    assert gf2.is_equivalent(e8e8, permgrp.apply_code(perm, d16)) is None
 
 
 def test_phi2_pseudo_golay_equivalent_to_golay():

@@ -120,12 +120,6 @@ def test_forced_base_prefix():
     assert g.order() == 1344
 
 
-def test_stabilizer_generators():
-    g = pg.symmetric_group(6)
-    stab = pg.PermGroup(6, g.stabilizer_generators([0, 1]))
-    assert stab.order() == factorial(4)
-
-
 def test_subgroup_search_point_stabilizer():
     g = pg.symmetric_group(6)
     found = pg.subgroup_search(g, lambda p: p[0] == 0)

@@ -178,6 +178,32 @@ def test_type_ii_generator_criterion_matches_enumeration():
         seen_both.add(full)
 
 
+def test_weights_divisible_by_8_needs_self_orthogonality():
+    # every weight divisible by 8 forces self-orthogonality, so a code that
+    # is not self-orthogonal answers False at any size, without a scan
+    units = z4.z4_span(24, [tuple(int(j == i) for j in range(24)) for i in range(23)])
+    assert units.size() == 4**23
+    assert not z4.is_self_orthogonal(units)
+    assert not z4.all_weights_divisible_by_8(units)
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(60):
+        n = rng.randrange(3, 8)
+        gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 4))]
+        c = z4.z4_span(n, gens)
+        if z4.is_self_orthogonal(c):
+            continue
+        scan = all(z4.euclidean_weight(w) % 8 == 0 for w in c.codewords())
+        assert z4.all_weights_divisible_by_8(c) == scan
+        checked += 1
+    assert checked >= 30
+
+
+def test_str_shows_group_shape():
+    c = catalog.get("z4-len8-4").code()
+    assert str(c) == "Z4[8]4^4<10011203,01011012,00111120,00021331,00002222>"
+
+
 def test_parse_z4():
     with pytest.raises(ParseError):
         z4.from_text("0123\n014\n")
