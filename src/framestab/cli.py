@@ -84,7 +84,8 @@ def analyze(ref, as_json):
         self_orth = z4.is_self_orthogonal(code)
         self_dual = z4.is_self_dual(code)
         type_ii = z4.is_type_ii(code)
-        min_w = z4.min_euclidean_weight(code)
+        # the zero code has no nonzero word, hence no minimum weight
+        min_w = z4.min_euclidean_weight(code) if code.size() > 1 else None
         info = {
             "id": name,
             "length": code.length,

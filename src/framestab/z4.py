@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import gf2
 from .errors import EnumerationLimit
 from .matrixio import parse_z4_matrix
@@ -270,11 +272,27 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Packed enumeration for Euclidean weights
+# Coset-split enumeration for Euclidean weights
 # ---------------------------------------------------------------------------
 # A word is packed as two bitplanes (lo, hi): digit d = lo_bit + 2*hi_bit.
-# Addition mod 4 is then three XORs and one AND per word, and the Euclidean
-# weight is popcount(lo) + 4*popcount(hi & ~lo).
+# Every codeword is g_S + 2u for a unique subset S of the lifts g_1..g_k1
+# (Howell rows with independent residues, so the residue of g_S is a word c
+# of C1) and a unique u in C0 (Hammons, Kumar, Calderbank, Sloane & Sole
+# 1994). With g_S = (c, m) packed, the word is (c, m ^ u) and its Euclidean
+# weight is |c| + 4*wt((m ^ u) & ~c). The scan walks the cosets g_S + 2*C0,
+# together with the torsion basis vectors beyond the first INNER_BITS, in
+# binary-reflected Gray order, and evaluates each coset at once over the
+# span of the first INNER_BITS torsion vectors with np.bitwise_count. Words
+# longer than 64 are split into 64-bit limbs.
+
+# Dimension of the torsion span evaluated per coset (2^16 words, 512 KB a limb).
+INNER_BITS = 16
+
+# Number of minimum-weight words a scan keeps; the count stays exact beyond it.
+_WORD_LIMIT = 1 << 18
+
+_LIMB_MASK = (1 << 64) - 1
+
 
 def _pack(word):
     lo = hi = 0
@@ -282,20 +300,6 @@ def _pack(word):
         lo |= (d & 1) << i
         hi |= (d >> 1) << i
     return lo, hi
-
-
-def _unpack(lo, hi, n):
-    return tuple(((lo >> i) & 1) + 2 * ((hi >> i) & 1) for i in range(n))
-
-
-def _packed_add(a, b):
-    lo = a[0] ^ b[0]
-    hi = a[1] ^ b[1] ^ (a[0] & b[0])
-    return lo, hi
-
-
-def _packed_weight(lo, hi):
-    return lo.bit_count() + 4 * (hi & ~lo).bit_count()
 
 
 @lru_cache(maxsize=8)
@@ -309,42 +313,62 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
         raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {cap}")
     if c.size() == 1:
         raise ValueError("the zero code has no nonzero codeword")
-    mult_table = []
-    for (_, typ), row in zip(c.pivots, c.basis):
-        p1 = _pack(row)
-        p2 = _packed_add(p1, p1)
-        if typ == 2:
-            mult_table.append(((0, 0), p1))
-        else:
-            mult_table.append(((0, 0), p1, p2, _packed_add(p2, p1)))
-    best = [1 << 62, 0, []]  # weight, count, sample words
-    limit = 1 << 18
-    last = len(mult_table) - 1
+    limbs = -(-c.length // 64)
 
-    def rec(i, lo, hi):
-        if i == last:
-            for mlo, mhi in mult_table[i]:
-                wlo = lo ^ mlo
-                whi = hi ^ mhi ^ (lo & mlo)
-                if not (wlo | whi):
-                    continue
-                w = wlo.bit_count() + 4 * (whi & ~wlo).bit_count()
-                if w < best[0]:
-                    best[0] = w
-                    best[1] = 1
-                    best[2] = [(wlo, whi)]
-                elif w == best[0]:
-                    best[1] += 1
-                    if best[1] <= limit:
-                        best[2].append((wlo, whi))
-        else:
-            for mlo, mhi in mult_table[i]:
-                rec(i + 1, lo ^ mlo, hi ^ mhi ^ (lo & mlo))
+    def split(x):
+        return [np.uint64(x >> (64 * l) & _LIMB_MASK) for l in range(limbs)]
 
-    if last < 0:
-        raise ValueError("the zero code has no nonzero codeword")
-    rec(0, 0, 0)
-    return best[0], best[1], tuple(best[2])
+    tors = torsion(c).basis
+    inner, extra = tors[:INNER_BITS], tors[INNER_BITS:]
+    span = np.zeros((limbs, 1 << len(inner)), dtype=np.uint64)
+    for i, v in enumerate(inner):
+        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ np.array(split(v))[:, None]
+
+    # Gray-walk steps as (add when the bit turns on, add when it turns off).
+    # Turning a lift off adds its negation 3g: adding g again would shift the
+    # word by 2*res(g), which lies outside the inner span when k0 > INNER_BITS.
+    # The lifts are the Howell rows whose residues are independent, one per
+    # basis word of C1; a 2-pivot row such as (2, 1) can be one.
+    steps, residues = [], gf2.span(c.length, [])
+    for row in c.basis:
+        lo, hi = _pack(row)
+        if lo not in residues:
+            residues = gf2.span(c.length, residues.basis + (lo,))
+            steps.append(((lo, hi), (lo, hi ^ lo)))
+    for v in extra:
+        steps.append(((0, v), (0, v)))
+
+    best, count, words = 1 << 62, 0, []
+    lo = hi = 0
+    for step in range(1 << len(steps)):
+        if step:
+            j = (step & -step).bit_length() - 1
+            glo, ghi = steps[j][0 if (step ^ step >> 1) >> j & 1 else 1]
+            lo, hi = lo ^ glo, hi ^ ghi ^ (lo & glo)
+        wlo = lo.bit_count()
+        if wlo > best:
+            continue
+        his, masks = split(hi), split(~lo)
+        t = np.bitwise_count((span[0] ^ his[0]) & masks[0])
+        for l in range(1, limbs):
+            t = np.add(t, np.bitwise_count((span[l] ^ his[l]) & masks[l]), dtype=np.uint16)
+        first = 0 if step else 1  # the zero word sits at index 0 of the first coset
+        tmin = int(t[first:].min())
+        w = wlo + 4 * tmin
+        if w > best:
+            continue
+        hits = np.flatnonzero(t[first:] == tmin) + first
+        if w < best:
+            best, count, words = w, 0, []
+        count += len(hits)
+        hits = hits[:_WORD_LIMIT - len(words)]
+        if len(hits):
+            found = [0] * len(hits)
+            for l in range(limbs):
+                part = (span[l, hits] ^ his[l]).tolist()
+                found = [f | p << (64 * l) for f, p in zip(found, part)]
+            words.extend((lo, f) for f in found)
+    return best, count, tuple(words)
 
 
 def min_euclidean_weight(c: Z4Code, cap: int = ENUM_CAP) -> int:

@@ -52,6 +52,17 @@ def test_analyze_parse_error(runner, tmp_path):
     assert "line 2" in result.output
 
 
+def test_analyze_zero_code(runner, tmp_path):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0 0 0 0\n")
+    result = runner.invoke(main, ["analyze", "--input", str(zero), "--json"])
+    assert result.exit_code == 0, result.output
+    info = json.loads(result.output)
+    assert info["size"] == "1"
+    assert info["min_euclidean_weight"] is None
+    assert info["extremal"] is False
+
+
 def test_analyze_empty_file(runner, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")

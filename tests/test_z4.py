@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from framestab import catalog, gf2, z4
@@ -10,6 +11,26 @@ LEN8_IDS = [f"z4-len8-{k}" for k in (1, 2, 3, 4)]
 
 def len8(k):
     return catalog.get(f"z4-len8-{k}").code()
+
+
+def unpack(lo, hi, n):
+    return tuple((lo >> i & 1) + 2 * (hi >> i & 1) for i in range(n))
+
+
+def relabel(c, rng):
+    """A random coordinate permutation and sign change, rows shuffled."""
+    n = c.length
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, 3)) for _ in range(n)]
+    rows = []
+    for row in c.basis:
+        out = [0] * n
+        for i, d in enumerate(row):
+            out[perm[i]] = d * signs[i] % 4
+        rows.append(out)
+    rng.shuffle(rows)
+    return z4.z4_span(n, rows)
 
 
 def test_span_sizes_and_shapes():
@@ -154,9 +175,81 @@ def test_min_euclidean_weight_len8():
 def test_min_weight_words_len8():
     c = len8(1)
     words = z4.min_weight_words(c)
-    assert all(z4._packed_weight(lo, hi) == 8 for lo, hi in words)
+    assert all(z4.euclidean_weight(unpack(lo, hi, 8)) == 8 for lo, hi in words)
     direct = [w for w in c.codewords() if z4.euclidean_weight(w) == 8]
     assert len(words) == len(direct)
+
+
+def _codeword_scan(c):
+    """Reference for _weight_scan: every nonzero codeword, one at a time."""
+    best, words = None, set()
+    for w in c.codewords():
+        if not any(w):
+            continue
+        e = z4.euclidean_weight(w)
+        if best is None or e < best:
+            best, words = e, set()
+        if e == best:
+            words.add(w)
+    return best, words
+
+
+def test_weight_scan_matches_codeword_scan():
+    rng = random.Random(41)
+    codes = [z4.z4_span(2, [(2, 1)]), z4.z4_span(5, [(2, 1, 0, 3, 2), (0, 2, 2, 0, 1)])]
+    codes += [relabel(len8(k), rng) for k in (1, 2, 3, 4)]
+    for _ in range(30):
+        n = rng.randrange(2, 12)
+        gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 5))]
+        codes.append(z4.z4_span(n, gens))
+    for n in (64, 65, 130):
+        # the last generator leads with a 2 and has an odd tail, like (2, 1)
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(3)]
+        gens.append((2,) + tuple(2 * rng.randrange(2) for _ in range(n - 2)) + (1,))
+        codes.append(z4.z4_span(n, gens))
+    for c in codes:
+        if c.size() == 1:
+            continue
+        best, words = _codeword_scan(c)
+        m, count, packed = z4._weight_scan(c)
+        assert (m, count) == (best, len(words))
+        assert {unpack(lo, hi, c.length) for lo, hi in packed} == words
+
+
+def test_weight_scan_beyond_inner_span_leech():
+    # k0 = 18 > INNER_BITS: the Gray walk also steps through torsion vectors,
+    # so a lift turned off must be subtracted, not added again
+    c = catalog.get("z4-leech-standard").code()
+    assert z4.torsion(c).dim > z4.INNER_BITS
+    words = z4.min_weight_words(c)
+    assert len(words) == 95610
+    assert len(set(words)) == len(words)
+    unpacked = [unpack(lo, hi, 24) for lo, hi in words]
+    assert all(z4.euclidean_weight(w) == 16 for w in unpacked)
+    # c is self-dual, so membership is orthogonality to its basis
+    assert z4.is_self_dual(c)
+    pairings = np.array(unpacked) @ np.array(c.basis).T % 4
+    assert not pairings.any()
+
+
+def test_weight_scan_invariant_under_relabeling():
+    rng = random.Random(7)
+    expected = {"z4-pseudo-golay-1": 98256, "z4-pseudo-golay-2": 98256, "z4-leech-standard": 95610}
+    split_forms = 0
+    for eid, count in expected.items():
+        code = catalog.get(eid).code()
+        for _ in range(2):
+            c = relabel(code, rng)
+            # a Howell form with fewer unit pivots than dim C1 (11 + 2 rows)
+            split_forms += c.k1 < z4.residue(c).dim
+            m, got, _ = z4._weight_scan(c)
+            assert (m, got) == (16, count)
+    assert split_forms
+
+
+def test_weight_scan_zero_code():
+    with pytest.raises(ValueError):
+        z4.min_euclidean_weight(z4.zero_code(4))
 
 
 def test_enumeration_cap():
@@ -211,7 +304,6 @@ def test_parse_z4():
     assert c.length == 4
 
 
-@pytest.mark.slow
 def test_pseudo_golay_type_ii_and_extremal():
     for eid in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
         c = catalog.get(eid).code()
@@ -220,7 +312,6 @@ def test_pseudo_golay_type_ii_and_extremal():
         assert z4.is_extremal(c)
 
 
-@pytest.mark.slow
 def test_leech_standard_extremal():
     c = catalog.get("z4-leech-standard").code()
     assert z4.is_type_ii(c)
