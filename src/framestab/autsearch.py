@@ -3,11 +3,19 @@
 The search operates on an invariant structure over the n coordinates: a
 list of word systems (sets of codeword supports grouped by weight class,
 possibly from several codes at once), an optional initial coloring, and an
-optional matrix of pairwise colors. Refinement iterates a coloring to
-stability: the signature of a coordinate records, per word system, how many
-words of each cell-profile pass through it, plus its color multiset toward
-every cell when pairwise colors are present. Signatures are sorted before
-cells split, so the refinement commutes with relabeling.
+optional matrix of pairwise colors. Refinement computes the coarsest
+equitable partition finer than a given one with a queue of splitter cells
+(McKay 1981; McKay & Piperno 2014). The words of the systems form a second
+partition: a queued point cell splits word cells by how many of its points
+each word holds (and point cells by their pairwise color counts toward
+it), and a queued word cell splits point cells by how many of its words
+pass through each point. A cell that splits queues all its parts if it was
+queued, and otherwise all but its first largest part. Below a refined node
+only the individualized point is queued, and the node's word cells are
+carried down the tree. Cells are named by their start offsets into one
+label array, splitters are taken singletons first and then by start, and
+parts follow in increasing count, so the refinement and its cell order
+commute with relabeling.
 
 The tree individualizes one point of the first smallest non-singleton cell
 (ties to the smallest point) and descends first-path first. Sibling
@@ -27,7 +35,11 @@ GF(2) is solvable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,7 +63,7 @@ class Structure:
 
     n: int
     codes: tuple[BinaryCode, ...]
-    systems: list[list[int]]
+    systems: list[list[int]]  # non-empty lists of word supports
     vertex_colors: list | None = None
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
     leaf_test: object = None  # callable(Perm) -> bool, or None
@@ -64,6 +76,21 @@ class Structure:
         if self.leaf_test is not None and not self.leaf_test(p):
             return False
         return True
+
+    @cached_property
+    def incidence(self):
+        """The words of all systems as a words x points 0/1 matrix, and the
+        row where each system starts."""
+        width = (self.n + 7) // 8
+        words = [w for system in self.systems for w in system]
+        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")
+        sizes = [len(system) for system in self.systems]
+        return bits[:, :self.n].astype(np.int64), np.cumsum([0, *sizes[:-1]])
+
+    @cached_property
+    def ncolors(self):
+        return int(self.pair_colors.max()) + 1
 
 
 def _small_side(code: BinaryCode) -> BinaryCode:
@@ -150,69 +177,162 @@ def _initial_partition(struct: Structure):
     return [groups[c] for c in sorted(groups)]
 
 
-def _refine(struct: Structure, cells):
-    """Iterate signature splitting until the partition is equitable."""
-    cells = [list(c) for c in cells]
-    while True:
-        if all(len(c) == 1 for c in cells):
-            return cells
-        masks = [sum(1 << i for i in cell) for cell in cells]
-        sig = {i: [] for cell in cells for i in cell}
-        for words in struct.systems:
-            profiles: dict = {}
-            incidence: dict = {}
-            for w in words:
-                prof = tuple(
-                    (w & m).bit_count() if w & m else 0 for m in masks
-                )
-                pid = profiles.setdefault(prof, len(profiles))
-                incidence[w] = pid
-            # canonical renumbering of profiles
-            order = {pid: rank for rank, (prof, pid) in enumerate(sorted(
-                (prof, pid) for prof, pid in profiles.items()))}
-            counts = {i: {} for cell in cells for i in cell}
-            for w, pid in incidence.items():
-                r = order[pid]
-                ww = w
-                while ww:
-                    low = ww & -ww
-                    i = low.bit_length() - 1
-                    if i in counts:
-                        d = counts[i]
-                        d[r] = d.get(r, 0) + 1
-                    ww ^= low
-            for i in sig:
-                sig[i].append(tuple(sorted(counts[i].items())))
-        if struct.pair_colors is not None:
-            pc = struct.pair_colors
-            n = struct.n
-            ncolors = int(pc.max()) + 1
-            cellidx = np.empty(n, dtype=np.int64)
-            for k, cell in enumerate(cells):
-                cellidx[cell] = k
-            key = pc * len(cells) + cellidx[None, :]
-            width = ncolors * len(cells)
-            for i in sig:
-                hist = np.bincount(key[i], minlength=width)
-                sig[i].append(hist.tobytes())
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict = {}
-            for i in cell:
-                groups.setdefault(tuple(sig[i]), []).append(i)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
-            changed = True
-            for key in sorted(groups):
-                new_cells.append(sorted(groups[key]))
-        cells = new_cells
-        if not changed:
-            return cells
+class _Partition:
+    """An ordered partition of range(size): one label array cut into cells.
+
+    A cell is named by its start offset into the label array, which depends
+    only on the sizes of the cells before it, so names and queue order are
+    canonical. starts lists them in order and length[start] is a cell's
+    size. The cells waiting to act as splitters are queued: singletons on a
+    stack, taken first, the others on a heap by start.
+    """
+
+    def __init__(self, lab, starts):
+        self.lab = lab
+        self.length = np.zeros(len(lab), dtype=np.int64)
+        self._count(starts)
+        self.singles: list[int] = []
+        self.others: list[int] = []
+        self.queued: set[int] = set()
+
+    def _count(self, starts):
+        self.starts = starts
+        self.length[starts[:-1]] = starts[1:] - starts[:-1]
+        self.length[starts[-1]] = len(self.lab) - starts[-1]
+
+    def discrete(self):
+        return len(self.starts) == len(self.lab)
+
+    def copy(self):
+        """The same cells, none queued."""
+        return _Partition(self.lab.copy(), self.starts)
+
+    def push(self, s, m):
+        """Queue the cell at s, of size m, not queued yet."""
+        self.queued.add(s)
+        if m == 1:
+            self.singles.append(s)
+        else:
+            heapq.heappush(self.others, s)
+
+    def push_all(self, starts):
+        for s, m in zip(starts.tolist(), self.length[starts].tolist()):
+            self.push(s, m)
+
+    def pop(self):
+        """Members of the next splitter, None if the queue is empty."""
+        if self.singles:
+            s = self.singles.pop()
+        elif self.others:
+            s = heapq.heappop(self.others)
+        else:
+            return None
+        self.queued.discard(s)
+        return self.lab[s:s + self.length[s]].copy()
+
+    def split(self, key):
+        """Split every cell on which key (indexed by element) is not constant.
+
+        The parts follow in increasing key; elements keep their order inside
+        each. All parts are queued if the cell was queued; otherwise all but
+        the first largest (Hopcroft): counts toward it are the counts toward
+        the whole cell, already uniform, minus those toward the other parts.
+        """
+        lab, starts, size = self.lab, self.starts, len(self.lab)
+        kl = key[lab]
+        varies = np.minimum.reduceat(kl, starts) != np.maximum.reduceat(kl, starts)
+        if not np.count_nonzero(varies):
+            return
+        first = np.zeros(size, dtype=bool)
+        first[starts] = True
+        cell = first.cumsum() - 1
+        pos = varies[cell].nonzero()[0]
+        order = pos[np.lexsort((kl[pos], cell[pos]))]
+        lab[pos] = lab[order]
+        kl[pos] = kl[order]
+        first[1:] |= kl[1:] != kl[:-1]
+        self._count(first.nonzero()[0])
+        starts = self.starts
+        owner = cell[starts]
+        inside = varies[owner]
+        parts = zip(owner[inside].tolist(), starts[inside].tolist(),
+                    self.length[starts[inside]].tolist())
+        for _, group in groupby(parts, key=itemgetter(0)):
+            group = [part[1:] for part in group]
+            head = group[0][0]
+            skip = head if head in self.queued else max(group, key=itemgetter(1))[0]
+            for s, m in group:
+                if s != skip:
+                    self.push(s, m)
+
+    def cells(self):
+        lab = self.lab.tolist()
+        starts = self.starts.tolist()
+        return [lab[a:b] for a, b in zip(starts, [*starts[1:], len(lab)])]
+
+
+def _pair_keys(struct: Structure, members):
+    """Per vertex, a canonical int key of its colour counts toward members.
+
+    Keys order as the count vectors do read from the last colour down, so a
+    single member's key is the colour itself. The vector is read in mixed
+    radix when that fits in int64 and ranked otherwise.
+    """
+    if len(members) == 1:
+        return struct.pair_colors[:, members[0]]
+    n, ncolors = struct.n, struct.ncolors
+    block = struct.pair_colors[:, members]
+    block += np.arange(0, n * ncolors, ncolors)[:, None]
+    counts = np.bincount(block.ravel(), minlength=n * ncolors).reshape(n, ncolors)
+    radix = len(members) + 1
+    if radix ** (ncolors - 1) < 1 << 63:
+        # the first count is fixed by the others, as each row sums to |members|
+        return counts[:, 1:] @ radix ** np.arange(ncolors - 1, dtype=np.int64)
+    return np.unique(counts[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _refine(struct: Structure, cells, active=None, words=None):
+    """The coarsest equitable partition finer than cells, and its word cells.
+
+    Splitter-queue refinement (McKay 1981) on the points and on the words of
+    all systems, which form a second partition: each queued point cell S
+    splits point cells by pair-colour counts toward S and word cells by
+    |w ∩ S|; each queued word cell splits point cells by how many of its
+    words pass through each point. words is the word partition _refine
+    returned with the partition that cells individualizes, or None to start
+    from one queued cell per system. active lists the indices of the point
+    cells to queue (None: all). A caller that individualized a point of a
+    refined partition passes its words and the new singleton's index alone:
+    everything else was already equitable. Without words every point cell
+    is queued.
+    """
+    n = struct.n
+    if len(cells) == n or not struct.systems and struct.pair_colors is None:
+        return [list(c) for c in cells], words
+    starts = np.fromiter(accumulate(map(len, cells[:-1]), initial=0), dtype=np.int64)
+    points = _Partition(np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=n), starts)
+    if struct.systems:
+        incidence, system_starts = struct.incidence
+        if words is None:
+            words = _Partition(np.arange(len(incidence)), system_starts)
+            words.push_all(words.starts)
+            active = None
+        else:
+            words = words.copy()
+    points.push_all(starts if active is None else starts[active])
+    while not points.discrete():
+        splitter = points.pop()
+        if splitter is not None:
+            if struct.pair_colors is not None:
+                points.split(_pair_keys(struct, splitter))
+            if words is not None:
+                words.split(np.add.reduce(incidence[:, splitter], axis=1))
+            continue
+        splitter = None if words is None else words.pop()
+        if splitter is None:
+            break
+        points.split(np.add.reduce(incidence[splitter], axis=0))
+    return points.cells(), words
 
 
 def _target_cell(cells):
@@ -274,26 +394,26 @@ class _Search:
         tree level (root first) and the leaf labeling lab0.
         """
         path = []
-        cells = _refine(self.struct, cells)
+        cells, words = _refine(self.struct, cells)
         while True:
             idx = _target_cell(cells)
             if idx is None:
                 break
             point = cells[idx][0]
-            path.append((cells, idx, point))
-            cells = _refine(self.struct, _individualize(cells, idx, point))
-        self.shapes = [_shape(c) for c, _, _ in path] + [_shape(cells)]
+            path.append((cells, words, idx, point))
+            cells, words = _refine(self.struct, _individualize(cells, idx, point), [idx], words)
+        self.shapes = [_shape(c) for c, _, _, _ in path] + [_shape(cells)]
         self.lab0 = _labeling(cells)
         return path
 
     def automorphism_group(self) -> tuple[PermGroup, tuple[int, ...]]:
         struct = self.struct
         path = self.first_path(_initial_partition(struct))
-        base = tuple(p for _, _, p in path)
+        base = tuple(p for _, _, _, p in path)
         self.found_gens: list[Perm] = []
         group = permgrp.trivial_group(struct.n, base=base)
         for depth in range(len(path) - 1, -1, -1):
-            cells, idx, beta = path[depth]
+            cells, words, idx, beta = path[depth]
             # orbits of the stabilizer of the first `depth` base points in
             # the group found so far
             stab_gens = [g for g in group.strong_generators
@@ -303,7 +423,8 @@ class _Search:
                 if v in reached:
                     continue
                 # one verified automorphism whose leaf sits under v, or None
-                g = self.find_leaf(_individualize(cells, idx, v), depth + 1, struct.verify)
+                g = self.find_leaf(_individualize(cells, idx, v), [idx], words, depth + 1,
+                                   struct.verify)
                 if g is not None:
                     self.found_gens.append(g)
                     group = group.extended([g])
@@ -313,16 +434,18 @@ class _Search:
                 reached.add(v)
         return group, base
 
-    def find_leaf(self, cells, depth, accept):
+    def find_leaf(self, cells, active, words, depth, accept):
         """The first leaf below cells, mapped against lab0, that passes accept.
 
-        cells is an unrefined partition at tree level depth; a node whose
+        cells is an unrefined partition at tree level depth, to be refined
+        from the cells listed in active and the word cells words (see
+        _refine); a node whose
         refined shape differs from shapes[depth] cannot lie on the image of
         the first path and is pruned. The candidate sends lab0[k] to the
         leaf's k-th point.
         """
         self.tick()
-        cells = _refine(self.struct, cells)
+        cells, words = _refine(self.struct, cells, active, words)
         if _shape(cells) != self.shapes[depth]:
             return None
         tgt = _target_cell(cells)
@@ -333,7 +456,7 @@ class _Search:
             cand = tuple(cand)
             return cand if accept(cand) else None
         for w in cells[tgt]:
-            got = self.find_leaf(_individualize(cells, tgt, w), depth + 1, accept)
+            got = self.find_leaf(_individualize(cells, tgt, w), [tgt], words, depth + 1, accept)
             if got is not None:
                 return got
         return None
@@ -389,7 +512,7 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     search.shapes, search.lab0 = target.shapes, target.lab0
     small_a, small_b = struct_a.codes[0], struct_b.codes[0]
     return search.find_leaf(
-        _initial_partition(struct_b), 0,
+        _initial_partition(struct_b), None, None, 0,
         lambda g: permgrp.apply_code(g, small_a) == small_b,
     )
 
@@ -625,9 +748,15 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
     """
     system = _SignSystem(code)
     kernel = system.kernel_order()
-    constraint = automorphism_group(
-        structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
-    )
+    try:
+        constraint = automorphism_group(
+            structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
+        )
+    except BudgetExceeded as err:
+        # the partial group preserves C0 and C1; only its sign-compatible
+        # generators are known to lie in the image
+        gens = [g for g in err.partial.generators if system.compatible(g)]
+        raise BudgetExceeded(str(err), partial=PermGroup(code.length, gens)) from None
     if all(system.compatible(g) for g in constraint.strong_generators):
         return kernel, constraint
     classes = weight_class_systems(system.res)

@@ -22,7 +22,15 @@ BUDGET_ENV = "FRAMESTAB_AUT_BUDGET"
 
 def _default_budget() -> int | None:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise click.ClickException(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _progress(label):

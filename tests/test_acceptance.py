@@ -1,8 +1,7 @@
 """Acceptance suite: one test per exit criterion, one printed verdict each.
 
 Run with `pytest tests/test_acceptance.py -v -s` for the full report; the
-long-running searches (Golay-scale automorphisms, length-24 Z4 codes) sit
-behind `-m slow`.
+long-running searches (the length-24 Z4 codes) sit behind `-m slow`.
 
 Criterion 5 contains one value that is internally inconsistent in its
 source (the fourth length-8 code); see the strict-xfail test below and the
@@ -102,7 +101,6 @@ def test_criterion_4_binary_aut_orders():
     report(4, "|Aut(H8)| = 1344, |Aut(RM(2,4))| = 322560, |Aut(E16)| = 16!", t)
 
 
-@pytest.mark.slow
 def test_criterion_4_golay_aut_order():
     t = time.time()
     assert autsearch.aut_binary(gf2.golay24()).order() == 244823040

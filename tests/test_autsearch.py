@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from framestab import autsearch as ats
@@ -89,6 +90,209 @@ def test_budget_exceeded_reports_partial():
         ats.aut_binary(gf2.golay24(), budget=20)
     assert err.value.partial is not None
     assert err.value.lower_bound_only
+
+
+# -- refinement -----------------------------------------------------------------
+
+
+def refine_oracle(struct, cells):
+    """The full-signature refinement the splitter queue replaced: every pass
+    gives each point its counts of words of each profile against every cell,
+    per system, and its colour counts toward every cell."""
+    cells = [list(c) for c in cells]
+    while True:
+        if all(len(c) == 1 for c in cells):
+            return cells
+        masks = [sum(1 << i for i in cell) for cell in cells]
+        sig = {i: [] for cell in cells for i in cell}
+        for words in struct.systems:
+            profiles: dict = {}
+            incidence: dict = {}
+            for w in words:
+                prof = tuple(
+                    (w & m).bit_count() if w & m else 0 for m in masks
+                )
+                pid = profiles.setdefault(prof, len(profiles))
+                incidence[w] = pid
+            order = {pid: rank for rank, (prof, pid) in enumerate(sorted(
+                (prof, pid) for prof, pid in profiles.items()))}
+            counts = {i: {} for cell in cells for i in cell}
+            for w, pid in incidence.items():
+                r = order[pid]
+                ww = w
+                while ww:
+                    low = ww & -ww
+                    i = low.bit_length() - 1
+                    if i in counts:
+                        d = counts[i]
+                        d[r] = d.get(r, 0) + 1
+                    ww ^= low
+            for i in sig:
+                sig[i].append(tuple(sorted(counts[i].items())))
+        if struct.pair_colors is not None:
+            pc = struct.pair_colors
+            n = struct.n
+            ncolors = int(pc.max()) + 1
+            cellidx = np.empty(n, dtype=np.int64)
+            for k, cell in enumerate(cells):
+                cellidx[cell] = k
+            key = pc * len(cells) + cellidx[None, :]
+            width = ncolors * len(cells)
+            for i in sig:
+                hist = np.bincount(key[i], minlength=width)
+                sig[i].append(hist.tobytes())
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups: dict = {}
+            for i in cell:
+                groups.setdefault(tuple(sig[i]), []).append(i)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
+            for key in sorted(groups):
+                new_cells.append(sorted(groups[key]))
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def assert_equitable(struct, cells):
+    """Within each cell, every point has the same colour counts toward every
+    cell, and the same number of words of each profile against the cells."""
+    cell_of = {x: k for k, cell in enumerate(cells) for x in cell}
+    for cell in cells:
+        seen = set()
+        for x in cell:
+            sig = []
+            for words in struct.systems:
+                sig.append(sorted(
+                    tuple(sum(1 for y in c if w >> y & 1) for c in cells)
+                    for w in words if w >> x & 1
+                ))
+            if struct.pair_colors is not None:
+                sig.append(sorted(
+                    (cell_of[y], int(struct.pair_colors[x, y])) for y in range(struct.n)
+                ))
+            seen.add(repr(sig))
+        assert len(seen) == 1
+
+
+def relabeled(struct, g):
+    """struct with point i renamed g[i]."""
+    n = struct.n
+    pair_colors = None
+    if struct.pair_colors is not None:
+        pair_colors = np.empty_like(struct.pair_colors)
+        pair_colors[np.ix_(g, g)] = struct.pair_colors
+    vertex_colors = None
+    if struct.vertex_colors is not None:
+        vertex_colors = [None] * n
+        for i in range(n):
+            vertex_colors[g[i]] = struct.vertex_colors[i]
+    return ats.Structure(
+        n, (), [[permgrp.apply_word(g, w) for w in words] for words in struct.systems],
+        vertex_colors=vertex_colors, pair_colors=pair_colors,
+    )
+
+
+def pseudo_golay_2_pair_structure():
+    """The 759-word pair-colour graph aut_z4 searches for pseudo-golay-2."""
+    system = ats._SignSystem(catalog.get("z4-pseudo-golay-2").code())
+    graph = ats._WordGraph(system, ats.weight_class_systems(system.res)[0])
+    return ats.Structure(len(graph.words), (), [],
+                         pair_colors=ats._intern_colors(graph.pair_colors))
+
+
+def refinement_corpus():
+    rng = random.Random(17)
+    out = [ats.structure_for_codes([random_code(rng, n, rng.randrange(1, 5))])
+           for n in rng.choices(range(6, 21), k=12)]
+    out.append(ats.structure_for_codes([gf2.golay24()]))
+    out.append(ats.structure_for_codes([gf2.reed_muller(2, 4)]))
+    # two systems at once, and an initial coloring
+    rm = gf2.reed_muller(2, 4)
+    out.append(ats.structure_for_codes([rm, gf2.d_map(gf2.even_code(8))]))
+    out.append(ats.structure_for_codes(
+        [gf2.hamming8()], vertex_colors=[i % 3 == 0 for i in range(8)]))
+    # random pair colours: with 40 colours the count vectors toward a cell
+    # do not fit one int64 key
+    for ncolors in (3, 40):
+        n = 30
+        colors = [[rng.randrange(ncolors) for _ in range(n)] for _ in range(n)]
+        out.append(ats.structure_for_codes(
+            [gf2.span(n, [])], pair_colors=colors))
+    out.append(pseudo_golay_2_pair_structure())
+    return out
+
+
+def test_refine_matches_full_signature_oracle():
+    # at the root, then below up to three individualizations, with the word
+    # cells carried down from the level above and only the new singleton
+    # queued, as the search does
+    rng = random.Random(5)
+    for struct in refinement_corpus():
+        cells = ats._initial_partition(struct)
+        active = words = None
+        for _ in range(4):
+            got, words = ats._refine(struct, cells, active, words)
+            want = refine_oracle(struct, cells)
+            assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
+            assert sorted(x for c in got for x in c) == list(range(struct.n))
+            assert_equitable(struct, got)
+            # without the word cells, the refinement reaches the same cells
+            fresh, _ = ats._refine(struct, cells, active)
+            assert {frozenset(c) for c in fresh} == {frozenset(c) for c in want}
+            idx = ats._target_cell(got)
+            if idx is None:
+                break
+            cells = ats._individualize(got, idx, rng.choice(got[idx]))
+            active = [idx]
+
+
+def test_pair_keys_order_as_colour_counts():
+    # equal keys for equal count vectors only, ordered from the last colour;
+    # with 40 colours and 25 members the vectors do not fit one int64
+    rng = random.Random(3)
+    n = 25
+    for ncolors in (2, 7, 40):
+        colors = np.array([[rng.randrange(ncolors) for _ in range(n)] for _ in range(n)])
+        struct = ats.Structure(n, (), [], pair_colors=colors)
+        for size in (1, 2, 5, n):
+            members = np.array(sorted(rng.sample(range(n), size)))
+            keys = ats._pair_keys(struct, members).tolist()
+            counts = [[int((colors[v, members] == c).sum()) for c in range(ncolors)][::-1]
+                      for v in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    assert (keys[a] < keys[b]) == (counts[a] < counts[b])
+                    assert (keys[a] == keys[b]) == (counts[a] == counts[b])
+
+
+def test_refine_commutes_with_relabeling():
+    rng = random.Random(8)
+    for struct in refinement_corpus():
+        g = list(range(struct.n))
+        rng.shuffle(g)
+        moved = relabeled(struct, g)
+        cells = ats._initial_partition(struct)
+        moved_cells = ats._initial_partition(moved)
+        active = words = moved_words = None
+        for _ in range(4):
+            got, words = ats._refine(struct, cells, active, words)
+            moved_got, moved_words = ats._refine(moved, moved_cells, active, moved_words)
+            assert [{g[x] for x in c} for c in got] == [set(c) for c in moved_got]
+            idx = ats._target_cell(got)
+            if idx is None:
+                break
+            point = rng.choice(got[idx])
+            cells = ats._individualize(got, idx, point)
+            moved_cells = ats._individualize(moved_got, idx, g[point])
+            active = [idx]
 
 
 # -- code equivalence ---------------------------------------------------------
@@ -265,6 +469,19 @@ def test_aut_z4_leech_standard():
     assert kernel * image.order() == 2**18 * 1008
 
 
+def test_aut_z4_budget_partial_lies_in_the_image():
+    # at these budgets the search over Aut(C0) ∩ Aut(C1) runs out; what it
+    # found so far need not admit compatible signs, and the image has order 3
+    code = catalog.get("z4-pseudo-golay-2").code()
+    system = ats._SignSystem(code)
+    for budget in (30, 60, 120):
+        with pytest.raises(BudgetExceeded) as err:
+            ats.aut_z4(code, budget=budget)
+        partial = err.value.partial
+        assert all(system.compatible(g) for g in partial.generators)
+        assert 3 % partial.order() == 0
+
+
 def test_project_exactness_on_aut_z4():
     # kernel order * image order = full order, via an explicit signed set
     code = catalog.get("z4-len8-1").code()
@@ -274,7 +491,6 @@ def test_project_exactness_on_aut_z4():
     assert kernel * image.order() == 2**7 * factorial(8)
 
 
-@pytest.mark.slow
 def test_aut_golay_is_m24_order():
     assert ats.aut_binary(gf2.golay24()).order() == 244823040
 

@@ -152,6 +152,24 @@ def test_aut_budget_exceeded(runner):
     assert "lower bound" in result.output
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+def test_aut_budget_env_must_be_positive_integer(runner, raw):
+    for args in (["aut", "--input", "bin-hamming8", "--binary"],
+                 ["frame", "--input", "z4-len8-1", "--variant", "lattice"]):
+        result = runner.invoke(main, args, env={"FRAMESTAB_AUT_BUDGET": raw})
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ")
+        assert "FRAMESTAB_AUT_BUDGET" in result.output
+        assert repr(raw) in result.output
+
+
+def test_aut_budget_env_sets_the_budget(runner):
+    result = runner.invoke(main, ["aut", "--input", "bin-golay", "--binary"],
+                           env={"FRAMESTAB_AUT_BUDGET": "10"})
+    assert result.exit_code == 1
+    assert "lower bound" in result.output
+
+
 def test_catalog_show_bad_even_length(runner):
     result = runner.invoke(main, ["catalog", "show", "bin-even-x"])
     assert result.exit_code == 1
