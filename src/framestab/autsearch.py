@@ -21,7 +21,11 @@ The tree individualizes one point of the first smallest non-singleton cell
 (ties to the smallest point) and descends first-path first. Sibling
 branches are searched bottom-up for a single automorphism each, skipping
 siblings already reachable by the group found so far; that is enough to
-generate the full automorphism group. Leaves are always verified against
+generate the full automorphism group. The points individualized along the
+first path form a base, and the generators found at depth d or deeper
+generate the stabilizer of its first d points, so the found generators are a
+strong generating set for it and the group is built from them without
+Schreier-Sims (PermGroup.from_bsgs). Leaves are always verified against
 the actual codes (and any extra leaf predicate), so the invariants only
 ever prune. Equivalence of two codes uses the same descent on the second
 code's tree, looking for one leaf that matches the first code's first leaf.
@@ -411,14 +415,13 @@ class _Search:
         path = self.first_path(_initial_partition(struct))
         base = tuple(p for _, _, _, p in path)
         self.found_gens: list[Perm] = []
-        group = permgrp.trivial_group(struct.n, base=base)
+        level_gens: list[list[Perm]] = [[] for _ in path]
         for depth in range(len(path) - 1, -1, -1):
             cells, words, idx, beta = path[depth]
-            # orbits of the stabilizer of the first `depth` base points in
-            # the group found so far
-            stab_gens = [g for g in group.strong_generators
-                         if all(g[b] == b for b in base[:depth])]
-            reached = _orbit_of(beta, stab_gens)
+            # every generator found so far was found at depth >= `depth`, so
+            # fixes base[:depth]; once this level is done they generate its
+            # whole stabilizer
+            reached = _orbit_of(beta, self.found_gens)
             for v in cells[idx][1:]:
                 if v in reached:
                     continue
@@ -427,12 +430,9 @@ class _Search:
                                    struct.verify)
                 if g is not None:
                     self.found_gens.append(g)
-                    group = group.extended([g])
-                    stab_gens = [h for h in group.strong_generators
-                                 if all(h[b] == b for b in base[:depth])]
-                reached = _orbit_of(beta, stab_gens)
-                reached.add(v)
-        return group, base
+                    reached = _orbit_of(beta, self.found_gens)
+            level_gens[depth] = list(self.found_gens)
+        return PermGroup.from_bsgs(struct.n, base, level_gens), base
 
     def find_leaf(self, cells, active, words, depth, accept):
         """The first leaf below cells, mapped against lab0, that passes accept.
@@ -744,10 +744,20 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
     forced by design properties of the minimum vectors), but the pairing
     graph sees the lift data itself. Degenerate classes fall back to
     subgroup backtracking in the constraint group with sign tests at the
-    leaves.
+    leaves. A search that runs out of budget raises BudgetExceeded with part
+    of the image as its partial group and the full kernel order.
     """
     system = _SignSystem(code)
     kernel = system.kernel_order()
+    try:
+        return kernel, _aut_z4_image(system, budget, progress)
+    except BudgetExceeded as err:
+        err.kernel_order = kernel
+        raise
+
+
+def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
+    n = system.n
     try:
         constraint = automorphism_group(
             structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
@@ -756,18 +766,16 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
         # the partial group preserves C0 and C1; only its sign-compatible
         # generators are known to lie in the image
         gens = [g for g in err.partial.generators if system.compatible(g)]
-        raise BudgetExceeded(str(err), partial=PermGroup(code.length, gens)) from None
+        raise BudgetExceeded(str(err), partial=PermGroup(n, gens)) from None
     if all(system.compatible(g) for g in constraint.strong_generators):
-        return kernel, constraint
+        return constraint
     classes = weight_class_systems(system.res)
     words = classes[0] if classes else []
-    if code.length <= len(words) <= 1200 and _pencils_separate(code.length, words):
-        image = _WordGraph(system, words).search(budget, progress)
-        return kernel, image
-    image = permgrp.subgroup_search(
+    if n <= len(words) <= 1200 and _pencils_separate(n, words):
+        return _WordGraph(system, words).search(budget, progress)
+    return permgrp.subgroup_search(
         constraint, system.compatible, budget=budget, progress=progress
     )
-    return kernel, image
 
 
 def _pencils_separate(n: int, words: list[int]) -> bool:

@@ -128,7 +128,8 @@ def analyze(ref, as_json):
 @click.option("--variant", type=click.Choice(["lattice", "orbifold"]), required=True)
 @click.option("--enumerate-h/--no-enumerate-h", default=True,
               help="enumerate the subcode family directly (default) or not")
-@click.option("--aut-budget", type=int, default=None, help="search node budget")
+@click.option("--aut-budget", type=click.IntRange(min=1), default=None,
+              help="search node budget")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def frame(ref, variant, enumerate_h, aut_budget, as_json):
     """Full frame-stabilizer report for one code and frame variant."""
@@ -170,7 +171,8 @@ def frame(ref, variant, enumerate_h, aut_budget, as_json):
 @main.command()
 @click.option("--input", "ref", required=True, help="catalog id or matrix file")
 @click.option("--binary", is_flag=True, help="treat the input as a binary code")
-@click.option("--aut-budget", type=int, default=None, help="search node budget")
+@click.option("--aut-budget", type=click.IntRange(min=1), default=None,
+              help="search node budget")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def aut(ref, binary, aut_budget, as_json):
     """Automorphism group (binary code in Sym_n, or Z4-code as kernel/image)."""
@@ -209,8 +211,13 @@ def aut(ref, binary, aut_budget, as_json):
             gens = group
     except BudgetExceeded as err:
         partial = err.partial.order() if err.partial is not None else 1
+        if err.kernel_order is None:
+            found = f"partial group order {partial}"
+        else:
+            found = (f"sign kernel {err.kernel_order} times partial image order {partial} "
+                     f"= {err.kernel_order * partial}")
         raise click.ClickException(
-            f"search budget exceeded; partial group order {partial} is a lower bound only"
+            f"search budget exceeded; {found} is a lower bound only"
         ) from err
     except FramestabError as err:
         raise click.ClickException(str(err)) from err

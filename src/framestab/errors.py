@@ -25,9 +25,12 @@ class BudgetExceeded(FramestabError):
 
     ``partial`` holds whatever group was generated by the automorphisms found
     before the budget ran out; it is a lower bound only, never the full group.
+    For a Z4-code, ``partial`` is part of the permutation image and
+    ``kernel_order`` the order of the sign kernel, known in full.
     """
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial=None, kernel_order: int | None = None):
         super().__init__(message)
         self.partial = partial
+        self.kernel_order = kernel_order
         self.lower_bound_only = True

@@ -6,7 +6,10 @@ lists) is 1-indexed to match the coordinate convention elsewhere.
 
 The Schreier-Sims construction is deterministic and processes every
 Schreier generator, so strong generation is verified rather than sampled;
-orders are exact products of fundamental orbit lengths.
+orders are exact products of fundamental orbit lengths. The one exception is
+PermGroup.from_bsgs, which takes a base and strong generating set that the
+caller has already proved (the partition search proves one as it goes) and
+only computes the basic orbits.
 """
 
 from __future__ import annotations
@@ -102,7 +105,11 @@ class SignedPerm:
 
 
 class PermGroup:
-    """A permutation group with a verified base and strong generating set."""
+    """A permutation group with a base and strong generating set.
+
+    The constructor verifies strong generation by Schreier-Sims; from_bsgs
+    takes it from a caller that proved it.
+    """
 
     def __init__(self, degree: int, generators, base=()):
         self.degree = degree
@@ -204,6 +211,30 @@ class PermGroup:
                 l = 0 if lev is None else min(l, lev)
                 continue
             l += 1
+
+    @classmethod
+    def from_bsgs(cls, degree: int, base, level_gens) -> "PermGroup":
+        """The group with a known base and strong generating set.
+
+        level_gens[l] must generate the pointwise stabilizer of base[:l] in
+        the group, and only the identity may fix the whole base. This is
+        taken on trust, not verified: only the basic orbits and their
+        transversals are computed. The strong generators are the distinct
+        generators of all levels, in order of first appearance.
+        """
+        base = list(base)
+        if len(level_gens) != len(base):
+            raise ValueError("need one generator list per base point")
+        group = cls.__new__(cls)
+        group.degree = degree
+        group.generators = tuple(dict.fromkeys(g for gens in level_gens for g in gens))
+        group._strong = list(group.generators)
+        group._base = base
+        group._level_gens = [list(gens) for gens in level_gens]
+        group._transversals = [
+            group._orbit_transversal(b, gens) for b, gens in zip(base, level_gens)
+        ]
+        return group
 
     def _strip(self, g: Perm):
         for l in range(len(self._base)):

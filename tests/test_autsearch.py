@@ -85,6 +85,45 @@ def test_moonshine_d_aut_order():
     assert ats.aut_binary(d).order() == 2**12 * 6 * 20160
 
 
+def assert_matches_schreier_sims(group, rng):
+    """The search's group against a Schreier-Sims rebuild from its
+    generators on the same base: orders, basic orbits and membership."""
+    n = group.degree
+    ref = permgrp.PermGroup(n, group.generators, base=group.base)
+    assert ref.order() == group.order()
+    assert ref.base == group.base
+    for level in range(len(group.base)):
+        assert set(ref.basic_orbit(level)) == set(group.basic_orbit(level))
+    probes = [tuple(rng.sample(range(n), n)) for _ in range(10)]
+    for _ in range(10 if group.generators else 0):
+        p = permgrp.identity(n)
+        for _ in range(rng.randrange(1, 6)):
+            p = permgrp.compose(p, rng.choice(group.generators))
+        assert group.contains(p)
+        probes.append(p)
+    for p in probes:
+        assert group.contains(p) == ref.contains(p)
+
+
+def test_search_bsgs_matches_schreier_sims():
+    rng = random.Random(21)
+    groups = [ats.aut_binary(c) for c in (gf2.golay24(), gf2.reed_muller(2, 4), gf2.hamming8())]
+    for _ in range(30):
+        n = rng.randrange(6, 12)
+        groups.append(ats.aut_binary(random_code(rng, n, rng.randrange(1, n))))
+    for k in (1, 2, 3, 4):
+        groups.append(ats.aut_z4(catalog.get(f"z4-len8-{k}").code())[1])
+    groups.append(ats.aut_z4(catalog.get("z4-leech-standard").code())[1])
+    # the pseudo-Golay images come from the pair-colour graph search; the
+    # group their search starts from, Aut(C0) ∩ Aut(C1), is from the BSGS
+    for code_id in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
+        code = catalog.get(code_id).code()
+        groups.append(ats.automorphism_group(
+            ats.structure_for_codes([z4.torsion(code), z4.residue(code)])))
+    for group in groups:
+        assert_matches_schreier_sims(group, rng)
+
+
 def test_budget_exceeded_reports_partial():
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(gf2.golay24(), budget=20)
@@ -477,6 +516,7 @@ def test_aut_z4_budget_partial_lies_in_the_image():
     for budget in (30, 60, 120):
         with pytest.raises(BudgetExceeded) as err:
             ats.aut_z4(code, budget=budget)
+        assert err.value.kernel_order == 2
         partial = err.value.partial
         assert all(system.compatible(g) for g in partial.generators)
         assert 3 % partial.order() == 0

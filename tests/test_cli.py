@@ -152,6 +152,26 @@ def test_aut_budget_exceeded(runner):
     assert "lower bound" in result.output
 
 
+def test_aut_budget_z4_message_gives_kernel_and_image(runner):
+    result = runner.invoke(
+        main, ["aut", "--input", "z4-pseudo-golay-2", "--aut-budget", "120"]
+    )
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: search budget exceeded; sign kernel 2 times partial image order 1 "
+        "= 2 is a lower bound only\n"
+    )
+
+
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_aut_budget_option_must_be_positive(runner, raw):
+    for args in (["aut", "--input", "bin-hamming8", "--binary"],
+                 ["frame", "--input", "z4-len8-1", "--variant", "lattice"]):
+        result = runner.invoke(main, [*args, "--aut-budget", raw])
+        assert result.exit_code == 2
+        assert "Invalid value for '--aut-budget'" in result.output
+
+
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
 def test_aut_budget_env_must_be_positive_integer(runner, raw):
     for args in (["aut", "--input", "bin-hamming8", "--binary"],

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 from itertools import combinations
 from math import factorial
 
@@ -497,3 +498,49 @@ def test_frame_report_pseudo_golay_2():
     assert r.aut_z4_bar == 3
     assert r.stab_order == 2**13 * 2**12 * 3
     assert r.index_aut_c_k == 244823040 // 3
+
+
+# -- invariance under relabeling ------------------------------------------------
+
+
+def monomial_relabeling(code, rng):
+    """A random coordinate permutation and sign flip of the code, spanned from
+    its basis rows in shuffled order."""
+    n = code.length
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, 3)) for _ in range(n)]
+    rows = []
+    for row in code.basis:
+        out = [0] * n
+        for i, d in enumerate(row):
+            out[perm[i]] = d * signs[i] % 4
+        rows.append(out)
+    rng.shuffle(rows)
+    return z4.z4_span(n, rows)
+
+
+LEN8_FRAMES = [(f"z4-len8-{k}", "lattice") for k in (1, 2, 3, 4)] + [("z4-len8-4", "orbifold")]
+LEN24_FRAMES = [(code_id, variant)
+                for code_id in ("z4-leech-standard", "z4-pseudo-golay-1", "z4-pseudo-golay-2")
+                for variant in ("lattice", "orbifold")]
+
+
+def assert_report_invariant(code_id, variant, relabelings):
+    code = catalog.get(code_id).code()
+    want = asdict(frames.frame_report(code, variant))
+    rng = random.Random(f"{code_id}/{variant}")
+    for _ in range(relabelings):
+        relabeled = monomial_relabeling(code, rng)
+        assert asdict(frames.frame_report(relabeled, variant)) == want
+
+
+@pytest.mark.parametrize("code_id,variant", LEN8_FRAMES)
+def test_frame_report_invariant_under_relabeling(code_id, variant):
+    assert_report_invariant(code_id, variant, 3)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("code_id,variant", LEN24_FRAMES)
+def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
+    assert_report_invariant(code_id, variant, 1)
