@@ -25,10 +25,18 @@ generate the full automorphism group. The points individualized along the
 first path form a base, and the generators found at depth d or deeper
 generate the stabilizer of its first d points, so the found generators are a
 strong generating set for it and the group is built from them without
-Schreier-Sims (PermGroup.from_bsgs). Leaves are always verified against
-the actual codes (and any extra leaf predicate), so the invariants only
-ever prune. Equivalence of two codes uses the same descent on the second
-code's tree, looking for one leaf that matches the first code's first leaf.
+Schreier-Sims (PermGroup.from_bsgs).
+
+Every refinement on the first path records a trace: the numbers of point
+and word cells after each splitter, then the refined shape. Any other node
+refines against the first path's trace at its depth and is pruned at the
+first entry that differs (McKay & Piperno 2014): since refinement commutes
+with relabeling, a node that an automorphism maps the first path onto
+repeats the trace entry for entry. Leaves are always verified against the
+actual codes, the pair colours and any extra leaf predicate, so the
+invariants only ever prune. Equivalence of two codes uses the same descent
+on the second code's tree, pruned by the first code's traces, looking for
+one leaf that matches the first code's first leaf.
 
 Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, groupby
 from operator import itemgetter
 
@@ -77,6 +85,10 @@ class Structure:
             for b in c.basis:
                 if not c.contains(permgrp.apply_word(p, b)):
                     return False
+        if self.pair_colors is not None:
+            q = np.array(p)
+            if not np.array_equal(self.pair_colors[np.ix_(q, q)], self.pair_colors):
+                return False
         if self.leaf_test is not None and not self.leaf_test(p):
             return False
         return True
@@ -85,16 +97,21 @@ class Structure:
     def incidence(self):
         """The words of all systems as a words x points 0/1 matrix, and the
         row where each system starts."""
-        width = (self.n + 7) // 8
         words = [w for system in self.systems for w in system]
-        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")
         sizes = [len(system) for system in self.systems]
-        return bits[:, :self.n].astype(np.int64), np.cumsum([0, *sizes[:-1]])
+        return _bit_matrix(words, self.n), np.cumsum([0, *sizes[:-1]])
 
     @cached_property
     def ncolors(self):
         return int(self.pair_colors.max()) + 1
+
+
+def _bit_matrix(words, n):
+    """Words (bit masks over n points) as a words x points 0/1 int64 matrix."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")
+    return bits[:, :n].astype(np.int64)
 
 
 def _small_side(code: BinaryCode) -> BinaryCode:
@@ -295,7 +312,7 @@ def _pair_keys(struct: Structure, members):
     return np.unique(counts[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _refine(struct: Structure, cells, active=None, words=None):
+def _refine(struct: Structure, cells, active=None, words=None, trace=None):
     """The coarsest equitable partition finer than cells, and its word cells.
 
     Splitter-queue refinement (McKay 1981) on the points and on the words of
@@ -309,10 +326,17 @@ def _refine(struct: Structure, cells, active=None, words=None):
     refined partition passes its words and the new singleton's index alone:
     everything else was already equitable. Without words every point cell
     is queued.
+
+    trace, a _Trace or None, receives the numbers of point and word cells
+    after each splitter and then the refined shape. If it holds a trace to
+    match, the refinement stops at the first difference and returns None.
     """
     n = struct.n
     if len(cells) == n or not struct.systems and struct.pair_colors is None:
-        return [list(c) for c in cells], words
+        cells = [list(c) for c in cells]
+        if trace is not None and not trace.end(_shape(cells)):
+            return None
+        return cells, words
     starts = np.fromiter(accumulate(map(len, cells[:-1]), initial=0), dtype=np.int64)
     points = _Partition(np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=n), starts)
     if struct.systems:
@@ -331,12 +355,43 @@ def _refine(struct: Structure, cells, active=None, words=None):
                 points.split(_pair_keys(struct, splitter))
             if words is not None:
                 words.split(np.add.reduce(incidence[:, splitter], axis=1))
-            continue
-        splitter = None if words is None else words.pop()
-        if splitter is None:
-            break
-        points.split(np.add.reduce(incidence[splitter], axis=0))
-    return points.cells(), words
+        else:
+            splitter = None if words is None else words.pop()
+            if splitter is None:
+                break
+            points.split(np.add.reduce(incidence[splitter], axis=0))
+        if trace is not None and not trace.step(
+                (len(points.starts), 0 if words is None else len(words.starts))):
+            return None
+    cells = points.cells()
+    if trace is not None and not trace.end(_shape(cells)):
+        return None
+    return cells, words
+
+
+class _Trace:
+    """A relabeling-invariant record of one refinement (McKay & Piperno 2014).
+
+    The first path records one trace per tree level (expected None). Any
+    other node refines against the first path's trace at its depth; an
+    automorphism carries the first-path node onto the node only if every
+    entry agrees, so refinement stops at the first difference.
+    """
+
+    def __init__(self, expected=None):
+        self.expected = expected
+        self.items: list = []
+
+    def step(self, item) -> bool:
+        """Record item; False if it differs from the expected entry."""
+        k = len(self.items)
+        self.items.append(item)
+        return self.expected is None or k < len(self.expected) and self.expected[k] == item
+
+    def end(self, shape) -> bool:
+        """Record the refined shape, the last entry of every trace."""
+        return self.step(shape) and (self.expected is None
+                                     or len(self.items) == len(self.expected))
 
 
 def _target_cell(cells):
@@ -394,19 +449,23 @@ class _Search:
     def first_path(self, cells):
         """Descend, always individualizing the first point of the target cell.
 
-        Records what find_leaf matches against: the refined shape at each
+        Records what find_leaf matches against: the refinement trace at each
         tree level (root first) and the leaf labeling lab0.
         """
         path = []
-        cells, words = _refine(self.struct, cells)
+        trace = _Trace()
+        cells, words = _refine(self.struct, cells, trace=trace)
+        self.traces = [trace.items]
         while True:
             idx = _target_cell(cells)
             if idx is None:
                 break
             point = cells[idx][0]
             path.append((cells, words, idx, point))
-            cells, words = _refine(self.struct, _individualize(cells, idx, point), [idx], words)
-        self.shapes = [_shape(c) for c, _, _, _ in path] + [_shape(cells)]
+            trace = _Trace()
+            cells, words = _refine(self.struct, _individualize(cells, idx, point), [idx], words,
+                                   trace)
+            self.traces.append(trace.items)
         self.lab0 = _labeling(cells)
         return path
 
@@ -439,15 +498,15 @@ class _Search:
 
         cells is an unrefined partition at tree level depth, to be refined
         from the cells listed in active and the word cells words (see
-        _refine); a node whose
-        refined shape differs from shapes[depth] cannot lie on the image of
-        the first path and is pruned. The candidate sends lab0[k] to the
-        leaf's k-th point.
+        _refine); a node whose refinement trace leaves traces[depth] cannot
+        lie on the image of the first path and is pruned where it leaves.
+        The candidate sends lab0[k] to the leaf's k-th point.
         """
         self.tick()
-        cells, words = _refine(self.struct, cells, active, words)
-        if _shape(cells) != self.shapes[depth]:
+        refined = _refine(self.struct, cells, active, words, _Trace(self.traces[depth]))
+        if refined is None:
             return None
+        cells, words = refined
         tgt = _target_cell(cells)
         if tgt is None:
             cand = [0] * self.struct.n
@@ -482,7 +541,16 @@ def automorphism_group(struct: Structure, *, budget: int | None = None, progress
 
 
 def aut_binary(code: BinaryCode, *, budget: int | None = None, progress=None) -> PermGroup:
-    """Full automorphism group of a binary code in Sym_n."""
+    """Full automorphism group of a binary code in Sym_n.
+
+    Memoized: a frame report asks for Aut(C0) again after aut_z4 has used it
+    as its constraint group when C0 = C1. Callers must not mutate the group.
+    """
+    return _aut_binary(code, budget, progress)
+
+
+@lru_cache(maxsize=8)
+def _aut_binary(code: BinaryCode, budget: int | None, progress) -> PermGroup:
     return automorphism_group(structure_for_codes([code]), budget=budget, progress=progress)
 
 
@@ -496,7 +564,8 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     classes) are compared first. Refinement commutes with relabeling, so if
     g(a) = b the search tree of b is the image under g of the tree of a, and
     one leaf of b's tree matching the first leaf of a's tree carries a onto
-    b; find_leaf looks for it, pruned by the shapes along a's first path.
+    b; find_leaf looks for it, pruned by the refinement traces along a's
+    first path.
     """
     if a.length != b.length or a.dim != b.dim:
         return None
@@ -509,7 +578,7 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     target = _Search(struct_a, budget)
     target.first_path(_initial_partition(struct_a))
     search = _Search(struct_b, budget)
-    search.shapes, search.lab0 = target.shapes, target.lab0
+    search.traces, search.lab0 = target.traces, target.lab0
     small_a, small_b = struct_a.codes[0], struct_b.codes[0]
     return search.find_leaf(
         _initial_partition(struct_b), None, None, 0,
@@ -643,7 +712,9 @@ class _WordGraph:
     invariant under every coordinate sign change (the shift s & c of m_c is
     disjoint from h) and well-defined modulo the torsion code (h lies in its
     dual). Word pairs are colored by intersection size plus the two iota
-    bits where defined; the automorphism image of the Z4-code acts on this
+    bits where defined: (-1, 0, 0) on the diagonal, (|c ∩ h|, 2, 2) for
+    meeting words and (0, iota(c, h), iota(h, c)) for disjoint ones, ranked
+    in sorted order. The automorphism image of the Z4-code acts on this
     colored graph, and coordinate permutations are recovered from word
     pencils at the leaves of the search.
     """
@@ -653,23 +724,14 @@ class _WordGraph:
         self.words = words
         self.n = system.n
         mtab = _residues_mod_torsion(system, words)
-        size = len(words)
-        colors = [[(-1, 0, 0)] * size for _ in range(size)]
-        for a, c in enumerate(words):
-            mc = mtab[c]
-            for b, h in enumerate(words):
-                if a == b:
-                    continue
-                inter = (c & h).bit_count()
-                if inter:
-                    colors[a][b] = (inter, 2, 2)
-                else:
-                    colors[a][b] = (
-                        0,
-                        (h & mc).bit_count() & 1,
-                        (c & mtab[h]).bit_count() & 1,
-                    )
-        self.pair_colors = colors
+        w = _bit_matrix(words, self.n)
+        m = _bit_matrix([mtab[c] for c in words], self.n)
+        inter = w @ w.T
+        iota = (m @ w.T) & 1  # iota[a, b] = <words[b], m_(words[a])>
+        # each colour tuple (x, y, z), y and z below 3, as (x + 1) * 9 + 3y + z
+        key = np.where(inter > 0, inter * 9 + 17, 9 + 3 * iota + iota.T)
+        np.fill_diagonal(key, 0)
+        self.pair_colors = np.unique(key, return_inverse=True)[1].reshape(key.shape)
         # pencils: for each coordinate, the words through it
         self.pencils = [
             [a for a, c in enumerate(words) if c >> i & 1] for i in range(self.n)
@@ -715,10 +777,7 @@ class _WordGraph:
             found[gamma] = q
             return True
 
-        struct = Structure(
-            len(self.words), (), [], pair_colors=_intern_colors(self.pair_colors),
-            leaf_test=leaf,
-        )
+        struct = Structure(len(self.words), (), [], pair_colors=self.pair_colors, leaf_test=leaf)
         try:
             automorphism_group(struct, budget=budget, progress=progress)
         except BudgetExceeded as err:
@@ -759,9 +818,12 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
 def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
     n = system.n
     try:
-        constraint = automorphism_group(
-            structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
-        )
+        if system.tor == system.res:
+            constraint = aut_binary(system.tor, budget=budget, progress=progress)
+        else:
+            constraint = automorphism_group(
+                structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
+            )
     except BudgetExceeded as err:
         # the partial group preserves C0 and C1; only its sign-compatible
         # generators are known to lie in the image

@@ -40,6 +40,17 @@ def _progress(label):
     return report
 
 
+def _budget_error(err: BudgetExceeded) -> click.ClickException:
+    """A budget stop, with the order found so far as a lower bound."""
+    partial = err.partial.order() if err.partial is not None else 1
+    if err.kernel_order is None:
+        found = f"partial group order {partial}"
+    else:
+        found = (f"sign kernel {err.kernel_order} times partial image order {partial} "
+                 f"= {err.kernel_order * partial}")
+    return click.ClickException(f"search budget exceeded; {found} is a lower bound only")
+
+
 def _load_z4(ref: str) -> tuple[str, z4.Z4Code]:
     path = Path(ref)
     if path.exists():
@@ -144,6 +155,8 @@ def frame(ref, variant, enumerate_h, aut_budget, as_json):
             budget=budget,
             progress=_progress(f"frame {name}"),
         )
+    except BudgetExceeded as err:
+        raise _budget_error(err) from err
     except FramestabError as err:
         raise click.ClickException(str(err)) from err
     if as_json:
@@ -210,15 +223,7 @@ def aut(ref, binary, aut_budget, as_json):
             text = f"|Aut({name})| = {group.order()}"
             gens = group
     except BudgetExceeded as err:
-        partial = err.partial.order() if err.partial is not None else 1
-        if err.kernel_order is None:
-            found = f"partial group order {partial}"
-        else:
-            found = (f"sign kernel {err.kernel_order} times partial image order {partial} "
-                     f"= {err.kernel_order * partial}")
-        raise click.ClickException(
-            f"search budget exceeded; {found} is a lower bound only"
-        ) from err
+        raise _budget_error(err) from err
     except FramestabError as err:
         raise click.ClickException(str(err)) from err
     if as_json:

@@ -388,8 +388,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     a, b = pointwise_order(sc)
     kernel, image = autsearch.aut_z4(code, budget=budget, progress=progress)
     bar = image.order()
-    aut_c0_group = autsearch.aut_binary(c0, budget=budget, progress=progress)
-    aut_c0 = aut_c0_group.order()
+    aut_c0 = autsearch.aut_binary(c0, budget=budget, progress=progress).order()
 
     aut_c = None
     if compute_aut_c or (compute_aut_c is None and _aut_c_feasible(sc.c_code)):

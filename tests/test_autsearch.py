@@ -243,8 +243,7 @@ def pseudo_golay_2_pair_structure():
     """The 759-word pair-colour graph aut_z4 searches for pseudo-golay-2."""
     system = ats._SignSystem(catalog.get("z4-pseudo-golay-2").code())
     graph = ats._WordGraph(system, ats.weight_class_systems(system.res)[0])
-    return ats.Structure(len(graph.words), (), [],
-                         pair_colors=ats._intern_colors(graph.pair_colors))
+    return ats.Structure(len(graph.words), (), [], pair_colors=graph.pair_colors)
 
 
 def refinement_corpus():
@@ -334,6 +333,146 @@ def test_refine_commutes_with_relabeling():
             active = [idx]
 
 
+# -- refinement traces ----------------------------------------------------------
+
+
+def search_results(structs, codes):
+    """Generator lists of automorphism_group on structs and of the aut_z4
+    images of codes, with the aut_binary memo empty."""
+    ats._aut_binary.cache_clear()
+    return ([ats.automorphism_group(s).generators for s in structs],
+            [ats.aut_z4(code)[1].generators for code in codes])
+
+
+def assert_traces_keep_generators(monkeypatch, structs, code_ids):
+    codes = [catalog.get(code_id).code() for code_id in code_ids]
+    traced = search_results(structs, codes)
+    for struct, gens in zip(structs, traced[0]):
+        for g in gens:
+            assert struct.verify(g)
+    # trace comparison off: only the refined shapes are recorded and
+    # compared, as the search did before it had traces
+    monkeypatch.setattr(ats._Trace, "step", lambda self, item: True)
+    assert search_results(structs, codes) == traced
+
+
+def test_trace_pruning_keeps_generators(monkeypatch):
+    # the leaves the traces prune cannot pass the leaf test, so the first
+    # accepted leaf below every sibling, and each generator, is unchanged
+    structs = [s for s in refinement_corpus() if s.n < 100]
+    assert_traces_keep_generators(
+        monkeypatch, structs, [f"z4-len8-{k}" for k in (1, 2, 3, 4)] + ["z4-leech-standard"])
+
+
+@pytest.mark.slow
+def test_trace_pruning_keeps_generators_pseudo_golay(monkeypatch):
+    assert_traces_keep_generators(monkeypatch, [pseudo_golay_2_pair_structure()],
+                                  ["z4-pseudo-golay-1", "z4-pseudo-golay-2"])
+
+
+def test_trace_pruning_runs_one_leaf_test_on_pseudo_golay_2(monkeypatch):
+    # 757 sibling branches of the 759-word graph reach a leaf under shape
+    # pruning alone; their traces leave the first path's after a few splitters
+    system = ats._SignSystem(catalog.get("z4-pseudo-golay-2").code())
+    graph = ats._WordGraph(system, ats.weight_class_systems(system.res)[0])
+    leaves = []
+    coordinate_perm = ats._WordGraph.coordinate_perm
+
+    def counted(self, gamma):
+        leaves.append(gamma)
+        return coordinate_perm(self, gamma)
+
+    monkeypatch.setattr(ats._WordGraph, "coordinate_perm", counted)
+    assert graph.search(None, None).order() == 3
+    assert len(leaves) == 1
+
+
+def test_refine_trace_stops_at_first_difference():
+    struct = ats.structure_for_codes([gf2.golay24()])
+    cells = ats._initial_partition(struct)
+    recorded = ats._Trace()
+    want = ats._refine(struct, cells, trace=recorded)
+    steps = recorded.items
+    assert len(steps) > 2 and steps[-1] == ats._shape(want[0])
+    again = ats._Trace(steps)
+    assert ats._refine(struct, cells, trace=again) is not None
+    assert again.items == steps
+    changed = ats._Trace([steps[0], (-1, -1), *steps[2:]])
+    assert ats._refine(struct, cells, trace=changed) is None
+    assert changed.items == steps[:2]
+    # a trace that ends earlier or later does not match either
+    for expected in (steps[:-1], steps + [steps[-1]]):
+        assert ats._refine(struct, cells, trace=ats._Trace(expected)) is None
+
+
+def test_refine_traces_commute_with_relabeling():
+    # what the correctness of trace pruning rests on: a relabeled node
+    # reproduces the trace of its preimage step by step
+    rng = random.Random(12)
+    for struct in refinement_corpus():
+        g = list(range(struct.n))
+        rng.shuffle(g)
+        moved = relabeled(struct, g)
+        cells, moved_cells = ats._initial_partition(struct), ats._initial_partition(moved)
+        active = words = moved_words = None
+        for _ in range(4):
+            trace = ats._Trace()
+            got, words = ats._refine(struct, cells, active, words, trace)
+            moved_trace = ats._Trace(trace.items)
+            moved_got, moved_words = ats._refine(moved, moved_cells, active, moved_words,
+                                                 moved_trace)
+            assert moved_trace.items == trace.items
+            idx = ats._target_cell(got)
+            if idx is None:
+                break
+            point = rng.choice(got[idx])
+            cells = ats._individualize(got, idx, point)
+            moved_cells = ats._individualize(moved_got, idx, g[point])
+            active = [idx]
+
+
+@pytest.mark.parametrize("traces", [True, False])
+def test_leaves_are_verified_against_pair_colours(monkeypatch, traces):
+    # two colourings of the circulant graph on Z_11 with equal colour counts
+    # that no affine map of Z_11 carries onto each other. Shapes do not tell
+    # their points apart, and a leaf that swaps them is no automorphism.
+    # Each has the 22 affine automorphisms x -> ±x + t.
+    if not traces:
+        monkeypatch.setattr(ats._Trace, "step", lambda self, item: True)
+    p = 11
+    first = [0, 2, 1, 1, 1, 2, 2, 1, 1, 1, 2]
+    second = [0, 1, 2, 1, 1, 2, 2, 1, 1, 2, 1]
+    colors = np.full((2 * p, 2 * p), 3)
+    colors[:p, :p] = [[first[(b - a) % p] for b in range(p)] for a in range(p)]
+    colors[p:, p:] = [[second[(b - a) % p] for b in range(p)] for a in range(p)]
+    group = ats.automorphism_group(ats.Structure(2 * p, (), [], pair_colors=colors))
+    for g in group.generators:
+        q = np.array(g)
+        assert np.array_equal(colors[np.ix_(q, q)], colors)
+    assert group.order() == 22 * 22
+
+
+def test_word_graph_pair_colours_match_tuple_loop():
+    # the tuple colours the numpy build replaced, interned by rank
+    for code_id in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
+        system = ats._SignSystem(catalog.get(code_id).code())
+        words = ats.weight_class_systems(system.res)[0]
+        mtab = ats._residues_mod_torsion(system, words)
+        colors = [[(-1, 0, 0)] * len(words) for _ in words]
+        for a, c in enumerate(words):
+            for b, h in enumerate(words):
+                if a == b:
+                    continue
+                inter = (c & h).bit_count()
+                if inter:
+                    colors[a][b] = (inter, 2, 2)
+                else:
+                    colors[a][b] = (0, (h & mtab[c]).bit_count() & 1,
+                                    (c & mtab[h]).bit_count() & 1)
+        got = ats._WordGraph(system, words).pair_colors
+        assert np.array_equal(got, ats._intern_colors(colors))
+
+
 # -- code equivalence ---------------------------------------------------------
 
 
@@ -381,6 +520,11 @@ def test_is_equivalent_rejects_equal_weight_enumerators():
     rng = random.Random(4)
     perm = tuple(rng.sample(range(16), 16))
     assert gf2.is_equivalent(e8e8, permgrp.apply_code(perm, d16)) is None
+    # each is still found equivalent to its own relabeling
+    for code in (e8e8, d16):
+        moved = permgrp.apply_code(perm, code)
+        g = gf2.is_equivalent(code, moved)
+        assert g is not None and permgrp.apply_code(g, code) == moved
 
 
 def test_phi2_pseudo_golay_equivalent_to_golay():

@@ -163,6 +163,21 @@ def test_aut_budget_z4_message_gives_kernel_and_image(runner):
     )
 
 
+def test_frame_budget_message_matches_aut(runner):
+    # frame stops in the same aut_z4 search as aut, and says so the same way
+    for code_id, budget, expected in (
+        ("z4-len8-1", "3", "sign kernel 128 times partial image order 6 = 768"),
+        ("z4-pseudo-golay-2", "120", "sign kernel 2 times partial image order 1 = 2"),
+    ):
+        frame = runner.invoke(main, ["frame", "--input", code_id, "--variant", "lattice",
+                                     "--aut-budget", budget])
+        aut = runner.invoke(main, ["aut", "--input", code_id, "--aut-budget", budget])
+        assert frame.exit_code == aut.exit_code == 1
+        assert frame.output == aut.output == (
+            f"Error: search budget exceeded; {expected} is a lower bound only\n"
+        )
+
+
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_aut_budget_option_must_be_positive(runner, raw):
     for args in (["aut", "--input", "bin-hamming8", "--binary"],
