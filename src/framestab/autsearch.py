@@ -2,41 +2,41 @@
 
 The search operates on an invariant structure over the n coordinates: a
 list of word systems (sets of codeword supports grouped by weight class,
-possibly from several codes at once), an optional initial coloring, and an
-optional matrix of pairwise colors. Refinement computes the coarsest
-equitable partition finer than a given one with a queue of splitter cells
-(McKay 1981; McKay & Piperno 2014). The words of the systems form a second
-partition: a queued point cell splits word cells by how many of its points
-each word holds (and point cells by their pairwise color counts toward
-it), and a queued word cell splits point cells by how many of its words
-pass through each point. A cell that splits queues all its parts if it was
-queued, and otherwise all but its first largest part. Below a refined node
-only the individualized point is queued, and the node's word cells are
-carried down the tree. Cells are named by their start offsets into one
-label array, splitters are taken singletons first and then by start, and
-parts follow in increasing count, so the refinement and its cell order
-commute with relabeling.
+possibly from several codes at once; each code gives its classes in
+increasing weight while their words fit MAX_CLASS_WORDS), an optional
+initial coloring, and an optional matrix of pairwise colors. Refinement
+computes the coarsest equitable partition finer than a given one with a
+queue of splitter cells (McKay 1981; McKay & Piperno 2014). The words of
+the systems form a second partition: a queued point cell splits word cells
+by how many of its points each word holds (and point cells by their
+pairwise color counts toward it), and a queued word cell splits point cells
+by how many of its words pass through each point. A cell that splits queues
+all its parts if it was queued, and otherwise all but its first largest
+part. Below a refined node only the individualized point is queued, and the
+node's word cells are carried down the tree. Cells are named by their start
+offsets into one label array, splitters are taken singletons first and then
+by start, and parts follow in increasing count, so the refinement and its
+cell order commute with relabeling.
 
-The tree individualizes one point of the first smallest non-singleton cell
-(ties to the smallest point) and descends first-path first. Sibling
-branches are searched bottom-up for a single automorphism each, skipping
-siblings already reachable by the group found so far; that is enough to
-generate the full automorphism group. The points individualized along the
-first path form a base, and the generators found at depth d or deeper
-generate the stabilizer of its first d points, so the found generators are a
-strong generating set for it and the group is built from them without
-Schreier-Sims (PermGroup.from_bsgs).
+The tree individualizes one point of the first largest non-singleton cell
+and descends first-path first. Sibling branches are searched bottom-up for
+a single automorphism each, skipping siblings already reachable by the
+group found so far; that is enough to generate the full automorphism group.
+The points individualized along the first path form a base, and the
+generators found at depth d or deeper generate the stabilizer of its first
+d points, so the found generators are a strong generating set for it and
+the group is built from them without Schreier-Sims (PermGroup.from_bsgs).
 
-Every refinement on the first path records a trace: the numbers of point
-and word cells after each splitter, then the refined shape. Any other node
-refines against the first path's trace at its depth and is pruned at the
-first entry that differs (McKay & Piperno 2014): since refinement commutes
-with relabeling, a node that an automorphism maps the first path onto
-repeats the trace entry for entry. Leaves are always verified against the
-actual codes, the pair colours and any extra leaf predicate, so the
-invariants only ever prune. Equivalence of two codes uses the same descent
-on the second code's tree, pruned by the first code's traces, looking for
-one leaf that matches the first code's first leaf.
+Every refinement on the first path records a trace: the point and word cell
+boundaries (start offsets) after each splitter, then the refined shape. Any
+other node refines against the first path's trace at its depth and is
+pruned at the first entry that differs (McKay & Piperno 2014): since
+refinement commutes with relabeling, a node that an automorphism maps the
+first path onto repeats the trace entry for entry. Leaves are always
+verified against the actual codes, the pair colours and any extra leaf
+predicate, so the invariants only ever prune. Equivalence of two codes uses
+the same descent on the second code's tree, pruned by the first code's
+traces, looking for one leaf that matches the first code's first leaf.
 
 Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
@@ -61,10 +61,9 @@ from .gf2 import BinaryCode
 from .permgrp import PermGroup, Perm
 
 DEFAULT_BUDGET = 10**8
-# Weight classes taken into a structure: at most this many classes, and no
-# further class once the words taken reach the word budget.
+# Words of the weight classes taken into a structure: classes are taken in
+# increasing weight while their words fit this budget.
 MAX_CLASS_WORDS = 1600
-MAX_CLASSES = 2
 
 # -- invariant structure -----------------------------------------------------
 
@@ -127,29 +126,32 @@ def _small_side(code: BinaryCode) -> BinaryCode:
 
 
 def weight_class_systems(code: BinaryCode):
-    """Selected small weight classes of a code, one system per class.
+    """The small weight classes of a code, one system per class.
 
     Classes are taken in increasing weight, skipping 0 and the full-support
-    word, until the word budget runs out. Selection depends only on the
-    weight distribution, so equivalent codes select corresponding classes.
+    word, while their words fit MAX_CLASS_WORDS; the first class is always
+    taken. Every class taken helps refinement split points, and a code
+    whose lightest class is weakly structured would otherwise walk a huge
+    tree. Selection depends only on the weight distribution, so equivalent
+    codes select corresponding classes.
     """
     side = _small_side(code)
     if side.dim == 0:
         return []
     dist = gf2.weight_distribution(side)
-    systems = []
+    weights = []
     total = 0
     for m in sorted(dist):
         if m == 0 or m == side.length:
             continue
         count = dist[m]
-        if systems and total + count > MAX_CLASS_WORDS:
+        if weights and total + count > MAX_CLASS_WORDS:
             break
-        systems.append(gf2.weight_words(side, m))
+        weights.append(m)
         total += count
-        if len(systems) >= MAX_CLASSES or total >= MAX_CLASS_WORDS:
+        if total >= MAX_CLASS_WORDS:
             break
-    return systems
+    return gf2.weight_classes(side, weights)
 
 
 def structure_for_codes(codes, *, leaf_test=None, vertex_colors=None, pair_colors=None) -> Structure:
@@ -327,7 +329,7 @@ def _refine(struct: Structure, cells, active=None, words=None, trace=None):
     everything else was already equitable. Without words every point cell
     is queued.
 
-    trace, a _Trace or None, receives the numbers of point and word cells
+    trace, a _Trace or None, receives the point and word cell boundaries
     after each splitter and then the refined shape. If it holds a trace to
     match, the refinement stops at the first difference and returns None.
     """
@@ -361,7 +363,7 @@ def _refine(struct: Structure, cells, active=None, words=None, trace=None):
                 break
             points.split(np.add.reduce(incidence[splitter], axis=0))
         if trace is not None and not trace.step(
-                (len(points.starts), 0 if words is None else len(words.starts))):
+                (points.starts.tobytes(), b"" if words is None else words.starts.tobytes())):
             return None
     cells = points.cells()
     if trace is not None and not trace.end(_shape(cells)):
@@ -372,10 +374,14 @@ def _refine(struct: Structure, cells, active=None, words=None, trace=None):
 class _Trace:
     """A relabeling-invariant record of one refinement (McKay & Piperno 2014).
 
-    The first path records one trace per tree level (expected None). Any
-    other node refines against the first path's trace at its depth; an
-    automorphism carries the first-path node onto the node only if every
-    entry agrees, so refinement stops at the first difference.
+    One entry per splitter: the start offsets of the point cells and of the
+    word cells after it (as bytes), which name the cells canonically; then
+    the refined shape. The first path records one trace per tree level
+    (expected None). Any other node refines against the first path's trace
+    at its depth; an automorphism carries the first-path node onto the node
+    only if every entry agrees, so refinement stops at the first difference.
+    Boundaries tell apart splits that leave the same number of cells, which
+    counts alone do not.
     """
 
     def __init__(self, expected=None):
@@ -395,10 +401,17 @@ class _Trace:
 
 
 def _target_cell(cells):
-    """Index of the first smallest non-singleton cell."""
+    """Index of the first largest non-singleton cell, None if discrete.
+
+    Individualizing in a large cell splits more of the partition at once,
+    so the tree is shallower and the first path's base shorter. On weakly
+    refined codes this relies on weight_class_systems taking every class in
+    budget, so that the cells it picks from are split as far as the code
+    allows.
+    """
     best = None
     for idx, cell in enumerate(cells):
-        if len(cell) > 1 and (best is None or len(cell) < len(cells[best])):
+        if len(cell) > 1 and (best is None or len(cell) > len(cells[best])):
             best = idx
     return best
 

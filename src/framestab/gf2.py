@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .errors import EnumerationLimit
 from .matrixio import parse_binary_matrix
 
@@ -23,6 +25,11 @@ from .matrixio import parse_binary_matrix
 # back to weight-limited searches (or raise EnumerationLimit).
 SPAN_ENUM_CAP = 28
 _COMB_ENUM_CAP = 1 << 26
+
+# Dimension of the span evaluated at once (2^16 words, 512 KB a limb).
+INNER_BITS = 16
+
+_LIMB_MASK = (1 << 64) - 1
 
 
 def weight(word: int) -> int:
@@ -153,6 +160,88 @@ def dual(c: BinaryCode) -> BinaryCode:
     return span(c.length, gens)
 
 
+# ---------------------------------------------------------------------------
+# Span kernel
+# ---------------------------------------------------------------------------
+# Words longer than 64 are split into little-endian 64-bit limbs. The span
+# of up to INNER_BITS words is built once as a limbs x 2^k uint64 array, and
+# a whole coset of it (the span XOR one offset word) is counted at once with
+# np.bitwise_count. The remaining words of a basis are walked in Gray order,
+# one offset per coset.
+
+
+def limbs(word: int, count: int) -> list[int]:
+    """word (a Python int, possibly negative) as count 64-bit limbs."""
+    return [word >> (64 * l) & _LIMB_MASK for l in range(count)]
+
+
+def packed_span(words, count: int) -> np.ndarray:
+    """The span of words as a count x 2^len(words) uint64 limb array.
+
+    Column j holds the sum of the words[i] for the set bits i of j.
+    """
+    span = np.zeros((count, 1 << len(words)), dtype=np.uint64)
+    parts = np.array([limbs(v, count) for v in words], dtype=np.uint64).reshape(-1, count, 1)
+    for i, part in enumerate(parts):
+        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ part
+    return span
+
+
+def span_weights(span: np.ndarray, offset: list[int],
+                 mask: list[int] | None = None) -> np.ndarray:
+    """Hamming weight of each column of (span ^ offset) & mask."""
+    t = None
+    for l, row in enumerate(span):
+        x = row ^ offset[l]
+        if mask is not None:
+            x &= mask[l]
+        c = np.bitwise_count(x)
+        t = c if t is None else np.add(t, c, dtype=np.uint16)
+    return t
+
+
+def span_words(span: np.ndarray, offset: list[int], cols) -> list[int]:
+    """The columns cols of span ^ offset as Python ints."""
+    found = [0] * len(cols)
+    for l, row in enumerate(span):
+        part = (row[cols] ^ offset[l]).tolist()
+        found = [f | p << (64 * l) for f, p in zip(found, part)]
+    return found
+
+
+def _span_cosets(c: BinaryCode):
+    """Every codeword once, as the packed span of the first INNER_BITS basis
+    words and an iterator over the offsets (as limbs) of its cosets.
+
+    The zero word is column 0 of the first coset.
+    """
+    if c.dim > SPAN_ENUM_CAP:
+        raise EnumerationLimit(f"dim {c.dim} above span enumeration cap {SPAN_ENUM_CAP}")
+    count = max(1, -(-c.length // 64))
+    inner, outer = c.basis[:INNER_BITS], c.basis[INNER_BITS:]
+
+    def offsets():
+        w = 0
+        yield limbs(w, count)
+        for i in range(1, 1 << len(outer)):
+            w ^= outer[(i & -i).bit_length() - 1]
+            yield limbs(w, count)
+
+    return packed_span(inner, count), offsets()
+
+
+def weight_classes(c: BinaryCode, weights) -> list[list[int]]:
+    """The codewords of each weight in weights, each list sorted by support,
+    from one span enumeration."""
+    span, offsets = _span_cosets(c)
+    found = [[] for _ in weights]
+    for offset in offsets:
+        t = span_weights(span, offset)
+        for words, m in zip(found, weights):
+            words.extend(span_words(span, offset, np.flatnonzero(t == m)))
+    return [sorted(words, key=support) for words in found]
+
+
 def weight_words(c: BinaryCode, m: int, *, cap: int = _COMB_ENUM_CAP) -> list[int]:
     """All codewords of weight exactly m, sorted by support.
 
@@ -163,20 +252,19 @@ def weight_words(c: BinaryCode, m: int, *, cap: int = _COMB_ENUM_CAP) -> list[in
         raise ValueError(f"weight {m} out of range for length {c.length}")
     cost_span = 1 << c.dim if c.dim <= SPAN_ENUM_CAP else None
     cost_comb = comb(c.length, m)
-    found = []
     if cost_span is not None and (cost_span <= cost_comb or cost_comb > cap):
         if cost_span > cap:
             raise EnumerationLimit(f"span of size 2^{c.dim} above cap")
-        found = [w for w in c.codewords() if w.bit_count() == m]
-    else:
-        if cost_comb > cap:
-            raise EnumerationLimit(f"C({c.length},{m}) candidates above cap")
-        for coords in combinations(range(c.length), m):
-            w = 0
-            for i in coords:
-                w |= 1 << i
-            if c.contains(w):
-                found.append(w)
+        return weight_classes(c, [m])[0]
+    if cost_comb > cap:
+        raise EnumerationLimit(f"C({c.length},{m}) candidates above cap")
+    found = []
+    for coords in combinations(range(c.length), m):
+        w = 0
+        for i in coords:
+            w |= 1 << i
+        if c.contains(w):
+            found.append(w)
     return sorted(found, key=support)
 
 
@@ -185,7 +273,10 @@ def min_weight(c: BinaryCode, *, cap: int = _COMB_ENUM_CAP) -> int:
     if c.dim == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if c.dim <= 20:
-        return min(w.bit_count() for w in c.codewords() if w)
+        span, offsets = _span_cosets(c)
+        # the zero word, column 0 of the first coset, is left out
+        return min(int(span_weights(span, offset)[1 if k == 0 else 0:].min())
+                   for k, offset in enumerate(offsets))
     budget = cap
     for m in range(1, c.length + 1):
         cost = comb(c.length, m)
@@ -200,12 +291,12 @@ def min_weight(c: BinaryCode, *, cap: int = _COMB_ENUM_CAP) -> int:
 
 
 def weight_distribution(c: BinaryCode) -> dict[int, int]:
-    """Weight enumerator as a dict weight -> count (span enumeration)."""
-    dist: dict[int, int] = {}
-    for w in c.codewords():
-        k = w.bit_count()
-        dist[k] = dist.get(k, 0) + 1
-    return dist
+    """Weight enumerator as a dict weight -> count, in increasing weight."""
+    span, offsets = _span_cosets(c)
+    counts = np.zeros(c.length + 1, dtype=np.int64)
+    for offset in offsets:
+        counts += np.bincount(span_weights(span, offset), minlength=c.length + 1)
+    return {k: v for k, v in enumerate(counts.tolist()) if v}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gf2
 from .errors import EnumerationLimit
+from .gf2 import INNER_BITS
 from .matrixio import parse_z4_matrix
 
 _EUCLIDEAN = (0, 1, 4, 1)
@@ -282,16 +283,10 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 # weight is |c| + 4*wt((m ^ u) & ~c). The scan walks the cosets g_S + 2*C0,
 # together with the torsion basis vectors beyond the first INNER_BITS, in
 # binary-reflected Gray order, and evaluates each coset at once over the
-# span of the first INNER_BITS torsion vectors with np.bitwise_count. Words
-# longer than 64 are split into 64-bit limbs.
-
-# Dimension of the torsion span evaluated per coset (2^16 words, 512 KB a limb).
-INNER_BITS = 16
+# span of the first INNER_BITS torsion vectors with the span kernel of gf2.
 
 # Number of minimum-weight words a scan keeps; the count stays exact beyond it.
 _WORD_LIMIT = 1 << 18
-
-_LIMB_MASK = (1 << 64) - 1
 
 
 def _pack(word):
@@ -314,15 +309,9 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
     if c.size() == 1:
         raise ValueError("the zero code has no nonzero codeword")
     limbs = -(-c.length // 64)
-
-    def split(x):
-        return [np.uint64(x >> (64 * l) & _LIMB_MASK) for l in range(limbs)]
-
     tors = torsion(c).basis
     inner, extra = tors[:INNER_BITS], tors[INNER_BITS:]
-    span = np.zeros((limbs, 1 << len(inner)), dtype=np.uint64)
-    for i, v in enumerate(inner):
-        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ np.array(split(v))[:, None]
+    span = gf2.packed_span(inner, limbs)
 
     # Gray-walk steps as (add when the bit turns on, add when it turns off).
     # Turning a lift off adds its negation 3g: adding g again would shift the
@@ -348,10 +337,8 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
         wlo = lo.bit_count()
         if wlo > best:
             continue
-        his, masks = split(hi), split(~lo)
-        t = np.bitwise_count((span[0] ^ his[0]) & masks[0])
-        for l in range(1, limbs):
-            t = np.add(t, np.bitwise_count((span[l] ^ his[l]) & masks[l]), dtype=np.uint16)
+        his = gf2.limbs(hi, limbs)
+        t = gf2.span_weights(span, his, gf2.limbs(~lo, limbs))
         first = 0 if step else 1  # the zero word sits at index 0 of the first coset
         tmin = int(t[first:].min())
         w = wlo + 4 * tmin
@@ -362,12 +349,7 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
             best, count, words = w, 0, []
         count += len(hits)
         hits = hits[:_WORD_LIMIT - len(words)]
-        if len(hits):
-            found = [0] * len(hits)
-            for l in range(limbs):
-                part = (span[l, hits] ^ his[l]).tolist()
-                found = [f | p << (64 * l) for f, p in zip(found, part)]
-            words.extend((lo, f) for f in found)
+        words.extend((lo, f) for f in gf2.span_words(span, his, hits))
     return best, count, tuple(words)
 
 

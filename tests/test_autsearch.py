@@ -109,7 +109,7 @@ def test_search_bsgs_matches_schreier_sims():
     rng = random.Random(21)
     groups = [ats.aut_binary(c) for c in (gf2.golay24(), gf2.reed_muller(2, 4), gf2.hamming8())]
     for _ in range(30):
-        n = rng.randrange(6, 12)
+        n = rng.randrange(6, 17)
         groups.append(ats.aut_binary(random_code(rng, n, rng.randrange(1, n))))
     for k in (1, 2, 3, 4):
         groups.append(ats.aut_z4(catalog.get(f"z4-len8-{k}").code())[1])
@@ -122,6 +122,20 @@ def test_search_bsgs_matches_schreier_sims():
             ats.structure_for_codes([z4.torsion(code), z4.residue(code)])))
     for group in groups:
         assert_matches_schreier_sims(group, rng)
+
+
+def test_golay_search_tree_is_small():
+    # individualizing in the first largest cell, the M24 search takes 30
+    # nodes; a search past its budget raises
+    assert ats.aut_binary(gf2.golay24(), budget=40).order() == 244823040
+
+
+def test_weakly_refined_code_search_tree_is_small():
+    # the two lightest classes of the [14,5] dual hold 1 and 2 words, so
+    # refinement needs the heavier classes to split the points; it takes 10
+    code = gf2.span(14, [1, 10242, 9220, 1032, 1040, 10784, 3648, 1152, 9472])
+    assert code.dim == 9
+    assert ats.aut_binary(code, budget=100).order() == 48
 
 
 def test_budget_exceeded_reports_partial():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
+from framestab import permgrp
 from framestab.cli import main
 
 
@@ -233,3 +234,14 @@ def test_aut_too_large_is_clean_error(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output.startswith("Error: ")
     assert "enumeration cap" in result.output
+
+
+@pytest.mark.parametrize("code_id", [f"z4-len8-{k}" for k in (1, 2, 3, 4)]
+                         + ["z4-leech-standard", "z4-pseudo-golay-1"])
+def test_aut_json_image_generators_generate_the_image(runner, code_id):
+    result = runner.invoke(main, ["aut", "--input", code_id, "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    n = len(payload["image_generators"][0])
+    gens = [tuple(x - 1 for x in g) for g in payload["image_generators"]]
+    assert str(permgrp.PermGroup(n, gens).order()) == payload["image_order"]

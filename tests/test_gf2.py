@@ -118,6 +118,41 @@ def test_min_weight_large_dim_path():
     assert gf2.min_weight(c2) == 2
 
 
+def span_kernel_corpus():
+    """Seeded codes for the numpy span kernel: two and three 64-bit limbs,
+    and dimensions 17-20, whose spans take a Gray walk beyond the first 16
+    basis words."""
+    rng = random.Random(29)
+    out = [random_code(rng, n, rng.randrange(3, 9)) for n in (65, 100, 128, 129, 130)]
+    for n, k in ((70, 17), (130, 20), (40, 17), (57, 20)):
+        out.append(random_code(rng, n, k))
+    # a sparse basis, so low weights occur
+    out.append(gf2.span(100, [(0b1011 << rng.randrange(96)) ^ (1 << rng.randrange(100))
+                              for _ in range(18)]))
+    return out
+
+
+def test_span_kernel_matches_codewords_oracle():
+    corpus = span_kernel_corpus()
+    assert {(c.length + 63) // 64 for c in corpus} == {1, 2, 3}
+    assert {c.dim for c in corpus} >= {17, 20}
+    for c in corpus:
+        by_weight = {}
+        for w in c.codewords():
+            by_weight.setdefault(w.bit_count(), []).append(w)
+        assert gf2.weight_distribution(c) == {m: len(ws) for m, ws in by_weight.items()}
+        # the zero word is left out of the minimum
+        assert gf2.min_weight(c) == min(m for m in by_weight if m) > 0
+        # all but weight 2 of the sparse code take the span route
+        for m in sorted(by_weight)[1:4] + [max(by_weight)]:
+            assert gf2.weight_words(c, m) == sorted(by_weight[m], key=gf2.support)
+
+
+def test_weight_distribution_of_small_codes():
+    assert gf2.weight_distribution(gf2.zero_code(5)) == {0: 1}
+    assert gf2.weight_distribution(gf2.golay24()) == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+
 def test_d_and_e_maps():
     c = gf2.span(2, ["11"])
     assert gf2.d_map(c) == gf2.span(4, ["1111"])
