@@ -104,6 +104,18 @@ class Structure:
     def ncolors(self):
         return int(self.pair_colors.max()) + 1
 
+    @cached_property
+    def colour_powers(self):
+        """P[j, i] = (n + 1) ** (colour(i, j) - 1), 0 for colour 0: row j
+        holds what member j adds to each vertex's pair key. None when the
+        largest key, (n + 1) ** (ncolors - 1) - 1, does not fit in int64."""
+        radix = self.n + 1
+        if radix ** (self.ncolors - 1) >= 1 << 63:
+            return None
+        table = np.zeros(self.ncolors, dtype=np.int64)
+        table[1:] = radix ** np.arange(self.ncolors - 1, dtype=np.int64)
+        return np.ascontiguousarray(table[self.pair_colors.T])
+
 
 def _bit_matrix(words, n):
     """Words (bit masks over n points) as a words x points 0/1 int64 matrix."""
@@ -297,20 +309,22 @@ class _Partition:
 def _pair_keys(struct: Structure, members):
     """Per vertex, a canonical int key of its colour counts toward members.
 
-    Keys order as the count vectors do read from the last colour down, so a
-    single member's key is the colour itself. The vector is read in mixed
-    radix when that fits in int64 and ranked otherwise.
+    The key reads the count vector in the fixed radix n + 1, one digit per
+    colour above 0, the last colour most significant: the sum of the
+    members' rows of the precomputed Structure.colour_powers. Keys thus
+    order as the count vectors do read from the last colour down (the
+    count of colour 0 is fixed by the others, as each sums to |members|).
+    When that radix overflows int64 the count vectors are ranked instead.
     """
+    powers = struct.colour_powers
+    if powers is not None:
+        return np.add.reduce(powers[members], axis=0)
     if len(members) == 1:
         return struct.pair_colors[:, members[0]]
     n, ncolors = struct.n, struct.ncolors
     block = struct.pair_colors[:, members]
     block += np.arange(0, n * ncolors, ncolors)[:, None]
     counts = np.bincount(block.ravel(), minlength=n * ncolors).reshape(n, ncolors)
-    radix = len(members) + 1
-    if radix ** (ncolors - 1) < 1 << 63:
-        # the first count is fixed by the others, as each row sums to |members|
-        return counts[:, 1:] @ radix ** np.arange(ncolors - 1, dtype=np.int64)
     return np.unique(counts[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
 
 
@@ -445,19 +459,15 @@ class _Search:
         self.budget = budget if budget is not None else DEFAULT_BUDGET
         self.progress = progress
         self.nodes = 0
+        self.found_gens: list[Perm] = []
 
     def tick(self):
         self.nodes += 1
         if self.progress and self.nodes % 100_000 == 0:
             self.progress(self.nodes)
         if self.nodes > self.budget:
-            raise BudgetExceeded(
-                f"search exceeded {self.budget} nodes", partial=self.partial_group()
-            )
-
-    def partial_group(self):
-        gens = getattr(self, "found_gens", [])
-        return PermGroup(self.struct.n, gens)
+            # the caller knows what group the found generators stand for
+            raise BudgetExceeded(f"search exceeded {self.budget} nodes")
 
     def first_path(self, cells):
         """Descend, always individualizing the first point of the target cell.
@@ -482,11 +492,13 @@ class _Search:
         self.lab0 = _labeling(cells)
         return path
 
-    def automorphism_group(self) -> tuple[PermGroup, tuple[int, ...]]:
+    def search(self) -> tuple[tuple[int, ...], list[list[Perm]]]:
+        """The first path's base and, per base point, the generators found at
+        its level or deeper: they generate the pointwise stabilizer of the
+        base points before it, so together a strong generating set."""
         struct = self.struct
         path = self.first_path(_initial_partition(struct))
         base = tuple(p for _, _, _, p in path)
-        self.found_gens: list[Perm] = []
         level_gens: list[list[Perm]] = [[] for _ in path]
         for depth in range(len(path) - 1, -1, -1):
             cells, words, idx, beta = path[depth]
@@ -504,7 +516,7 @@ class _Search:
                     self.found_gens.append(g)
                     reached = _orbit_of(beta, self.found_gens)
             level_gens[depth] = list(self.found_gens)
-        return PermGroup.from_bsgs(struct.n, base, level_gens), base
+        return base, level_gens
 
     def find_leaf(self, cells, active, words, depth, accept):
         """The first leaf below cells, mapped against lab0, that passes accept.
@@ -549,8 +561,12 @@ def _orbit_of(point, gens):
 
 def automorphism_group(struct: Structure, *, budget: int | None = None, progress=None) -> PermGroup:
     search = _Search(struct, budget, progress)
-    group, _ = search.automorphism_group()
-    return group
+    try:
+        base, level_gens = search.search()
+    except BudgetExceeded as err:
+        err.partial = PermGroup(struct.n, search.found_gens)
+        raise
+    return PermGroup.from_bsgs(struct.n, base, level_gens)
 
 
 def aut_binary(code: BinaryCode, *, budget: int | None = None, progress=None) -> PermGroup:
@@ -704,18 +720,52 @@ class _SignSystem:
         return 1 << (self.n - rank)
 
 
-def _residues_mod_torsion(system: _SignSystem, words: list[int]):
-    """For each residue word c, the even part m of a lift c~ + 2m, as a
-    bitmask. Well-defined modulo the torsion code."""
-    out = {}
-    for c in words:
-        w = system.lift(c)
-        m = 0
-        for i in range(system.n):
-            d = (w[i] - ((c >> i) & 1)) % 4
-            m |= (d >> 1) << i
-        out[c] = m
-    return out
+def _even_parts(system: _SignSystem, words: np.ndarray) -> np.ndarray:
+    """For each residue word c (rows of limbs), the even part m of its lift
+    c~ = c + 2m, as limbs. Well-defined modulo the torsion code.
+
+    _SignSystem.lift on all words at once, in bits: the lift so far is kept
+    as its two bit planes, and each solver row is added, with carry, to the
+    words whose remainder has the row's pivot bit set. m is the high plane.
+    """
+    count = words.shape[1]
+    low, high = np.zeros_like(words), np.zeros_like(words)
+    for pb, prow in system.solver:
+        pivot = (pb & -pb).bit_length() - 1
+        limb, bit = divmod(pivot, 64)
+        on = ((words[:, limb] ^ low[:, limb]) >> np.uint64(bit)) & np.uint64(1)
+        mask = (-on.astype(np.int64)).view(np.uint64)[:, None]
+        row_low, row_high = gf2.limb_array(z4._pack(prow), count)[:, None] & mask
+        high ^= row_high ^ (low & row_low)
+        low ^= row_low
+    if not np.array_equal(low, words):
+        raise ValueError("a word is not in the residue code")
+    return high
+
+
+def _word_pair_colours(words: np.ndarray, evens: np.ndarray) -> np.ndarray:
+    """The interned pair colours of _WordGraph from packed words and their
+    even parts (both words x limbs uint64).
+
+    Intersection sizes and iota bits are popcounts of the ANDed limbs; the
+    colour tuples are coded as small ints in their sorted order and ranked
+    through a lookup table.
+    """
+    size = len(words)
+    inter = np.zeros((size, size), dtype=np.int32)
+    iota = np.zeros((size, size), dtype=np.uint8)  # iota[a, b] = <words[b], m_(words[a])>
+    for limb in range(words.shape[1]):
+        w = words[:, limb]
+        inter += np.bitwise_count(w[:, None] & w)
+        iota ^= np.bitwise_count(evens[:, limb, None] & w)
+    iota &= 1
+    # each colour tuple (x, y, z), y and z below 3, as (x + 1) * 9 + 3y + z
+    key = np.where(inter > 0, inter * 9 + 17, 9 + 3 * iota + iota.T)
+    np.fill_diagonal(key, 0)
+    used = np.zeros(int(key.max()) + 1, dtype=bool)
+    used[key] = True
+    rank = np.cumsum(used) - 1
+    return rank[key]
 
 
 class _WordGraph:
@@ -727,28 +777,22 @@ class _WordGraph:
     dual). Word pairs are colored by intersection size plus the two iota
     bits where defined: (-1, 0, 0) on the diagonal, (|c ∩ h|, 2, 2) for
     meeting words and (0, iota(c, h), iota(h, c)) for disjoint ones, ranked
-    in sorted order. The automorphism image of the Z4-code acts on this
-    colored graph, and coordinate permutations are recovered from word
-    pencils at the leaves of the search.
+    in sorted order. The m_c come from one bitwise lift of all words, and
+    the colours from popcounts of packed words (_word_pair_colours). The
+    automorphism image of the Z4-code acts on this colored graph, and
+    coordinate permutations are recovered from word pencils at the leaves
+    of the search, which builds no group on the words.
     """
 
     def __init__(self, system: _SignSystem, words: list[int]):
         self.system = system
         self.words = words
         self.n = system.n
-        mtab = _residues_mod_torsion(system, words)
-        w = _bit_matrix(words, self.n)
-        m = _bit_matrix([mtab[c] for c in words], self.n)
-        inter = w @ w.T
-        iota = (m @ w.T) & 1  # iota[a, b] = <words[b], m_(words[a])>
-        # each colour tuple (x, y, z), y and z below 3, as (x + 1) * 9 + 3y + z
-        key = np.where(inter > 0, inter * 9 + 17, 9 + 3 * iota + iota.T)
-        np.fill_diagonal(key, 0)
-        self.pair_colors = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+        packed = gf2.limb_array(words, max(1, -(-self.n // 64)))
+        self.pair_colors = _word_pair_colours(packed, _even_parts(system, packed))
         # pencils: for each coordinate, the words through it
-        self.pencils = [
-            [a for a, c in enumerate(words) if c >> i & 1] for i in range(self.n)
-        ]
+        incidence = _bit_matrix(words, self.n)
+        self.pencils = [np.flatnonzero(incidence[:, i]).tolist() for i in range(self.n)]
         self.word_index = {c: a for a, c in enumerate(words)}
 
     def coordinate_perm(self, gamma) -> Perm | None:
@@ -792,11 +836,11 @@ class _WordGraph:
 
         struct = Structure(len(self.words), (), [], pair_colors=self.pair_colors, leaf_test=leaf)
         try:
-            automorphism_group(struct, budget=budget, progress=progress)
+            # only the accepted leaves matter, not the group on the words
+            _Search(struct, budget, progress).search()
         except BudgetExceeded as err:
-            raise BudgetExceeded(
-                str(err), partial=PermGroup(self.n, list(found.values()))
-            ) from None
+            err.partial = PermGroup(self.n, list(found.values()))
+            raise
         return PermGroup(self.n, list(found.values()))
 
 

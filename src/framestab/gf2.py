@@ -175,13 +175,18 @@ def limbs(word: int, count: int) -> list[int]:
     return [word >> (64 * l) & _LIMB_MASK for l in range(count)]
 
 
+def limb_array(words, count: int) -> np.ndarray:
+    """words as a len(words) x count uint64 array, one row of limbs each."""
+    return np.array([limbs(v, count) for v in words], dtype=np.uint64).reshape(-1, count)
+
+
 def packed_span(words, count: int) -> np.ndarray:
     """The span of words as a count x 2^len(words) uint64 limb array.
 
     Column j holds the sum of the words[i] for the set bits i of j.
     """
     span = np.zeros((count, 1 << len(words)), dtype=np.uint64)
-    parts = np.array([limbs(v, count) for v in words], dtype=np.uint64).reshape(-1, count, 1)
+    parts = limb_array(words, count).reshape(-1, count, 1)
     for i, part in enumerate(parts):
         span[:, 1 << i:2 << i] = span[:, :1 << i] ^ part
     return span

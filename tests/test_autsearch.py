@@ -325,6 +325,30 @@ def test_pair_keys_order_as_colour_counts():
                     assert (keys[a] == keys[b]) == (counts[a] == counts[b])
 
 
+def test_colour_power_keys_order_as_count_vectors():
+    # on every pair-coloured structure of the corpus, the keys sort the
+    # vertices as their colour count vectors do, read from the last colour
+    # down, and change where those vectors change
+    rng = random.Random(21)
+    structs = [s for s in refinement_corpus() if s.pair_colors is not None]
+    assert sorted((s.n, s.ncolors) for s in structs) == [(30, 3), (30, 40), (759, 5)]
+    for struct in structs:
+        n, ncolors = struct.n, struct.ncolors
+        assert (struct.colour_powers is None) == (ncolors == 40)
+        for size in sorted({1, 2, 9, 30, 64, n // 2}):
+            if size > n:
+                continue
+            members = np.array(sorted(rng.sample(range(n), size)))
+            keys = ats._pair_keys(struct, members)
+            counts = np.stack([np.bincount(struct.pair_colors[v, members], minlength=ncolors)
+                               for v in range(n)])
+            order = np.lexsort(counts.T)
+            assert np.array_equal(np.argsort(keys, kind="stable"), order)
+            key_steps = np.flatnonzero(np.diff(keys[order]))
+            count_steps = np.flatnonzero(np.diff(counts[order], axis=0).any(axis=1))
+            assert np.array_equal(key_steps, count_steps)
+
+
 def test_refine_commutes_with_relabeling():
     rng = random.Random(8)
     for struct in refinement_corpus():
@@ -466,25 +490,101 @@ def test_leaves_are_verified_against_pair_colours(monkeypatch, traces):
     assert group.order() == 22 * 22
 
 
+def tuple_loop_colours(words, mtab):
+    """The tuple colours of _WordGraph, one pair at a time, interned by rank."""
+    colors = [[(-1, 0, 0)] * len(words) for _ in words]
+    for a, c in enumerate(words):
+        for b, h in enumerate(words):
+            if a == b:
+                continue
+            inter = (c & h).bit_count()
+            if inter:
+                colors[a][b] = (inter, 2, 2)
+            else:
+                colors[a][b] = (0, (h & mtab[c]).bit_count() & 1,
+                                (c & mtab[h]).bit_count() & 1)
+    return ats._intern_colors(colors)
+
+
+def lifted_even_part(system, c):
+    """m with c~ = c + 2m for the lift c~ of _SignSystem.lift, one word."""
+    return sum((d >> 1) << i for i, d in enumerate(system.lift(c)))
+
+
 def test_word_graph_pair_colours_match_tuple_loop():
-    # the tuple colours the numpy build replaced, interned by rank
+    # the m-words come from the per-word lift, not from the bitwise one
     for code_id in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
         system = ats._SignSystem(catalog.get(code_id).code())
         words = ats.weight_class_systems(system.res)[0]
-        mtab = ats._residues_mod_torsion(system, words)
-        colors = [[(-1, 0, 0)] * len(words) for _ in words]
-        for a, c in enumerate(words):
-            for b, h in enumerate(words):
-                if a == b:
-                    continue
-                inter = (c & h).bit_count()
-                if inter:
-                    colors[a][b] = (inter, 2, 2)
-                else:
-                    colors[a][b] = (0, (h & mtab[c]).bit_count() & 1,
-                                    (c & mtab[h]).bit_count() & 1)
+        mtab = {c: lifted_even_part(system, c) for c in words}
         got = ats._WordGraph(system, words).pair_colors
-        assert np.array_equal(got, ats._intern_colors(colors))
+        assert np.array_equal(got, tuple_loop_colours(words, mtab))
+
+
+def test_word_pair_colours_multi_limb():
+    # n = 70: every popcount runs over two limbs, and words meet in either
+    rng = random.Random(70)
+    n = 70
+    words = sorted({rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                    for _ in range(40)} - {0})
+    mtab = {c: rng.getrandbits(n) for c in words}
+    got = ats._word_pair_colours(gf2.limb_array(words, 2),
+                                 gf2.limb_array([mtab[c] for c in words], 2))
+    want = tuple_loop_colours(words, mtab)
+    assert np.array_equal(got, want)
+    assert len({int(x) for x in want.ravel()}) > 5
+
+
+def test_even_parts_match_per_word_lift():
+    # the bitwise lift adds the same solver rows as _SignSystem.lift, so the
+    # even parts agree bit for bit, on one limb and on two
+    rng = random.Random(4)
+    cases = [catalog.get("z4-pseudo-golay-2").code()]
+    cases += [z4.z4_span(n, [tuple(rng.randrange(4) for _ in range(n)) for _ in range(6)])
+              for n in (7, 64, 70, 130)]
+    for code in cases:
+        system = ats._SignSystem(code)
+        rows = [pb for pb, _ in system.solver]
+        words = [0, *rows]
+        for _ in range(30):
+            w = 0
+            for pb in rows:
+                if rng.random() < 0.5:
+                    w ^= pb
+            words.append(w)
+        count = -(-code.length // 64)
+        got = ats._even_parts(system, gf2.limb_array(words, count))
+        want = gf2.limb_array([lifted_even_part(system, c) for c in words], count)
+        assert np.array_equal(got, want)
+
+
+def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
+    # the search on the 759-word graph only collects accepted leaves; every
+    # group built is on the 24 coordinates
+    degrees = []
+    from_bsgs, build = ats.PermGroup.from_bsgs.__func__, ats.PermGroup._build
+
+    def recorded_from_bsgs(cls, degree, base, level_gens):
+        degrees.append(degree)
+        return from_bsgs(cls, degree, base, level_gens)
+
+    def recorded_build(self, base_hint):
+        degrees.append(self.degree)
+        return build(self, base_hint)
+
+    monkeypatch.setattr(ats.PermGroup, "from_bsgs", classmethod(recorded_from_bsgs))
+    monkeypatch.setattr(ats.PermGroup, "_build", recorded_build)
+    ats._aut_binary.cache_clear()
+    kernel, image = ats.aut_z4(catalog.get("z4-pseudo-golay-1").code())
+    assert (kernel, image.order()) == (2, 6072)
+    assert degrees and set(degrees) == {24}
+    # nor does a budget stop inside the word search (the search of Aut(C0)
+    # takes 30 nodes, the word graph of pseudo-golay-2 787)
+    degrees.clear()
+    with pytest.raises(BudgetExceeded) as err:
+        ats.aut_z4(catalog.get("z4-pseudo-golay-2").code(), budget=200)
+    assert err.value.partial.degree == 24
+    assert set(degrees) == {24}
 
 
 # -- code equivalence ---------------------------------------------------------
@@ -693,7 +793,6 @@ def test_aut_golay_is_m24_order():
     assert ats.aut_binary(gf2.golay24()).order() == 244823040
 
 
-@pytest.mark.slow
 def test_aut_z4_pseudo_golay():
     k1, img1 = ats.aut_z4(catalog.get("z4-pseudo-golay-1").code())
     assert (k1, img1.order()) == (2, 6072)

@@ -491,7 +491,6 @@ def test_frame_report_pseudo_golay_1():
     assert r.aut_c is None  # length-48 dim-36 aut deliberately not computed
 
 
-@pytest.mark.slow
 def test_frame_report_pseudo_golay_2():
     pg = catalog.get("z4-pseudo-golay-2").code()
     r = frames.frame_report(pg, "orbifold")
