@@ -13,10 +13,10 @@ pairwise color counts toward it), and a queued word cell splits point cells
 by how many of its words pass through each point. A cell that splits queues
 all its parts if it was queued, and otherwise all but its first largest
 part. Below a refined node only the individualized point is queued, and the
-node's word cells are carried down the tree. Cells are named by their start
-offsets into one label array, splitters are taken singletons first and then
-by start, and parts follow in increasing count, so the refinement and its
-cell order commute with relabeling.
+node's point and word partitions are carried down the tree as label arrays.
+Cells are named by their start offsets into one label array, splitters are
+taken singletons first and then by start, and parts follow in increasing
+count, so the refinement and its cell order commute with relabeling.
 
 The tree individualizes one point of the first largest non-singleton cell
 and descends first-path first. Sibling branches are searched bottom-up for
@@ -48,9 +48,10 @@ GF(2) is solvable.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -204,12 +205,15 @@ def _intern_colors(pair_colors):
 
 
 def _initial_partition(struct: Structure):
+    """One cell, or one per vertex colour in sorted colour order."""
     if struct.vertex_colors is None:
-        return [list(range(struct.n))]
+        return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
     groups: dict = {}
     for i in range(struct.n):
         groups.setdefault(struct.vertex_colors[i], []).append(i)
-    return [groups[c] for c in sorted(groups)]
+    cells = [groups[c] for c in sorted(groups)]
+    starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+    return _Partition(np.array([x for c in cells for x in c]), starts)
 
 
 class _Partition:
@@ -219,13 +223,17 @@ class _Partition:
     only on the sizes of the cells before it, so names and queue order are
     canonical. starts lists them in order and length[start] is a cell's
     size. The cells waiting to act as splitters are queued: singletons on a
-    stack, taken first, the others on a heap by start.
+    stack, taken first, the others on a heap by start. A caller that already
+    holds the cell sizes passes them as length.
     """
 
-    def __init__(self, lab, starts):
+    def __init__(self, lab, starts, length=None):
         self.lab = lab
-        self.length = np.zeros(len(lab), dtype=np.int64)
-        self._count(starts)
+        if length is None:
+            self.length = np.zeros(len(lab), dtype=np.int64)
+            self._count(starts)
+        else:
+            self.starts, self.length = starts, length
         self.singles: list[int] = []
         self.others: list[int] = []
         self.queued: set[int] = set()
@@ -240,7 +248,23 @@ class _Partition:
 
     def copy(self):
         """The same cells, none queued."""
-        return _Partition(self.lab.copy(), self.starts)
+        return _Partition(self.lab.copy(), self.starts, self.length.copy())
+
+    def members(self, s):
+        """The cell at s, in order (a view)."""
+        return self.lab[s:s + self.length[s]]
+
+    def individualize(self, s, point):
+        """A copy with point split off the front of the cell at s, none
+        queued; the rest of that cell and every other cell keep their order."""
+        lab, length = self.lab.copy(), self.length.copy()
+        cell = self.members(s)
+        lab[s + 1:s + len(cell)] = cell[cell != point]
+        lab[s] = point
+        length[s], length[s + 1] = 1, len(cell) - 1
+        starts = self.starts.tolist()
+        starts.insert(bisect_right(starts, s), s + 1)
+        return _Partition(lab, np.array(starts), length)
 
     def push(self, s, m):
         """Queue the cell at s, of size m, not queued yet."""
@@ -300,11 +324,6 @@ class _Partition:
                 if s != skip:
                     self.push(s, m)
 
-    def cells(self):
-        lab = self.lab.tolist()
-        starts = self.starts.tolist()
-        return [lab[a:b] for a, b in zip(starts, [*starts[1:], len(lab)])]
-
 
 def _pair_keys(struct: Structure, members):
     """Per vertex, a canonical int key of its colour counts toward members.
@@ -328,33 +347,30 @@ def _pair_keys(struct: Structure, members):
     return np.unique(counts[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _refine(struct: Structure, cells, active=None, words=None, trace=None):
-    """The coarsest equitable partition finer than cells, and its word cells.
+def _refine(struct: Structure, points: _Partition, active=None, words=None, trace=None):
+    """The coarsest equitable partition finer than points, and its word cells.
 
     Splitter-queue refinement (McKay 1981) on the points and on the words of
     all systems, which form a second partition: each queued point cell S
     splits point cells by pair-colour counts toward S and word cells by
     |w ∩ S|; each queued word cell splits point cells by how many of its
-    words pass through each point. words is the word partition _refine
-    returned with the partition that cells individualizes, or None to start
-    from one queued cell per system. active lists the indices of the point
-    cells to queue (None: all). A caller that individualized a point of a
-    refined partition passes its words and the new singleton's index alone:
-    everything else was already equitable. Without words every point cell
-    is queued.
+    words pass through each point. points, with nothing queued, is refined
+    in place. words is the word partition _refine returned with the
+    partition that points individualizes, or None to start from one queued
+    cell per system. active is the start of the one point cell to queue
+    (None: all). A caller that individualized a point of a refined partition
+    passes its words and the new singleton's start alone: everything else
+    was already equitable. Without words every point cell is queued.
 
     trace, a _Trace or None, receives the point and word cell boundaries
-    after each splitter and then the refined shape. If it holds a trace to
-    match, the refinement stops at the first difference and returns None.
+    after each splitter and then the refined point cell boundaries. If it
+    holds a trace to match, the refinement stops at the first difference and
+    returns None.
     """
-    n = struct.n
-    if len(cells) == n or not struct.systems and struct.pair_colors is None:
-        cells = [list(c) for c in cells]
-        if trace is not None and not trace.end(_shape(cells)):
+    if points.discrete() or not struct.systems and struct.pair_colors is None:
+        if trace is not None and not trace.end(points.starts.tobytes()):
             return None
-        return cells, words
-    starts = np.fromiter(accumulate(map(len, cells[:-1]), initial=0), dtype=np.int64)
-    points = _Partition(np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=n), starts)
+        return points, words
     if struct.systems:
         incidence, system_starts = struct.incidence
         if words is None:
@@ -363,7 +379,10 @@ def _refine(struct: Structure, cells, active=None, words=None, trace=None):
             active = None
         else:
             words = words.copy()
-    points.push_all(starts if active is None else starts[active])
+    if active is None:
+        points.push_all(points.starts)
+    else:
+        points.push(active, points.length[active])
     while not points.discrete():
         splitter = points.pop()
         if splitter is not None:
@@ -379,10 +398,9 @@ def _refine(struct: Structure, cells, active=None, words=None, trace=None):
         if trace is not None and not trace.step(
                 (points.starts.tobytes(), b"" if words is None else words.starts.tobytes())):
             return None
-    cells = points.cells()
-    if trace is not None and not trace.end(_shape(cells)):
+    if trace is not None and not trace.end(points.starts.tobytes()):
         return None
-    return cells, words
+    return points, words
 
 
 class _Trace:
@@ -390,10 +408,11 @@ class _Trace:
 
     One entry per splitter: the start offsets of the point cells and of the
     word cells after it (as bytes), which name the cells canonically; then
-    the refined shape. The first path records one trace per tree level
-    (expected None). Any other node refines against the first path's trace
-    at its depth; an automorphism carries the first-path node onto the node
-    only if every entry agrees, so refinement stops at the first difference.
+    those of the refined point cells alone. The first path records one
+    trace per tree level (expected None). Any other node refines against
+    the first path's trace at its depth; an automorphism carries the
+    first-path node onto the node only if every entry agrees, so refinement
+    stops at the first difference.
     Boundaries tell apart splits that leave the same number of cells, which
     counts alone do not.
     """
@@ -408,14 +427,14 @@ class _Trace:
         self.items.append(item)
         return self.expected is None or k < len(self.expected) and self.expected[k] == item
 
-    def end(self, shape) -> bool:
-        """Record the refined shape, the last entry of every trace."""
-        return self.step(shape) and (self.expected is None
-                                     or len(self.items) == len(self.expected))
+    def end(self, starts) -> bool:
+        """Record the refined cell boundaries, the last entry of every trace."""
+        return self.step(starts) and (self.expected is None
+                                      or len(self.items) == len(self.expected))
 
 
-def _target_cell(cells):
-    """Index of the first largest non-singleton cell, None if discrete.
+def _target_cell(points: _Partition):
+    """Start of the first largest non-singleton cell, None if discrete.
 
     Individualizing in a large cell splits more of the partition at once,
     so the tree is shallower and the first path's base shorter. On weakly
@@ -423,31 +442,10 @@ def _target_cell(cells):
     budget, so that the cells it picks from are split as far as the code
     allows.
     """
-    best = None
-    for idx, cell in enumerate(cells):
-        if len(cell) > 1 and (best is None or len(cell) > len(cells[best])):
-            best = idx
-    return best
-
-
-def _individualize(cells, idx, point):
-    out = []
-    for j, cell in enumerate(cells):
-        if j == idx:
-            out.append([point])
-            out.append([x for x in cell if x != point])
-        else:
-            out.append(list(cell))
-    return out
-
-
-def _shape(cells):
-    return tuple(len(c) for c in cells)
-
-
-def _labeling(cells) -> Perm:
-    """For a discrete partition, the map position -> point."""
-    return tuple(cell[0] for cell in cells)
+    starts = points.starts
+    sizes = points.length[starts]
+    k = sizes.argmax()
+    return None if sizes[k] == 1 else int(starts[k])
 
 
 # -- automorphism group search -------------------------------------------------
@@ -469,27 +467,24 @@ class _Search:
             # the caller knows what group the found generators stand for
             raise BudgetExceeded(f"search exceeded {self.budget} nodes")
 
-    def first_path(self, cells):
+    def first_path(self, points):
         """Descend, always individualizing the first point of the target cell.
 
         Records what find_leaf matches against: the refinement trace at each
-        tree level (root first) and the leaf labeling lab0.
+        tree level (root first) and the leaf labeling lab0, the map from
+        position to point.
         """
         path = []
         trace = _Trace()
-        cells, words = _refine(self.struct, cells, trace=trace)
+        points, words = _refine(self.struct, points, trace=trace)
         self.traces = [trace.items]
-        while True:
-            idx = _target_cell(cells)
-            if idx is None:
-                break
-            point = cells[idx][0]
-            path.append((cells, words, idx, point))
+        while (s := _target_cell(points)) is not None:
+            point = int(points.lab[s])
+            path.append((points, words, s, point))
             trace = _Trace()
-            cells, words = _refine(self.struct, _individualize(cells, idx, point), [idx], words,
-                                   trace)
+            points, words = _refine(self.struct, points.individualize(s, point), s, words, trace)
             self.traces.append(trace.items)
-        self.lab0 = _labeling(cells)
+        self.lab0 = points.lab
         return path
 
     def search(self) -> tuple[tuple[int, ...], list[list[Perm]]]:
@@ -501,16 +496,16 @@ class _Search:
         base = tuple(p for _, _, _, p in path)
         level_gens: list[list[Perm]] = [[] for _ in path]
         for depth in range(len(path) - 1, -1, -1):
-            cells, words, idx, beta = path[depth]
+            points, words, s, beta = path[depth]
             # every generator found so far was found at depth >= `depth`, so
             # fixes base[:depth]; once this level is done they generate its
             # whole stabilizer
             reached = _orbit_of(beta, self.found_gens)
-            for v in cells[idx][1:]:
+            for v in points.members(s)[1:].tolist():
                 if v in reached:
                     continue
                 # one verified automorphism whose leaf sits under v, or None
-                g = self.find_leaf(_individualize(cells, idx, v), [idx], words, depth + 1,
+                g = self.find_leaf(points.individualize(s, v), s, words, depth + 1,
                                    struct.verify)
                 if g is not None:
                     self.found_gens.append(g)
@@ -518,29 +513,28 @@ class _Search:
             level_gens[depth] = list(self.found_gens)
         return base, level_gens
 
-    def find_leaf(self, cells, active, words, depth, accept):
-        """The first leaf below cells, mapped against lab0, that passes accept.
+    def find_leaf(self, points, active, words, depth, accept):
+        """The first leaf below points, mapped against lab0, that passes accept.
 
-        cells is an unrefined partition at tree level depth, to be refined
-        from the cells listed in active and the word cells words (see
-        _refine); a node whose refinement trace leaves traces[depth] cannot
-        lie on the image of the first path and is pruned where it leaves.
-        The candidate sends lab0[k] to the leaf's k-th point.
+        points is an unrefined partition at tree level depth, to be refined
+        from the cell at active and the word cells words (see _refine); a
+        node whose refinement trace leaves traces[depth] cannot lie on the
+        image of the first path and is pruned where it leaves. The candidate
+        sends lab0[k] to the leaf's k-th point.
         """
         self.tick()
-        refined = _refine(self.struct, cells, active, words, _Trace(self.traces[depth]))
+        refined = _refine(self.struct, points, active, words, _Trace(self.traces[depth]))
         if refined is None:
             return None
-        cells, words = refined
-        tgt = _target_cell(cells)
-        if tgt is None:
-            cand = [0] * self.struct.n
-            for pos, point in enumerate(_labeling(cells)):
-                cand[self.lab0[pos]] = point
-            cand = tuple(cand)
+        points, words = refined
+        s = _target_cell(points)
+        if s is None:
+            cand = np.empty_like(points.lab)
+            cand[self.lab0] = points.lab
+            cand = tuple(cand.tolist())
             return cand if accept(cand) else None
-        for w in cells[tgt]:
-            got = self.find_leaf(_individualize(cells, tgt, w), [tgt], words, depth + 1, accept)
+        for w in points.members(s).tolist():
+            got = self.find_leaf(points.individualize(s, w), s, words, depth + 1, accept)
             if got is not None:
                 return got
         return None

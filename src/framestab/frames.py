@@ -20,11 +20,17 @@ plus permutation group orders:
     family H of subcodes of C isomorphic to d(Z2^n) (lattice case) or
     d(E_n) (orbifold case); its order is the stabilizer of one member
     times |H|.
+  * In the lattice case H is the set of perfect matchings of the graph of
+    weight-2 words of C. In a linear code that graph is a disjoint union of
+    cliques (two weight-2 words sharing a point add to a third), so |H| is
+    a product of double factorials (|Q| - 1)!! over the cliques Q, zero if
+    one has odd size; the count is closed-form and never hits a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import autsearch, gf2, z4
 from .errors import EnumerationLimit, FramestabError
@@ -171,28 +177,27 @@ def _pair_words(c: BinaryCode) -> list[int]:
     return out
 
 
-def count_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22):
-    """Number of perfect matchings of a graph on bitmask edges (memoized)."""
-    full = (1 << n_points) - 1
-    memo: dict[int, int] = {}
+def _matching_count(n_points: int, edges: list[int]) -> int:
+    """Number of perfect matchings of the weight-2 graph of a binary code.
 
-    def rec(remaining: int) -> int:
-        if not remaining:
-            return 1
-        got = memo.get(remaining)
-        if got is not None:
-            return got
-        if len(memo) > cap:
-            raise EnumerationLimit("matching count cap exceeded")
-        low = remaining & -remaining
-        total = 0
-        for e in edges:
-            if e & low and not (e & ~remaining):
-                total += rec(remaining & ~e)
-        memo[remaining] = total
-        return total
-
-    return rec(full)
+    The edges must be all weight-2 words of one linear code. That graph is a
+    disjoint union of cliques: i~j and j~k give (e_i+e_j) + (e_j+e_k) =
+    e_i+e_k, so each point's clique is the point with its neighbours. A
+    clique of 2m points has (2m-1)!! perfect matchings, and a clique of odd
+    size (an uncovered point is one of size 1) has none.
+    """
+    closed = [1 << i for i in range(n_points)]
+    for e in edges:
+        i, j = (e & -e).bit_length() - 1, e.bit_length() - 1
+        closed[i] |= e
+        closed[j] |= e
+    total = 1
+    for clique in set(closed):
+        size = clique.bit_count()
+        if size % 2:
+            return 0
+        total *= prod(range(size - 1, 0, -2))
+    return total
 
 
 def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22,
@@ -230,7 +235,9 @@ def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False,
 
     Such a subcode is spanned by n disjoint weight-2 words covering all 2n
     coordinates, so members correspond to perfect matchings of the graph
-    whose edges are the weight-2 codewords of C.
+    whose edges are the weight-2 codewords of C. That graph is a disjoint
+    union of cliques, so the count is a product of double factorials
+    (_matching_count) and never reaches cap; cap bounds the member list.
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
@@ -239,7 +246,7 @@ def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False,
         matchings = list_perfect_matchings(sc.r, edges, cap)
         codes = [gf2.span(sc.r, m) for m in matchings]
         return len(codes), codes
-    return count_perfect_matchings(sc.r, edges, cap), None
+    return _matching_count(sc.r, edges), None
 
 
 def _compatible_matchings(c0: BinaryCode, cap: int = 1 << 22):
@@ -303,8 +310,8 @@ def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *,
     found: dict = {d_en.basis: d_en}
     for matching in _compatible_matchings(c0, cap):
         for e in (_family_one(n, matching), _family_two(n, matching)):
-            for b in e.basis:
-                assert sc.c_code.contains(b)
+            if not all(sc.c_code.contains(b) for b in e.basis):
+                raise FramestabError("a subcode of the d(E_n) family does not lie in C")
             found[e.basis] = e
     codes = list(found.values())
     return len(codes), (codes if members else None)

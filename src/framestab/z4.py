@@ -185,8 +185,13 @@ def zero_code(n: int) -> Z4Code:
     return Z4Code(n, ())
 
 
+@lru_cache(maxsize=8)
 def z4_dual(c: Z4Code) -> Z4Code:
-    """Annihilator of c under <x,y> = sum x_i y_i in Z4."""
+    """Annihilator of c under <x,y> = sum x_i y_i in Z4.
+
+    Memoized: a frame report asks for the dual of one code several times,
+    through torsion and the self-duality tests.
+    """
     n = c.length
     k = len(c.basis)
     # rows (column_i of the generator matrix | e_i); Howell rows whose left
@@ -210,17 +215,14 @@ def residue(c: Z4Code) -> gf2.BinaryCode:
 
 
 def torsion(c: Z4Code) -> gf2.BinaryCode:
-    """The binary code C0 with 2*C0 = c intersect 2*Z4^n."""
-    twos = z4_span(c.length, [tuple(2 if j == i else 0 for j in range(c.length)) for i in range(c.length)])
-    even_part = z4_dual(_sum_codes(z4_dual(c), twos))
-    return gf2.span(
-        c.length,
-        [sum((d >> 1) << i for i, d in enumerate(row)) for row in even_part.basis],
-    )
+    """The binary code C0 with 2*C0 = c intersect 2*Z4^n.
 
-
-def _sum_codes(a: Z4Code, b: Z4Code) -> Z4Code:
-    return z4_span(a.length, list(a.basis) + list(b.basis))
+    C0 is the binary dual of the residue of the Z4 dual: a Z4-code is the
+    annihilator of its annihilator, so 2u lies in c exactly when
+    <2u, y> = 2(u . y) vanishes mod 4 for every y in dual(c), that is when
+    u . (y mod 2) is even.
+    """
+    return gf2.dual(residue(z4_dual(c)))
 
 
 def group_shape(c: Z4Code) -> str:

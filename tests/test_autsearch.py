@@ -235,6 +235,11 @@ def assert_equitable(struct, cells):
         assert len(seen) == 1
 
 
+def cells_of(points):
+    """A partition's cells as lists, in order."""
+    return [points.members(s).tolist() for s in points.starts.tolist()]
+
+
 def relabeled(struct, g):
     """struct with point i renamed g[i]."""
     n = struct.n
@@ -288,22 +293,35 @@ def test_refine_matches_full_signature_oracle():
     # queued, as the search does
     rng = random.Random(5)
     for struct in refinement_corpus():
-        cells = ats._initial_partition(struct)
+        points = ats._initial_partition(struct)
         active = words = None
         for _ in range(4):
-            got, words = ats._refine(struct, cells, active, words)
-            want = refine_oracle(struct, cells)
-            assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
-            assert sorted(x for c in got for x in c) == list(range(struct.n))
-            assert_equitable(struct, got)
+            want = refine_oracle(struct, cells_of(points))
             # without the word cells, the refinement reaches the same cells
-            fresh, _ = ats._refine(struct, cells, active)
-            assert {frozenset(c) for c in fresh} == {frozenset(c) for c in want}
-            idx = ats._target_cell(got)
-            if idx is None:
+            fresh, _ = ats._refine(struct, points.copy(), active)
+            assert {frozenset(c) for c in cells_of(fresh)} == {frozenset(c) for c in want}
+            got, words = ats._refine(struct, points, active, words)
+            cells = cells_of(got)
+            assert {frozenset(c) for c in cells} == {frozenset(c) for c in want}
+            assert sorted(x for c in cells for x in c) == list(range(struct.n))
+            assert_equitable(struct, cells)
+            s = ats._target_cell(got)
+            if s is None:
                 break
-            cells = ats._individualize(got, idx, rng.choice(got[idx]))
-            active = [idx]
+            points = got.individualize(s, rng.choice(got.members(s).tolist()))
+            active = s
+
+
+def test_individualize_keeps_cell_order():
+    # the point moves to the front of its cell and every other point keeps
+    # its place in order, as the search tree, its bases and its generator
+    # lists depend on that order; the partition individualized is unchanged
+    points = ats._Partition(np.array([4, 0, 5, 2, 1, 3]), np.array([0, 1, 5]))
+    moved = points.individualize(1, 2)
+    assert cells_of(moved) == [[4], [2], [0, 5, 1], [3]]
+    assert moved.length[moved.starts].tolist() == [1, 1, 3, 1]
+    assert cells_of(points) == [[4], [0, 5, 2, 1], [3]]
+    assert ats._target_cell(moved) == 2 and ats._target_cell(points) == 1
 
 
 def test_pair_keys_order_as_colour_counts():
@@ -355,20 +373,21 @@ def test_refine_commutes_with_relabeling():
         g = list(range(struct.n))
         rng.shuffle(g)
         moved = relabeled(struct, g)
-        cells = ats._initial_partition(struct)
-        moved_cells = ats._initial_partition(moved)
+        points = ats._initial_partition(struct)
+        moved_points = ats._initial_partition(moved)
         active = words = moved_words = None
         for _ in range(4):
-            got, words = ats._refine(struct, cells, active, words)
-            moved_got, moved_words = ats._refine(moved, moved_cells, active, moved_words)
-            assert [{g[x] for x in c} for c in got] == [set(c) for c in moved_got]
-            idx = ats._target_cell(got)
-            if idx is None:
+            got, words = ats._refine(struct, points, active, words)
+            moved_got, moved_words = ats._refine(moved, moved_points, active, moved_words)
+            assert ([{g[x] for x in c} for c in cells_of(got)]
+                    == [set(c) for c in cells_of(moved_got)])
+            s = ats._target_cell(got)
+            if s is None:
                 break
-            point = rng.choice(got[idx])
-            cells = ats._individualize(got, idx, point)
-            moved_cells = ats._individualize(moved_got, idx, g[point])
-            active = [idx]
+            point = rng.choice(got.members(s).tolist())
+            points = got.individualize(s, point)
+            moved_points = moved_got.individualize(s, g[point])
+            active = s
 
 
 # -- refinement traces ----------------------------------------------------------
@@ -427,20 +446,20 @@ def test_trace_pruning_runs_one_leaf_test_on_pseudo_golay_2(monkeypatch):
 
 def test_refine_trace_stops_at_first_difference():
     struct = ats.structure_for_codes([gf2.golay24()])
-    cells = ats._initial_partition(struct)
+    points = ats._initial_partition(struct)
     recorded = ats._Trace()
-    want = ats._refine(struct, cells, trace=recorded)
+    want = ats._refine(struct, points.copy(), trace=recorded)
     steps = recorded.items
-    assert len(steps) > 2 and steps[-1] == ats._shape(want[0])
+    assert len(steps) > 2 and steps[-1] == want[0].starts.tobytes()
     again = ats._Trace(steps)
-    assert ats._refine(struct, cells, trace=again) is not None
+    assert ats._refine(struct, points.copy(), trace=again) is not None
     assert again.items == steps
     changed = ats._Trace([steps[0], (-1, -1), *steps[2:]])
-    assert ats._refine(struct, cells, trace=changed) is None
+    assert ats._refine(struct, points.copy(), trace=changed) is None
     assert changed.items == steps[:2]
     # a trace that ends earlier or later does not match either
     for expected in (steps[:-1], steps + [steps[-1]]):
-        assert ats._refine(struct, cells, trace=ats._Trace(expected)) is None
+        assert ats._refine(struct, points.copy(), trace=ats._Trace(expected)) is None
 
 
 def test_refine_traces_commute_with_relabeling():
@@ -451,22 +470,22 @@ def test_refine_traces_commute_with_relabeling():
         g = list(range(struct.n))
         rng.shuffle(g)
         moved = relabeled(struct, g)
-        cells, moved_cells = ats._initial_partition(struct), ats._initial_partition(moved)
+        points, moved_points = ats._initial_partition(struct), ats._initial_partition(moved)
         active = words = moved_words = None
         for _ in range(4):
             trace = ats._Trace()
-            got, words = ats._refine(struct, cells, active, words, trace)
+            got, words = ats._refine(struct, points, active, words, trace)
             moved_trace = ats._Trace(trace.items)
-            moved_got, moved_words = ats._refine(moved, moved_cells, active, moved_words,
+            moved_got, moved_words = ats._refine(moved, moved_points, active, moved_words,
                                                  moved_trace)
             assert moved_trace.items == trace.items
-            idx = ats._target_cell(got)
-            if idx is None:
+            s = ats._target_cell(got)
+            if s is None:
                 break
-            point = rng.choice(got[idx])
-            cells = ats._individualize(got, idx, point)
-            moved_cells = ats._individualize(moved_got, idx, g[point])
-            active = [idx]
+            point = rng.choice(got.members(s).tolist())
+            points = got.individualize(s, point)
+            moved_points = moved_got.individualize(s, g[point])
+            active = s
 
 
 @pytest.mark.parametrize("traces", [True, False])

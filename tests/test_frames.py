@@ -1,11 +1,12 @@
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 from math import factorial
 
 import pytest
 
 from framestab import catalog, frames, gf2, permgrp, z4
+from framestab.errors import FramestabError
 from framestab.frames import VariantError
 
 
@@ -262,7 +263,7 @@ def _random_member(rng, code):
 
 
 def test_enumerate_h_lattice_counts():
-    expected = {1: 2027025, 3: 81, 4: 1}
+    expected = {1: 2027025, 2: 11025, 3: 81, 4: 1}
     for k, want in expected.items():
         sc = frames.structure_codes_lattice(len8(k))
         count, _ = frames.enumerate_h_lattice(sc)
@@ -291,16 +292,22 @@ def test_enumerate_h_lattice_index_formula_case1():
     assert count == aut_c // (2**8 * aut_c0) == 2027025
 
 
+def even_lattice_codes():
+    """Six seeded random Z4-codes whose lattices are even."""
+    rng = random.Random(123)
+    out = []
+    while len(out) < 6:
+        c = z4.random_self_orthogonal(rng.randrange(4, 7), rng.randrange(1, 4), rng)
+        if z4.all_weights_divisible_by_8(c):
+            out.append(c)
+    return out
+
+
 def test_enumerate_h_lattice_index_formula_random():
     # direct matching count equals |Aut(C)| / (2^n |Aut(C0)|) beyond the
     # catalog, on random codes whose lattices are even
     from framestab import autsearch
-    rng = random.Random(123)
-    checked = 0
-    while checked < 6:
-        c = z4.random_self_orthogonal(rng.randrange(4, 7), rng.randrange(1, 4), rng)
-        if not z4.all_weights_divisible_by_8(c):
-            continue
+    for c in even_lattice_codes():
         n = c.length
         sc = frames.structure_codes_lattice(c)
         direct, _ = frames.enumerate_h_lattice(sc)
@@ -309,7 +316,48 @@ def test_enumerate_h_lattice_index_formula_random():
         aut_c0 = autsearch.aut_binary(c0).order() if c0.dim else factorial(n)
         assert aut_c % ((1 << n) * aut_c0) == 0
         assert direct == aut_c // ((1 << n) * aut_c0)
-        checked += 1
+
+
+def test_weight_two_graph_is_union_of_cliques():
+    # what the closed-form count rests on: neighbours of a point are
+    # neighbours of each other, in every linear code
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(2, 13)
+        code = gf2.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(1, n + 1))])
+        edges = set(frames._pair_words(code))
+        for i, j, k in combinations(range(n), 3):
+            pairs = [(1 << i) | (1 << j), (1 << j) | (1 << k), (1 << i) | (1 << k)]
+            assert sum(e in edges for e in pairs) != 2
+
+
+def test_matching_count_closed_form():
+    scs = [frames.structure_codes_lattice(len8(k)) for k in (2, 3, 4)]
+    scs += [frames.structure_codes_lattice(c) for c in even_lattice_codes()]
+    counts = []
+    for sc in scs:
+        edges = frames._pair_words(sc.c_code)
+        counts.append(frames._matching_count(sc.r, edges))
+        assert counts[-1] == len(frames.list_perfect_matchings(sc.r, edges))
+    assert counts == [11025, 81, 1, 1, 3, 1, 3, 1, 1]
+
+
+def test_matching_count_odd_clique_or_uncovered_point():
+    def pair(i, j):
+        return (1 << i) | (1 << j)
+
+    cases = [
+        (6, [pair(0, 1), pair(1, 2), pair(3, 4), pair(4, 5)], 0),  # cliques 3 + 3
+        (8, [pair(0, 1), pair(1, 2), pair(3, 4), pair(4, 5), pair(5, 6), pair(6, 7)], 0),
+        (4, [pair(0, 1), 1 << 2], 0),  # points 2 and 3 lie in no weight-2 word
+        (4, [pair(0, 1), 0b1101], 0),  # points 2 and 3 lie in weight-3 words only
+        (6, [pair(0, 1), pair(2, 3), pair(4, 5)], 1),
+        (6, [pair(0, 1), pair(1, 2), pair(2, 3), pair(4, 5)], 3),  # cliques 4 + 2
+    ]
+    for r, gens, want in cases:
+        edges = frames._pair_words(gf2.span(r, gens))
+        assert frames._matching_count(r, edges) == want
+        assert len(frames.list_perfect_matchings(r, edges)) == want
 
 
 def test_enumerate_h_orbifold_e8():
@@ -365,6 +413,15 @@ def test_enumerate_h_orbifold_w_choices_collapse():
         shuffled = list(matching)[::-1]
         assert frames._family_one(n, tuple(shuffled)) == frames._family_one(n, matching)
         assert frames._family_two(n, tuple(shuffled)) == frames._family_two(n, matching)
+
+
+def test_enumerate_h_orbifold_rejects_member_outside_c():
+    # a C that lacks the family's e(y) words: the member check must raise
+    # (not assert, which python -O strips)
+    sc = frames.structure_codes_orbifold(len8(4))
+    tampered = replace(sc, c_code=gf2.d_map(gf2.even_code(8)))
+    with pytest.raises(FramestabError, match="does not lie in C"):
+        frames.enumerate_h_orbifold(tampered, z4.torsion(len8(4)))
 
 
 def test_enumerate_h_orbifold_min_weight_guard():

@@ -107,6 +107,43 @@ def test_residue_torsion_examples():
     assert z4.residue(c4) == gf2.hamming8()
 
 
+def torsion_oracle(c):
+    """C0 from its definition: c meets 2*Z4^n in dual(dual(c) + 2*Z4^n),
+    whose words halve to C0."""
+    n = c.length
+    twos = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    even_part = z4.z4_dual(z4.z4_span(n, list(z4.z4_dual(c).basis) + twos))
+    return gf2.span(n, [sum((d >> 1) << i for i, d in enumerate(row))
+                        for row in even_part.basis])
+
+
+def test_torsion_matches_definition():
+    everything = z4.z4_span(4, [tuple(int(i == j) for j in range(4)) for i in range(4)])
+    codes = [catalog.get(code_id).code() for code_id in catalog.list_ids()
+             if code_id.startswith("z4-")]
+    codes += [
+        z4.zero_code(5),
+        everything,
+        z4.z4_span(2, [(2, 1)]),
+        z4.z4_span(3, [(2, 1, 0), (0, 2, 3)]),
+        z4.z4_span(1, [(2,)]),
+    ]
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randrange(1, 13)
+        gens = []
+        for _ in range(rng.randrange(0, n + 2)):
+            word = tuple(rng.randrange(4) for _ in range(n))
+            gens.append(z4.scale_word(2, word) if rng.random() < 0.3 else word)
+        codes.append(z4.z4_span(n, gens))
+    for c in codes:
+        assert z4.torsion(c) == torsion_oracle(c), str(c)
+    assert z4.torsion(z4.zero_code(5)) == gf2.zero_code(5)
+    assert z4.torsion(everything) == gf2.full_code(4)
+    # span{(2, 1)} = {0, (2, 1), (0, 2), (2, 3)} meets 2*Z4^2 in (0, 2) alone
+    assert z4.torsion(z4.z4_span(2, [(2, 1)])) == gf2.span(2, [0b10])
+
+
 def test_leech_residue_span():
     lee = catalog.get("z4-leech-standard").code()
     c1 = z4.residue(lee)
