@@ -32,11 +32,24 @@ boundaries (start offsets) after each splitter, then the refined shape. Any
 other node refines against the first path's trace at its depth and is
 pruned at the first entry that differs (McKay & Piperno 2014): since
 refinement commutes with relabeling, a node that an automorphism maps the
-first path onto repeats the trace entry for entry. Leaves are always
+first path onto repeats the trace entry for entry. Candidates are always
 verified against the actual codes, the pair colours and any extra leaf
-predicate, so the invariants only ever prune. Equivalence of two codes uses
-the same descent on the second code's tree, pruned by the first code's
-traces, looking for one leaf that matches the first code's first leaf.
+predicate, so the invariants only ever prune.
+
+A candidate need not wait for a leaf. A node whose refinement matches the
+trace has the first path's cells at its level, and singletons never move,
+so the map sending the first path's refined label array at that level onto
+the node's, position by position, fixes the base points above it and sends
+the individualized point to the node's own. If it verifies, it is exactly
+the automorphism a descent would look for; if not, the node's children are
+searched as before, and at a leaf it is the only candidate. On a code whose
+group is the whole Sym(n) the first sibling's map verifies at every level,
+so the search visits one node per base point. A failed map must stay cheap:
+verify compares the pair-colour rows of the first few moved points before
+the whole matrix. Equivalence of two codes uses the same descent on the
+second code's tree, pruned by the first code's traces, looking for one
+node whose map from the first code's node at its level carries one code
+onto the other.
 
 Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
@@ -65,6 +78,9 @@ DEFAULT_BUDGET = 10**8
 # Words of the weight classes taken into a structure: classes are taken in
 # increasing weight while their words fit this budget.
 MAX_CLASS_WORDS = 1600
+# Pair-colour rows of moved points that Structure.verify compares before the
+# whole matrix.
+PRECHECK_ROWS = 8
 
 # -- invariant structure -----------------------------------------------------
 
@@ -86,8 +102,14 @@ class Structure:
                 if not c.contains(permgrp.apply_word(p, b)):
                     return False
         if self.pair_colors is not None:
+            colors = self.pair_colors
             q = np.array(p)
-            if not np.array_equal(self.pair_colors[np.ix_(q, q)], self.pair_colors):
+            # the rows of a few moved points first, so that a failed guess
+            # of the search costs a few rows, not the whole matrix
+            rows = np.flatnonzero(q != np.arange(len(q)))[:PRECHECK_ROWS]
+            if not np.array_equal(colors[np.ix_(q[rows], q)], colors[rows]):
+                return False
+            if not np.array_equal(colors[np.ix_(q, q)], colors):
                 return False
         if self.leaf_test is not None and not self.leaf_test(p):
             return False
@@ -470,21 +492,21 @@ class _Search:
     def first_path(self, points):
         """Descend, always individualizing the first point of the target cell.
 
-        Records what find_leaf matches against: the refinement trace at each
-        tree level (root first) and the leaf labeling lab0, the map from
-        position to point.
+        Records what find_leaf matches against, per tree level (root first):
+        the refinement trace and the refined label array, the map from
+        position to point. The last label array is the first leaf's.
         """
         path = []
         trace = _Trace()
         points, words = _refine(self.struct, points, trace=trace)
-        self.traces = [trace.items]
+        self.traces, self.labs = [trace.items], [points.lab]
         while (s := _target_cell(points)) is not None:
             point = int(points.lab[s])
             path.append((points, words, s, point))
             trace = _Trace()
             points, words = _refine(self.struct, points.individualize(s, point), s, words, trace)
             self.traces.append(trace.items)
-        self.lab0 = points.lab
+            self.labs.append(points.lab)
         return path
 
     def search(self) -> tuple[tuple[int, ...], list[list[Perm]]]:
@@ -514,25 +536,31 @@ class _Search:
         return base, level_gens
 
     def find_leaf(self, points, active, words, depth, accept):
-        """The first leaf below points, mapped against lab0, that passes accept.
+        """The first node below points whose map from the first path's node
+        at its level passes accept, tried before the node's children.
 
         points is an unrefined partition at tree level depth, to be refined
         from the cell at active and the word cells words (see _refine); a
         node whose refinement trace leaves traces[depth] cannot lie on the
-        image of the first path and is pruned where it leaves. The candidate
-        sends lab0[k] to the leaf's k-th point.
+        image of the first path and is pruned where it leaves. A node that
+        keeps the trace has the first path's cells at every level above it,
+        so the candidate that sends labs[depth][k] to its k-th point sends
+        the first path's singletons to the node's own; if accept rejects it,
+        the children are searched. At a leaf it is the only candidate.
         """
         self.tick()
         refined = _refine(self.struct, points, active, words, _Trace(self.traces[depth]))
         if refined is None:
             return None
         points, words = refined
+        cand = np.empty_like(points.lab)
+        cand[self.labs[depth]] = points.lab
+        cand = tuple(cand.tolist())
+        if accept(cand):
+            return cand
         s = _target_cell(points)
         if s is None:
-            cand = np.empty_like(points.lab)
-            cand[self.lab0] = points.lab
-            cand = tuple(cand.tolist())
-            return cand if accept(cand) else None
+            return None
         for w in points.members(s).tolist():
             got = self.find_leaf(points.individualize(s, w), s, words, depth + 1, accept)
             if got is not None:
@@ -567,7 +595,8 @@ def aut_binary(code: BinaryCode, *, budget: int | None = None, progress=None) ->
     """Full automorphism group of a binary code in Sym_n.
 
     Memoized: a frame report asks for Aut(C0) again after aut_z4 has used it
-    as its constraint group when C0 = C1. Callers must not mutate the group.
+    as its constraint group when C1 is C0 or its dual (every self-dual code).
+    Callers must not mutate the group.
     """
     return _aut_binary(code, budget, progress)
 
@@ -586,9 +615,10 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     Cheap invariants (length, dimension, weight data of the selected
     classes) are compared first. Refinement commutes with relabeling, so if
     g(a) = b the search tree of b is the image under g of the tree of a, and
-    one leaf of b's tree matching the first leaf of a's tree carries a onto
-    b; find_leaf looks for it, pruned by the refinement traces along a's
-    first path.
+    some node of b's tree matching a's first path carries a onto b, at the
+    latest at a leaf; find_leaf looks for it, pruned by the refinement
+    traces along a's first path and tested with the map from a's node at
+    each level.
     """
     if a.length != b.length or a.dim != b.dim:
         return None
@@ -601,7 +631,7 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     target = _Search(struct_a, budget)
     target.first_path(_initial_partition(struct_a))
     search = _Search(struct_b, budget)
-    search.traces, search.lab0 = target.traces, target.lab0
+    search.traces, search.labs = target.traces, target.labs
     small_a, small_b = struct_a.codes[0], struct_b.codes[0]
     return search.find_leaf(
         _initial_partition(struct_b), None, None, 0,
@@ -636,7 +666,8 @@ class _SignSystem:
         self.n = code.length
         self.res = z4.residue(code)
         self.tor = z4.torsion(code)
-        self.checks = gf2.dual(self.tor).basis
+        self.tor_dual = gf2.dual(self.tor)
+        self.checks = self.tor_dual.basis
         # residue solver: RREF of the mod-2 generator images with bookkeeping
         # of which Z4 row combinations realize them
         pairs = []  # (binary word, z4 combo word)
@@ -869,7 +900,10 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
 def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
     n = system.n
     try:
-        if system.tor == system.res:
+        # C1 ⊆ C0 and, for a self-dual code, C1 = C0^⊥: either way
+        # Aut(C0) ∩ Aut(C1) = Aut(C0), which aut_binary memoizes for the
+        # frame report
+        if system.res in (system.tor, system.tor_dual):
             constraint = aut_binary(system.tor, budget=budget, progress=progress)
         else:
             constraint = automorphism_group(

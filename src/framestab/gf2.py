@@ -25,6 +25,10 @@ from .matrixio import parse_binary_matrix
 # back to weight-limited searches (or raise EnumerationLimit).
 SPAN_ENUM_CAP = 28
 _COMB_ENUM_CAP = 1 << 26
+# What one weight-m candidate of weight_words costs, in span words: a
+# candidate is one BinaryCode.contains in Python, about 1.6-2.4 us at
+# dimension 18, and a span word about 5-6 ns of numpy popcount.
+CANDIDATE_SPAN_WORDS = 400
 
 # Dimension of the span evaluated at once (2^16 words, 512 KB a limb).
 INNER_BITS = 16
@@ -251,18 +255,19 @@ def weight_words(c: BinaryCode, m: int, *, cap: int = _COMB_ENUM_CAP) -> list[in
     """All codewords of weight exactly m, sorted by support.
 
     Uses whichever of span enumeration and weight-m membership scanning is
-    cheaper; raises EnumerationLimit if both exceed the cap.
+    cheaper, counted in span words (CANDIDATE_SPAN_WORDS a candidate); each
+    route counts its own words or candidates against the cap, and
+    EnumerationLimit is raised if both exceed it.
     """
     if not 0 <= m <= c.length:
         raise ValueError(f"weight {m} out of range for length {c.length}")
-    cost_span = 1 << c.dim if c.dim <= SPAN_ENUM_CAP else None
     cost_comb = comb(c.length, m)
-    if cost_span is not None and (cost_span <= cost_comb or cost_comb > cap):
-        if cost_span > cap:
-            raise EnumerationLimit(f"span of size 2^{c.dim} above cap")
+    span_fits = c.dim <= SPAN_ENUM_CAP and 1 << c.dim <= cap
+    if span_fits and (cost_comb > cap or 1 << c.dim <= cost_comb * CANDIDATE_SPAN_WORDS):
         return weight_classes(c, [m])[0]
     if cost_comb > cap:
-        raise EnumerationLimit(f"C({c.length},{m}) candidates above cap")
+        raise EnumerationLimit(
+            f"span of size 2^{c.dim} and C({c.length},{m}) candidates above cap")
     found = []
     for coords in combinations(range(c.length), m):
         w = 0

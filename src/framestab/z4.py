@@ -206,21 +206,24 @@ def z4_dual(c: Z4Code) -> Z4Code:
     return z4_span(n, gens)
 
 
+@lru_cache(maxsize=8)
 def residue(c: Z4Code) -> gf2.BinaryCode:
-    """The mod-2 image of c (written C1)."""
+    """The mod-2 image of c (written C1). Memoized, as torsion is."""
     return gf2.span(
         c.length,
         [sum((d & 1) << i for i, d in enumerate(row)) for row in c.basis],
     )
 
 
+@lru_cache(maxsize=8)
 def torsion(c: Z4Code) -> gf2.BinaryCode:
     """The binary code C0 with 2*C0 = c intersect 2*Z4^n.
 
     C0 is the binary dual of the residue of the Z4 dual: a Z4-code is the
     annihilator of its annihilator, so 2u lies in c exactly when
     <2u, y> = 2(u . y) vanishes mod 4 for every y in dual(c), that is when
-    u . (y mod 2) is even.
+    u . (y mod 2) is even. Memoized: a frame report asks for C0 of one code
+    several times (structure codes, the report, the sign system).
     """
     return gf2.dual(residue(z4_dual(c)))
 

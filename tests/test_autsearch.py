@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framestab import autsearch as ats
-from framestab import catalog, gf2, permgrp, z4
+from framestab import catalog, frames, gf2, permgrp, z4
 from framestab.errors import BudgetExceeded
 
 
@@ -136,6 +136,76 @@ def test_weakly_refined_code_search_tree_is_small():
     code = gf2.span(14, [1, 10242, 9220, 1032, 1040, 10784, 3648, 1152, 9472])
     assert code.dim == 9
     assert ats.aut_binary(code, budget=100).order() == 48
+
+
+def lattice_c(code_id):
+    return frames.structure_codes(catalog.get(code_id).code(), "lattice").c_code
+
+
+@pytest.mark.parametrize("code_id,nodes,order", [
+    ("z4-len8-1", 16, factorial(16)),
+    ("z4-len8-4", 25, 344064),
+    ("z4-leech-standard", 60, 8658654068736),
+])
+def test_lattice_c_search_accepts_maps_at_matched_nodes(code_id, nodes, order):
+    # a sibling whose refinement matches the first path's is tested with the
+    # map between the two nodes before anything below it is searched: Aut(C)
+    # = Sym(16) of z4-len8-1 takes 15 nodes (120 with leaf tests alone),
+    # z4-len8-4 takes 20 (73) and Leech 49 (515)
+    struct = ats.structure_for_codes([lattice_c(code_id)])
+    assert ats.automorphism_group(struct, budget=nodes).order() == order
+
+
+def test_failed_guess_falls_back_to_descent(monkeypatch):
+    # on the lattice C of z4-len8-4 some maps between matched inner nodes are
+    # no automorphisms; the search then finds one further down the same
+    # subtree, and the group is still whole
+    struct = ats.structure_for_codes([lattice_c("z4-len8-4")])
+    depths, log = [], []  # log: (depth, verdict) of every candidate verified
+    find_leaf, verify = ats._Search.find_leaf, struct.verify
+
+    def tracked(self, points, active, words, depth, accept):
+        depths.append(depth)
+        try:
+            return find_leaf(self, points, active, words, depth, accept)
+        finally:
+            depths.pop()
+
+    def logged(p):
+        ok = verify(p)
+        log.append((depths[-1], ok))
+        return ok
+
+    monkeypatch.setattr(ats._Search, "find_leaf", tracked)
+    monkeypatch.setattr(struct, "verify", logged)
+    search = ats._Search(struct, None)
+    base, level_gens = search.search()
+    leaf = len(search.labs) - 1
+    rescued = [k for k, (depth, ok) in enumerate(log[:-1])
+               if depth < leaf and not ok and log[k + 1][0] > depth]
+    assert rescued
+    assert any(ok for depth, ok in log if depth == leaf)
+    assert permgrp.PermGroup.from_bsgs(struct.n, base, level_gens).order() == 344064
+
+
+def test_verify_prechecks_rows_then_whole_colour_matrix():
+    # the first PRECHECK_ROWS moved points swap in pairs and keep their rows;
+    # the 3-cycle after them moves the one edge of colour 2 off itself
+    k = ats.PRECHECK_ROWS
+    n = 2 * k + 3
+    colors = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(colors, 0)
+    a, b, c = 2 * k, 2 * k + 1, 2 * k + 2
+    colors[a, b] = colors[b, a] = 2
+    swaps = [i ^ 1 for i in range(2 * k)]
+    struct = ats.Structure(n, (), [], pair_colors=colors)
+    bad = np.array(swaps + [b, c, a])
+    rows = np.flatnonzero(bad != np.arange(n))[:k]
+    assert np.array_equal(colors[np.ix_(bad[rows], bad)], colors[rows])
+    assert not np.array_equal(colors[np.ix_(bad, bad)], colors)
+    assert not struct.verify(tuple(bad.tolist()))
+    assert struct.verify(tuple(swaps + [a, b, c]))
+    assert struct.verify(tuple(swaps + [b, a, c]))
 
 
 def test_budget_exceeded_reports_partial():
@@ -414,8 +484,9 @@ def assert_traces_keep_generators(monkeypatch, structs, code_ids):
 
 
 def test_trace_pruning_keeps_generators(monkeypatch):
-    # the leaves the traces prune cannot pass the leaf test, so the first
-    # accepted leaf below every sibling, and each generator, is unchanged
+    # the nodes the traces prune hold no candidate that passes the leaf
+    # test, so the first accepted candidate below every sibling, and each
+    # generator, is unchanged
     structs = [s for s in refinement_corpus() if s.n < 100]
     assert_traces_keep_generators(
         monkeypatch, structs, [f"z4-len8-{k}" for k in (1, 2, 3, 4)] + ["z4-leech-standard"])
@@ -623,8 +694,16 @@ def test_is_equivalent_finds_witness():
     g = gf2.is_equivalent(c, moved)
     assert g is not None
     assert permgrp.apply_code(g, c) == moved
+    # the witness may be the map between two matched inner nodes, the root
+    # included
     rng = random.Random(3)
-    for code in (gf2.hamming8(), gf2.span(10, [rng.randrange(1 << 10) for _ in range(4)])):
+    codes = [gf2.hamming8(), gf2.span(10, [rng.randrange(1 << 10) for _ in range(4)]),
+             gf2.golay24(), gf2.reed_muller(2, 4), lattice_c("z4-len8-1"), lattice_c("z4-len8-4")]
+    for code_id in ("z4-len8-3", "z4-leech-standard"):
+        code = catalog.get(code_id).code()
+        codes += [z4.torsion(code), z4.residue(code)]
+    codes += [random_code(rng, n, rng.randrange(1, n)) for n in rng.choices(range(6, 17), k=12)]
+    for code in codes:
         for _ in range(5):
             perm = tuple(rng.sample(range(code.length), code.length))
             moved = permgrp.apply_code(perm, code)

@@ -167,7 +167,7 @@ def test_aut_budget_z4_message_gives_kernel_and_image(runner):
 def test_frame_budget_message_matches_aut(runner):
     # frame stops in the same aut_z4 search as aut, and says so the same way
     for code_id, budget, expected in (
-        ("z4-len8-1", "3", "sign kernel 128 times partial image order 6 = 768"),
+        ("z4-len8-1", "3", "sign kernel 128 times partial image order 24 = 3072"),
         ("z4-pseudo-golay-2", "120", "sign kernel 2 times partial image order 1 = 2"),
     ):
         frame = runner.invoke(main, ["frame", "--input", code_id, "--variant", "lattice",

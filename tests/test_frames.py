@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from framestab import catalog, frames, gf2, permgrp, z4
+from framestab import autsearch, catalog, frames, gf2, permgrp, z4
 from framestab.errors import FramestabError
 from framestab.frames import VariantError
 
@@ -531,6 +531,26 @@ def test_frame_report_moonshine():
     assert payload["stab_order"] == str(2**27 * 2**12 * 120960)
 
 
+@pytest.mark.parametrize("code_id,variant", [("z4-len8-2", "lattice"),
+                                             ("z4-leech-standard", "orbifold")])
+def test_frame_report_searches_aut_c0_once(monkeypatch, code_id, variant):
+    # the codes are self-dual, so C1 = C0^⊥ and aut_z4's constraint group is
+    # Aut(C0) itself, which the report then reads from the memo
+    code = catalog.get(code_id).code()
+    assert z4.residue(code) == gf2.dual(z4.torsion(code)) != z4.torsion(code)
+    sizes = []
+    search = autsearch._Search.search
+
+    def counted(self):
+        sizes.append(self.struct.n)
+        return search(self)
+
+    monkeypatch.setattr(autsearch._Search, "search", counted)
+    autsearch._aut_binary.cache_clear()
+    frames.frame_report(code, variant)
+    assert sizes.count(code.length) == 1
+
+
 def test_frame_report_rejects_small_min_weight_orbifold():
     with pytest.raises(VariantError):
         frames.frame_report(len8(1), "orbifold")
@@ -577,7 +597,9 @@ def monomial_relabeling(code, rng):
 
 
 LEN8_FRAMES = [(f"z4-len8-{k}", "lattice") for k in (1, 2, 3, 4)] + [("z4-len8-4", "orbifold")]
-LEN24_FRAMES = [(code_id, variant)
+# the Leech rows take about 0.1 s each, the pseudo-Golay rows are slow
+LEN24_FRAMES = [pytest.param(code_id, variant,
+                             marks=() if code_id == "z4-leech-standard" else pytest.mark.slow)
                 for code_id in ("z4-leech-standard", "z4-pseudo-golay-1", "z4-pseudo-golay-2")
                 for variant in ("lattice", "orbifold")]
 
@@ -596,7 +618,6 @@ def test_frame_report_invariant_under_relabeling(code_id, variant):
     assert_report_invariant(code_id, variant, 3)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("code_id,variant", LEN24_FRAMES)
 def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
     assert_report_invariant(code_id, variant, 1)

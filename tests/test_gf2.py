@@ -99,6 +99,39 @@ def test_weight_words_strategies_agree():
             assert sorted(by_span) == sorted(gf2.weight_words(c, m))
 
 
+def test_weight_words_routes_agree(monkeypatch):
+    # a candidate weighs CANDIDATE_SPAN_WORDS span words: the 2^18 words of
+    # the Leech C0 cost less than its C(24,4) candidates, and at length 20
+    # and weight 3 the switch lies between dimensions 18 and 19
+    from framestab import catalog, z4
+    rng = random.Random(13)
+    cases = [(z4.torsion(catalog.get("z4-leech-standard").code()), 4, True)]
+    for dim, by_span in ((18, True), (19, False)):
+        c = random_code(rng, 20, dim + 4)
+        while c.dim != dim:
+            c = random_code(rng, 20, dim + 4)
+        cases.append((c, 3, by_span))
+    assert cases[0][0].dim == 18
+    spans = []
+    weight_classes = gf2.weight_classes
+
+    def counted(c, weights):
+        spans.append(c.dim)
+        return weight_classes(c, weights)
+
+    for c, m, by_span in cases:
+        monkeypatch.setattr(gf2, "weight_classes", counted)
+        spans.clear()
+        default = gf2.weight_words(c, m)
+        assert spans == ([c.dim] if by_span else [])
+        assert default and all(w.bit_count() == m and c.contains(w) for w in default)
+        # forced onto the candidate scan, then onto the span enumeration
+        for weight in (0, 1 << 40):
+            monkeypatch.setattr(gf2, "CANDIDATE_SPAN_WORDS", weight)
+            assert gf2.weight_words(c, m) == default
+        monkeypatch.undo()
+
+
 def test_min_weight():
     assert gf2.min_weight(gf2.golay24()) == 8
     assert gf2.min_weight(gf2.hamming8()) == 4
