@@ -51,6 +51,21 @@ second code's tree, pruned by the first code's traces, looking for one
 node whose map from the first code's node at its level carries one code
 onto the other.
 
+Siblings whose traces leave the first path's after a few splitters still
+cost one refinement each. On a structure with pair colours alone (no word
+systems, keys within int64), once a sibling at a level holds no
+automorphism, the level's remaining unreached siblings first run together
+through the first FILTER_SPLITTERS splitters of the first path's own
+refinement at that level, one numpy row per sibling (_sibling_filter). A
+row holds the cell start of every point, and is dropped once its values
+cell_start * top + key (top above the first path's keys), sorted, differ
+from the first path's. An automorphism carrying the first path's node onto
+a sibling's carries every splitter cell and every key with it, so a
+dropped sibling holds none; it counts one node, as a sibling pruned by its
+trace does, and a kept one is searched as before. Waiting for a failure
+keeps the filter off levels where every sibling holds an automorphism,
+which it would pass row for row.
+
 Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
 needed, by sign-invariant pair statistics of the minimum-Euclidean-weight
@@ -81,6 +96,14 @@ MAX_CLASS_WORDS = 1600
 # Pair-colour rows of moved points that Structure.verify compares before the
 # whole matrix.
 PRECHECK_ROWS = 8
+# Splitters of the first path's refinement that _sibling_filter runs a
+# level's remaining siblings through.
+FILTER_SPLITTERS = 4
+# Bytes of one block of its rows (siblings x points, int64): below glibc's
+# default mmap threshold of 128 KiB. Where that threshold is fixed (setting
+# any MALLOC_*_THRESHOLD_ turns its adjustment off), every larger temporary
+# is mapped and faulted in afresh.
+FILTER_BLOCK_BYTES = 120_000
 
 # -- invariant structure -----------------------------------------------------
 
@@ -517,14 +540,22 @@ class _Search:
         path = self.first_path(_initial_partition(struct))
         base = tuple(p for _, _, _, p in path)
         level_gens: list[list[Perm]] = [[] for _ in path]
+        lockstep = (not struct.systems and struct.pair_colors is not None
+                    and struct.colour_powers is not None)
         for depth in range(len(path) - 1, -1, -1):
             points, words, s, beta = path[depth]
             # every generator found so far was found at depth >= `depth`, so
             # fixes base[:depth]; once this level is done they generate its
             # whole stabilizer
             reached = _orbit_of(beta, self.found_gens)
-            for v in points.members(s)[1:].tolist():
+            siblings = points.members(s)[1:].tolist()
+            kept = None
+            for k, v in enumerate(siblings):
                 if v in reached:
+                    continue
+                if kept is not None and v not in kept:
+                    # its refinement leaves beta's, as a pruned trace would
+                    self.tick()
                     continue
                 # one verified automorphism whose leaf sits under v, or None
                 g = self.find_leaf(points.individualize(s, v), s, words, depth + 1,
@@ -532,6 +563,9 @@ class _Search:
                 if g is not None:
                     self.found_gens.append(g)
                     reached = _orbit_of(beta, self.found_gens)
+                elif kept is None and lockstep:
+                    rest = [u for u in siblings[k + 1:] if u not in reached]
+                    kept = set(_sibling_filter(struct, points, s, beta, rest))
             level_gens[depth] = list(self.found_gens)
         return base, level_gens
 
@@ -566,6 +600,77 @@ class _Search:
             if got is not None:
                 return got
         return None
+
+
+def _cell_starts(points: _Partition):
+    """Per point, the start of its cell."""
+    out = np.empty(len(points.lab), dtype=np.int64)
+    out[points.lab] = np.repeat(points.starts, points.length[points.starts])
+    return out
+
+
+def _sibling_filter(struct: Structure, points: _Partition, s, beta, siblings):
+    """The siblings v, in order, whose refinement from points individualized
+    at v in the cell at s agrees with beta's through its first
+    FILTER_SPLITTERS splitters; the others hold no automorphism.
+
+    For pair-colour structures without word systems whose colour powers fit
+    int64. beta's refinement is replayed once, recording per splitter its
+    start, its size, the key bound top, the sorted values cell_start * top
+    + key over the points and the start of the cell at each position after
+    the split. The siblings then run through the same splitters together,
+    in blocks of FILTER_BLOCK_BYTES, one row each of the cell start of every
+    point and one of the points in cell order. A row keeps in step while its
+    values (keys below top) sort to beta's; the sort then orders its points
+    into the new cells.
+    """
+    powers = struct.colour_powers
+    first = points.individualize(s, beta)
+    first.push(s, 1)
+    cells = _cell_starts(first)
+    steps = []
+    while len(steps) < FILTER_SPLITTERS and not first.discrete():
+        members = first.pop()
+        if members is None:
+            break
+        keys = _pair_keys(struct, members)
+        top = int(keys.max()) + 1
+        if struct.n * top >= 1 << 63:
+            break
+        start, values = int(cells[members[0]]), np.sort(cells * top + keys)
+        first.split(keys)
+        cells = _cell_starts(first)
+        steps.append((start, len(members), top, values,
+                      np.repeat(first.starts, first.length[first.starts])))
+    parent = _cell_starts(points)
+    parent[points.members(s)] = s + 1
+    position = np.argsort(points.lab)
+    kept = []
+    rows = max(1, FILTER_BLOCK_BYTES // (8 * struct.n))
+    for lo in range(0, len(siblings), rows):
+        block = np.array(siblings[lo:lo + rows])
+        here = np.arange(len(block))
+        cells = np.tile(parent, (len(block), 1))
+        cells[here, block] = s
+        # points.lab with each sibling swapped to the front of the cell at s
+        lab = np.tile(points.lab, (len(block), 1))
+        lab[here, position[block]] = lab[:, s]
+        lab[:, s] = block
+        for start, size, top, values, new_starts in steps:
+            keys = powers[lab[:, start]]
+            for k in range(start + 1, start + size):
+                keys += powers[lab[:, k]]
+            combined = cells * top + keys
+            order = np.argsort(combined, axis=1)
+            ok = ((keys.max(axis=1) < top)
+                  & (np.take_along_axis(combined, order, 1) == values).all(axis=1))
+            block, lab = block[ok], order[ok]
+            if not len(block):
+                break
+            cells = np.empty_like(lab)
+            np.put_along_axis(cells, lab, new_starts, 1)
+        kept += block.tolist()
+    return kept
 
 
 def _orbit_of(point, gens):

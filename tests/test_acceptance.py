@@ -215,7 +215,7 @@ def test_criterion_8_phi2_equivalent_to_golay():
     g24 = gf2.golay24()
     for eid in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
         residue = z4.residue(catalog.get(eid).code())
-        witness = gf2.is_equivalent(residue, g24)
+        witness = autsearch.code_isomorphism(residue, g24)
         assert witness is not None
         assert permgrp.apply_code(witness, residue) == g24
     report(8, "phi_2 of both pseudo-Golay codes mapped onto the Golay code "

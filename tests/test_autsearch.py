@@ -477,9 +477,10 @@ def assert_traces_keep_generators(monkeypatch, structs, code_ids):
     for struct, gens in zip(structs, traced[0]):
         for g in gens:
             assert struct.verify(g)
-    # trace comparison off: only the refined shapes are recorded and
-    # compared, as the search did before it had traces
+    # trace comparison and the sibling filter off: only the refined shapes
+    # are recorded and compared, as the search did before it had traces
     monkeypatch.setattr(ats._Trace, "step", lambda self, item: True)
+    monkeypatch.setattr(ats, "_sibling_filter", keep_every_sibling)
     assert search_results(structs, codes) == traced
 
 
@@ -557,6 +558,151 @@ def test_refine_traces_commute_with_relabeling():
             points = got.individualize(s, point)
             moved_points = moved_got.individualize(s, g[point])
             active = s
+
+
+# -- lockstep sibling filter ----------------------------------------------------
+
+
+def keep_every_sibling(struct, points, s, beta, siblings):
+    """_sibling_filter switched off."""
+    return siblings
+
+
+def circulant_pair(rng, p, ncolors):
+    """Two circulant colourings of Z_p side by side, with the same colour
+    counts; colour ncolors joins the two. A point of one has an image in the
+    other only where the colourings are isomorphic."""
+    first = [rng.randrange(1, ncolors) for _ in range((p - 1) // 2)]
+    second = first[:]
+    rng.shuffle(second)
+    colors = np.full((2 * p, 2 * p), ncolors)
+    for half, distances in enumerate((first, second)):
+        row = [0, *distances, *distances[::-1]]
+        block = [[row[(b - a) % p] for b in range(p)] for a in range(p)]
+        colors[half * p:(half + 1) * p, half * p:(half + 1) * p] = block
+    return ats.Structure(2 * p, (), [], pair_colors=colors)
+
+
+def filter_corpus():
+    """The structures _sibling_filter serves: pair colours that fit the
+    colour powers and no word systems."""
+    rng = random.Random(2)
+    structs = [s for s in refinement_corpus()
+               if not s.systems and s.pair_colors is not None and s.colour_powers is not None]
+    return structs + [circulant_pair(rng, p, c) for p, c in [(11, 3), (17, 4), (19, 3), (23, 5)]]
+
+
+def test_sibling_filter_drops_only_siblings_without_automorphism():
+    # at every level of every first path, each sibling the filter drops
+    # holds no automorphism: find_leaf finds none below it
+    dropped = 0
+    for struct in filter_corpus():
+        search = ats._Search(struct, None)
+        path = search.first_path(ats._initial_partition(struct))
+        for depth, (points, words, s, beta) in enumerate(path):
+            siblings = points.members(s)[1:].tolist()
+            kept = ats._sibling_filter(struct, points, s, beta, siblings)
+            assert kept == [v for v in siblings if v in set(kept)]
+            if struct.n == 759:
+                # the image has order 3: beta's orbit
+                assert len(kept) == 2
+            for v in set(siblings) - set(kept):
+                assert search.find_leaf(points.individualize(s, v), s, words, depth + 1,
+                                        struct.verify) is None
+                dropped += 1
+    assert dropped > 756
+
+
+def test_sibling_filter_commutes_with_relabeling():
+    rng = random.Random(14)
+    for struct in filter_corpus():
+        g = list(range(struct.n))
+        rng.shuffle(g)
+        moved = relabeled(struct, g)
+        points, _ = ats._refine(struct, ats._initial_partition(struct))
+        moved_points, _ = ats._refine(moved, ats._initial_partition(moved))
+        s = ats._target_cell(points)
+        if s is None:
+            continue
+        members = points.members(s).tolist()
+        beta = rng.choice(members)
+        siblings = [v for v in members if v != beta]
+        kept = ats._sibling_filter(struct, points, s, beta, siblings)
+        moved_kept = ats._sibling_filter(moved, moved_points, s, g[beta], [g[v] for v in siblings])
+        assert moved_kept == [g[v] for v in kept]
+
+
+def aut_z4_runs(monkeypatch, code_ids):
+    """Per code, the aut_z4 kernel order and image generators and the nodes
+    of each search it ran, with the aut_binary memo empty."""
+    nodes = []
+    search = ats._Search.search
+
+    def counted(self):
+        try:
+            return search(self)
+        finally:
+            nodes.append(self.nodes)
+
+    monkeypatch.setattr(ats._Search, "search", counted)
+    runs = []
+    for code_id in code_ids:
+        ats._aut_binary.cache_clear()
+        nodes.clear()
+        kernel, image = ats.aut_z4(catalog.get(code_id).code())
+        runs.append((kernel, image.generators, list(nodes)))
+    return runs
+
+
+def test_sibling_filter_keeps_generators_and_nodes(monkeypatch):
+    # a dropped sibling counts one node, as a trace pruned at its first
+    # splitter does, and holds no generator
+    code_ids = ["z4-pseudo-golay-1", "z4-pseudo-golay-2", "z4-leech-standard"]
+    filtered = aut_z4_runs(monkeypatch, code_ids)
+    assert [nodes for _, _, nodes in filtered] == [[30, 4], [30, 757], [25]]
+    monkeypatch.setattr(ats, "_sibling_filter", keep_every_sibling)
+    assert aut_z4_runs(monkeypatch, code_ids) == filtered
+
+
+def test_sibling_filter_keeps_budget_stops(monkeypatch):
+    # the search of Aut(C0) takes 30 nodes and the word graph 757, whose
+    # generator lies under a sibling past node 400
+    code = catalog.get("z4-pseudo-golay-2").code()
+
+    def outcomes():
+        out = []
+        for budget in (30, 400, 756, 780):
+            ats._aut_binary.cache_clear()
+            try:
+                kernel, image = ats.aut_z4(code, budget=budget)
+            except BudgetExceeded as err:
+                out.append((str(err), err.kernel_order, err.partial.order()))
+            else:
+                out.append((kernel, image.order()))
+        return out
+
+    filtered = outcomes()
+    assert [o[-1] for o in filtered] == [1, 1, 3, 3]
+    monkeypatch.setattr(ats, "_sibling_filter", keep_every_sibling)
+    assert outcomes() == filtered
+
+
+def test_sibling_filter_runs_once_on_pseudo_golay_2(monkeypatch):
+    # pseudo-golay-1's word graph is transitive, so no root sibling fails;
+    # on pseudo-golay-2 the first one fails and the other 757 are filtered
+    calls = []
+    sibling_filter = ats._sibling_filter
+
+    def counted(struct, points, s, beta, siblings):
+        calls.append(len(siblings))
+        return sibling_filter(struct, points, s, beta, siblings)
+
+    monkeypatch.setattr(ats, "_sibling_filter", counted)
+    ats._aut_binary.cache_clear()
+    assert ats.aut_z4(catalog.get("z4-pseudo-golay-1").code())[1].order() == 6072
+    assert calls == []
+    assert ats.aut_z4(catalog.get("z4-pseudo-golay-2").code())[1].order() == 3
+    assert calls == [757]
 
 
 @pytest.mark.parametrize("traces", [True, False])
@@ -682,7 +828,7 @@ def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
 
 def test_is_equivalent_identity():
     h8 = gf2.hamming8()
-    g = gf2.is_equivalent(h8, h8)
+    g = ats.code_isomorphism(h8, h8)
     assert g == permgrp.identity(8)
 
 
@@ -691,7 +837,7 @@ def test_is_equivalent_finds_witness():
     c = gf2.reed_muller(1, 3)
     perm = tuple(rng.sample(range(8), 8))
     moved = permgrp.apply_code(perm, c)
-    g = gf2.is_equivalent(c, moved)
+    g = ats.code_isomorphism(c, moved)
     assert g is not None
     assert permgrp.apply_code(g, c) == moved
     # the witness may be the map between two matched inner nodes, the root
@@ -707,7 +853,7 @@ def test_is_equivalent_finds_witness():
         for _ in range(5):
             perm = tuple(rng.sample(range(code.length), code.length))
             moved = permgrp.apply_code(perm, code)
-            g = gf2.is_equivalent(code, moved)
+            g = ats.code_isomorphism(code, moved)
             assert g is not None
             assert permgrp.apply_code(g, code) == moved
 
@@ -718,7 +864,7 @@ def test_is_equivalent_rejects_different_invariants():
     a = gf2.span(8, ["11000000", "00110000", "00001100", "00000011"])
     b = gf2.hamming8()
     assert a.dim == b.dim
-    assert gf2.is_equivalent(a, b) is None
+    assert ats.code_isomorphism(a, b) is None
 
 
 def test_is_equivalent_rejects_equal_weight_enumerators():
@@ -731,11 +877,11 @@ def test_is_equivalent_rejects_equal_weight_enumerators():
     assert gf2.weight_distribution(e8e8) == gf2.weight_distribution(d16)
     rng = random.Random(4)
     perm = tuple(rng.sample(range(16), 16))
-    assert gf2.is_equivalent(e8e8, permgrp.apply_code(perm, d16)) is None
+    assert ats.code_isomorphism(e8e8, permgrp.apply_code(perm, d16)) is None
     # each is still found equivalent to its own relabeling
     for code in (e8e8, d16):
         moved = permgrp.apply_code(perm, code)
-        g = gf2.is_equivalent(code, moved)
+        g = ats.code_isomorphism(code, moved)
         assert g is not None and permgrp.apply_code(g, code) == moved
 
 
@@ -743,7 +889,7 @@ def test_phi2_pseudo_golay_equivalent_to_golay():
     g24 = gf2.golay24()
     for eid in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
         residue = z4.residue(catalog.get(eid).code())
-        witness = gf2.is_equivalent(residue, g24)
+        witness = ats.code_isomorphism(residue, g24)
         assert witness is not None
         assert permgrp.apply_code(witness, residue) == g24
 

@@ -186,6 +186,28 @@ def test_weight_distribution_of_small_codes():
     assert gf2.weight_distribution(gf2.golay24()) == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 
+@pytest.mark.parametrize("dim", [gf2.SMALL_DIM, gf2.SMALL_DIM + 1])
+def test_small_codes_count_alike_on_both_routes(monkeypatch, dim):
+    # the codewords() loop counts codes up to SMALL_DIM, the span kernel the
+    # rest; on either side of the crossover both give the same counts and
+    # the same sorted word lists
+    rng = random.Random(dim)
+    codes = []
+    while len(codes) < 8:
+        n = rng.randrange(dim, 80)
+        c = gf2.span(n, [rng.randrange(1 << n) for _ in range(dim)])
+        if c.dim == dim:
+            codes.append(c)
+    results = []
+    for small_dim in (gf2.SMALL_DIM, -1):
+        monkeypatch.setattr(gf2, "SMALL_DIM", small_dim)
+        results.append([(list(gf2.weight_distribution(c).items()),
+                         gf2.weight_classes(c, range(c.length + 1))) for c in codes])
+    assert results[0] == results[1]
+    for c, (dist, classes) in zip(codes, results[0]):
+        assert dist == [(m, len(words)) for m, words in enumerate(classes) if words]
+
+
 def test_d_and_e_maps():
     c = gf2.span(2, ["11"])
     assert gf2.d_map(c) == gf2.span(4, ["1111"])
