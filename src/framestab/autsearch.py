@@ -3,20 +3,20 @@
 The search operates on an invariant structure over the n coordinates: a
 list of word systems (sets of codeword supports grouped by weight class,
 possibly from several codes at once; each code gives its classes in
-increasing weight while their words fit MAX_CLASS_WORDS), an optional
-initial coloring, and an optional matrix of pairwise colors. Refinement
-computes the coarsest equitable partition finer than a given one with a
-queue of splitter cells (McKay 1981; McKay & Piperno 2014). The words of
-the systems form a second partition: a queued point cell splits word cells
-by how many of its points each word holds (and point cells by their
-pairwise color counts toward it), and a queued word cell splits point cells
-by how many of its words pass through each point. A cell that splits queues
-all its parts if it was queued, and otherwise all but its first largest
-part. Below a refined node only the individualized point is queued, and the
-node's point and word partitions are carried down the tree as label arrays.
-Cells are named by their start offsets into one label array, splitters are
-taken singletons first and then by start, and parts follow in increasing
-count, so the refinement and its cell order commute with relabeling.
+increasing weight while their words fit MAX_CLASS_WORDS) and an optional
+matrix of pairwise colors. Refinement computes the coarsest equitable
+partition finer than a given one with a queue of splitter cells (McKay
+1981; McKay & Piperno 2014). The words of the systems form a second
+partition: a queued point cell splits word cells by how many of its points
+each word holds (and point cells by their pairwise color counts toward it),
+and a queued word cell splits point cells by how many of its words pass
+through each point. A cell that splits queues all its parts if it was
+queued, and otherwise all but its first largest part. Below a refined node
+only the individualized point is queued, and the node's point and word
+partitions are carried down the tree as label arrays. Cells are named by
+their start offsets into one label array, splitters are taken singletons
+first and then by start, and parts follow in increasing count, so the
+refinement and its cell order commute with relabeling.
 
 The tree individualizes one point of the first largest non-singleton cell
 and descends first-path first. Sibling branches are searched bottom-up for
@@ -110,12 +110,11 @@ FILTER_BLOCK_BYTES = 120_000
 
 @dataclass
 class Structure:
-    """What the search must preserve: codes, word systems, colorings."""
+    """What the search must preserve: codes, word systems, pair colours."""
 
     n: int
     codes: tuple[BinaryCode, ...]
     systems: list[list[int]]  # non-empty lists of word supports
-    vertex_colors: list | None = None
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
     leaf_test: object = None  # callable(Perm) -> bool, or None
 
@@ -212,7 +211,7 @@ def weight_class_systems(code: BinaryCode):
     return gf2.weight_classes(side, weights)
 
 
-def structure_for_codes(codes, *, leaf_test=None, vertex_colors=None, pair_colors=None) -> Structure:
+def structure_for_codes(codes) -> Structure:
     codes = tuple(codes)
     n = codes[0].length
     for c in codes:
@@ -226,39 +225,15 @@ def structure_for_codes(codes, *, leaf_test=None, vertex_colors=None, pair_color
             if key not in seen:
                 seen.add(key)
                 systems.append(words)
-    if pair_colors is not None:
-        pair_colors = _intern_colors(pair_colors)
-    return Structure(
-        n,
-        tuple(_small_side(c) for c in codes),
-        systems,
-        vertex_colors=vertex_colors,
-        pair_colors=pair_colors,
-        leaf_test=leaf_test,
-    )
-
-
-def _intern_colors(pair_colors):
-    """Replace arbitrary hashable colors by small ints (rank in sorted order,
-    so the interning itself is relabeling-invariant)."""
-    values = sorted({c for row in pair_colors for c in row})
-    rank = {c: k for k, c in enumerate(values)}
-    return np.array([[rank[c] for c in row] for row in pair_colors], dtype=np.int64)
+    return Structure(n, tuple(_small_side(c) for c in codes), systems)
 
 
 # -- refinement ---------------------------------------------------------------
 
 
 def _initial_partition(struct: Structure):
-    """One cell, or one per vertex colour in sorted colour order."""
-    if struct.vertex_colors is None:
-        return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
-    groups: dict = {}
-    for i in range(struct.n):
-        groups.setdefault(struct.vertex_colors[i], []).append(i)
-    cells = [groups[c] for c in sorted(groups)]
-    starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
-    return _Partition(np.array([x for c in cells for x in c]), starts)
+    """One cell holding every point."""
+    return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
 
 
 class _Partition:

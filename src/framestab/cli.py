@@ -16,6 +16,7 @@ import click
 
 from . import autsearch, catalog, frames, gf2, permgrp, z4
 from .errors import BudgetExceeded, FramestabError, ParseError
+from .matrixio import parse_z4_matrix
 
 BUDGET_ENV = "FRAMESTAB_AUT_BUDGET"
 
@@ -51,36 +52,53 @@ def _budget_error(err: BudgetExceeded) -> click.ClickException:
     return click.ClickException(f"search budget exceeded; {found} is a lower bound only")
 
 
-def _load_z4(ref: str) -> tuple[str, z4.Z4Code]:
+def _read_matrix(ref: str, parse):
+    """(file name, parse(text)) for the matrix file at ref, or None when no
+    such path exists and ref is taken as a catalog id."""
     path = Path(ref)
-    if path.exists():
-        try:
-            return path.name, z4.from_text(path.read_text())
-        except ParseError as err:
-            raise click.ClickException(f"{ref}: {err}") from err
+    if not path.exists():
+        return None
     try:
-        entry = catalog.get(ref)
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise click.ClickException(f"cannot read {ref}: {err}") from err
+    try:
+        return path.name, parse(text)
+    except ParseError as err:
+        raise click.ClickException(f"{ref}: {err}") from err
+
+
+def _catalog_entry(ref: str) -> catalog.CatalogEntry:
+    try:
+        return catalog.get(ref)
     except KeyError as err:
         raise click.ClickException(str(err)) from err
+
+
+def _parse_any(text: str):
+    """A binary code, or a Z4-code when a matrix row holds a 2 or a 3; the
+    digits of comments do not count."""
+    _, rows = parse_z4_matrix(text)
+    if any(d > 1 for row in rows for d in row):
+        return z4.from_text(text)
+    return gf2.from_text(text)
+
+
+def _load_z4(ref: str) -> tuple[str, z4.Z4Code]:
+    loaded = _read_matrix(ref, z4.from_text)
+    if loaded is not None:
+        return loaded
+    entry = _catalog_entry(ref)
     if entry.kind != "z4":
         raise click.ClickException(f"catalog entry {ref} is binary, expected a Z4 matrix")
     return entry.id, entry.code()
 
 
 def _load_any(ref: str, force_binary: bool):
-    path = Path(ref)
-    if path.exists():
-        text = path.read_text()
-        try:
-            if force_binary or not any(ch in "23" for ch in text):
-                return path.name, gf2.from_text(text)
-            return path.name, z4.from_text(text)
-        except ParseError as err:
-            raise click.ClickException(f"{ref}: {err}") from err
-    try:
-        entry = catalog.get(ref)
-    except KeyError as err:
-        raise click.ClickException(str(err)) from err
+    loaded = _read_matrix(ref, gf2.from_text if force_binary else _parse_any)
+    if loaded is not None:
+        return loaded
+    entry = _catalog_entry(ref)
     code = entry.code()
     if force_binary and isinstance(code, z4.Z4Code):
         raise click.ClickException(f"catalog entry {ref} is a Z4 code")
@@ -116,7 +134,7 @@ def analyze(ref, as_json):
             "self_dual": self_dual,
             "type_ii": type_ii,
             "min_euclidean_weight": min_w,
-            "extremal": type_ii and min_w == 8 * (code.length // 24 + 1),
+            "extremal": z4.is_extremal(code),
         }
     except FramestabError as err:
         raise click.ClickException(str(err)) from err
@@ -248,10 +266,7 @@ def catalog_list():
 @catalog_cmd.command("show")
 @click.argument("entry_id")
 def catalog_show(entry_id):
-    try:
-        entry = catalog.get(entry_id)
-    except KeyError as err:
-        raise click.ClickException(str(err)) from err
+    entry = _catalog_entry(entry_id)
     click.echo(f"# {entry.id} ({entry.kind}): {entry.provenance}")
     for line in entry.matrix.strip().splitlines():
         click.echo(line.strip())

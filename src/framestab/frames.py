@@ -119,62 +119,9 @@ def pointwise_order(sc: StructureCodes) -> tuple[int, int]:
     return a, b
 
 
-def _in_p(sc: StructureCodes, xi: int) -> bool:
-    """xi in P. The condition alpha & xi in C is linear in alpha, so a basis
-    of D decides it."""
-    return all(sc.c_code.contains(alpha & xi) for alpha in sc.d_code.basis)
-
-
-def lift_order(sc: StructureCodes, xi: int):
-    """Order of a lift of sigma_xi: 'not_liftable', 2, or 4.
-
-    sigma_xi lifts exactly when xi lies in P. The order criterion
-    wt(alpha & xi) mod 4 is a quadratic form on D: by inclusion-exclusion
-    wt((a ^ b) & xi) = wt(a & xi) + wt(b & xi) - 2 wt(a & b & xi), so it
-    vanishes on D exactly when it vanishes on a basis and every pairwise
-    polarization term wt(a & b & xi) is even.
-    """
-    if xi >> sc.r:
-        raise ValueError("xi longer than the frame")
-    if not _in_p(sc, xi):
-        return "not_liftable"
-    basis = sc.d_code.basis
-    for a in basis:
-        if (a & xi).bit_count() % 4:
-            return 4
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if (basis[i] & basis[j] & xi).bit_count() % 2:
-                return 4
-    return 2
-
-
-def lifts_commute(sc: StructureCodes, xi1: int, xi2: int) -> bool:
-    """Whether lifts of sigma_xi1 and sigma_xi2 commute.
-
-    The pairing <alpha & xi1, alpha & xi2> = |alpha & xi1 & xi2| mod 2 is
-    linear in alpha, so checking a basis of D suffices.
-    """
-    if not (_in_p(sc, xi1) and _in_p(sc, xi2)):
-        raise ValueError("xi1 and xi2 must lie in P")
-    mask = xi1 & xi2
-    return all((alpha & mask).bit_count() % 2 == 0 for alpha in sc.d_code.basis)
-
-
 # ---------------------------------------------------------------------------
 # The family H of distinguished subcodes
 # ---------------------------------------------------------------------------
-
-
-def _pair_words(c: BinaryCode) -> list[int]:
-    """Weight-2 codewords, found without span enumeration."""
-    out = []
-    for i in range(c.length):
-        for j in range(i + 1, c.length):
-            w = (1 << i) | (1 << j)
-            if c.contains(w):
-                out.append(w)
-    return out
 
 
 def _matching_count(n_points: int, edges: list[int]) -> int:
@@ -241,7 +188,7 @@ def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False,
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
-    edges = _pair_words(sc.c_code)
+    edges = gf2.weight_words(sc.c_code, 2)
     if members:
         matchings = list_perfect_matchings(sc.r, edges, cap)
         codes = [gf2.span(sc.r, m) for m in matchings]
@@ -343,7 +290,6 @@ class FrameReport:
     index_aut_c_k: int
     aut_c: int | None
     stab_factored: str
-    annotation: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -404,7 +350,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     if variant == "lattice":
         stab_exp = n
     else:
-        stab_exp = gf2.dual(c0).dim
+        stab_exp = n - c0.dim  # dim dual(C0)
 
     # |H|: direct enumeration where feasible, index formula otherwise
     h_direct = None

@@ -306,52 +306,6 @@ def trivial_group(degree: int, base=()) -> PermGroup:
     return PermGroup(degree, [], base=base)
 
 
-def symmetric_group(n: int) -> PermGroup:
-    if n <= 1:
-        return trivial_group(max(n, 1))
-    gens = [perm_from_cycles(n, [[1, 2]]), perm_from_cycles(n, [list(range(1, n + 1))])]
-    return PermGroup(n, gens)
-
-
-def wreath_2(pairs, top: PermGroup) -> PermGroup:
-    """The stabilizer shape 2 wr G on a set of disjoint pairs (1-indexed).
-
-    Generated by the per-pair swaps together with block permutations induced
-    by the top group; order 2^n * |top|.
-    """
-    pairs = [tuple(sorted(p)) for p in pairs]
-    n = len(pairs)
-    points = [x for p in pairs for x in p]
-    if len(set(points)) != 2 * n:
-        raise ValueError("pairs overlap")
-    if top.degree != n:
-        raise ValueError(f"top group degree {top.degree} != number of pairs {n}")
-    degree = max(points)
-    if set(points) != set(range(1, degree + 1)):
-        raise ValueError("pairs must partition {1,...,2n}")
-    gens = []
-    for a, b in pairs:
-        sw = list(range(degree))
-        sw[a - 1], sw[b - 1] = b - 1, a - 1
-        gens.append(tuple(sw))
-    for t in top.generators:
-        img = list(range(degree))
-        for i, (a, b) in enumerate(pairs):
-            a2, b2 = pairs[t[i]]
-            img[a - 1] = a2 - 1
-            img[b - 1] = b2 - 1
-        gens.append(tuple(img))
-    return PermGroup(degree, gens)
-
-
-def project(signed) -> PermGroup:
-    """Image in Sym_n of a set of signed permutations (sign data dropped)."""
-    signed = list(signed)
-    if not signed:
-        raise ValueError("need at least one signed permutation")
-    return PermGroup(len(signed[0].perm), [s.perm for s in signed])
-
-
 # ---------------------------------------------------------------------------
 # Subgroup backtrack search
 # ---------------------------------------------------------------------------

@@ -34,10 +34,6 @@ def euclidean_weight(word) -> int:
     return sum(_EUCLIDEAN[d] for d in word)
 
 
-def hamming_weight(word) -> int:
-    return sum(1 for d in word if d)
-
-
 def inner_product(x, y) -> int:
     return sum(a * b for a, b in zip(x, y)) % 4
 

@@ -317,14 +317,9 @@ def relabeled(struct, g):
     if struct.pair_colors is not None:
         pair_colors = np.empty_like(struct.pair_colors)
         pair_colors[np.ix_(g, g)] = struct.pair_colors
-    vertex_colors = None
-    if struct.vertex_colors is not None:
-        vertex_colors = [None] * n
-        for i in range(n):
-            vertex_colors[g[i]] = struct.vertex_colors[i]
     return ats.Structure(
         n, (), [[permgrp.apply_word(g, w) for w in words] for words in struct.systems],
-        vertex_colors=vertex_colors, pair_colors=pair_colors,
+        pair_colors=pair_colors,
     )
 
 
@@ -341,18 +336,15 @@ def refinement_corpus():
            for n in rng.choices(range(6, 21), k=12)]
     out.append(ats.structure_for_codes([gf2.golay24()]))
     out.append(ats.structure_for_codes([gf2.reed_muller(2, 4)]))
-    # two systems at once, and an initial coloring
+    # two systems at once
     rm = gf2.reed_muller(2, 4)
     out.append(ats.structure_for_codes([rm, gf2.d_map(gf2.even_code(8))]))
-    out.append(ats.structure_for_codes(
-        [gf2.hamming8()], vertex_colors=[i % 3 == 0 for i in range(8)]))
     # random pair colours: with 40 colours the count vectors toward a cell
     # do not fit one int64 key
     for ncolors in (3, 40):
         n = 30
         colors = [[rng.randrange(ncolors) for _ in range(n)] for _ in range(n)]
-        out.append(ats.structure_for_codes(
-            [gf2.span(n, [])], pair_colors=colors))
+        out.append(ats.Structure(n, (), [], pair_colors=np.array(colors)))
     out.append(pseudo_golay_2_pair_structure())
     return out
 
@@ -739,7 +731,8 @@ def tuple_loop_colours(words, mtab):
             else:
                 colors[a][b] = (0, (h & mtab[c]).bit_count() & 1,
                                 (c & mtab[h]).bit_count() & 1)
-    return ats._intern_colors(colors)
+    rank = {c: k for k, c in enumerate(sorted({c for row in colors for c in row}))}
+    return np.array([[rank[c] for c in row] for row in colors])
 
 
 def lifted_even_part(system, c):
@@ -1029,7 +1022,7 @@ def test_project_exactness_on_aut_z4():
     code = catalog.get("z4-len8-1").code()
     kernel, image = ats.aut_z4(code)
     signed = [permgrp.SignedPerm(g, tuple([1] * 8)) for g in image.generators]
-    assert permgrp.project(signed).order() == image.order()
+    assert permgrp.PermGroup(8, [s.perm for s in signed]).order() == image.order()
     assert kernel * image.order() == 2**7 * factorial(8)
 
 

@@ -130,6 +130,37 @@ def test_aut_binary_file_input(runner, tmp_path):
     assert payload["order"] == str(2**3 * 6)  # wreath of pairs: 2^3 * 3! = 48
 
 
+def test_aut_file_kind_ignores_comment_digits(runner, tmp_path):
+    # the 2 in the comment is no matrix entry: the code is binary
+    path = tmp_path / "hamming8.txt"
+    path.write_text("# extended Hamming code, table 2\n"
+                    "10010110\n01010101\n00110011\n00001111\n")
+    result = runner.invoke(main, ["aut", "--input", str(path), "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["kind"], payload["order"]) == ("binary", "1344")
+
+
+UNREADABLE_INPUT_COMMANDS = [["analyze"], ["frame", "--variant", "lattice"], ["aut"]]
+
+
+@pytest.mark.parametrize("args", UNREADABLE_INPUT_COMMANDS)
+def test_directory_input_is_clean_error(runner, tmp_path, args):
+    result = runner.invoke(main, [*args, "--input", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot read {tmp_path}: ")
+
+
+@pytest.mark.parametrize("args", UNREADABLE_INPUT_COMMANDS)
+def test_non_utf8_input_is_clean_error(runner, tmp_path, args):
+    path = tmp_path / "code.txt"
+    path.write_bytes(b"0123\n\xff\n")
+    result = runner.invoke(main, [*args, "--input", str(path)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot read {path}: ")
+    assert "decode" in result.output
+
+
 def test_frame_enumerate_h_flags(runner):
     forced = runner.invoke(
         main, ["frame", "--input", "z4-len8-1", "--variant", "lattice",

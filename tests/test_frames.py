@@ -144,18 +144,6 @@ def test_moonshine_p_is_reed_muller_triples():
     assert p == triples
 
 
-def test_lift_order_moonshine_p_members():
-    lee = catalog.get("z4-leech-standard").code()
-    sc = frames.structure_codes_orbifold(lee)
-    p = frames.compute_p(sc)
-    d_words = list(sc.d_code.codewords())
-    for xi in p.basis[:8]:
-        got = frames.lift_order(sc, xi)
-        assert all(sc.c_code.contains(a & xi) for a in d_words)
-        want = 2 if all((a & xi).bit_count() % 4 == 0 for a in d_words) else 4
-        assert got == want
-
-
 def test_p_between_duals_on_catalog():
     # every xi in dual(C) satisfies the defining condition of P
     cases = [frames.structure_codes_lattice(len8(k)) for k in (1, 2, 3, 4)]
@@ -173,90 +161,6 @@ def test_pointwise_orders():
     for k, want in expected.items():
         assert frames.pointwise_order(frames.structure_codes_lattice(len8(k))) == want
     assert frames.pointwise_order(frames.structure_codes_orbifold(len8(4))) == (5, 0)
-
-
-def test_lift_order_zero_is_two():
-    sc = frames.structure_codes_lattice(len8(1))
-    assert frames.lift_order(sc, 0) == 2
-
-
-def test_lift_order_not_liftable_case3():
-    sc = frames.structure_codes_lattice(len8(3))
-    xi = gf2.e_word(gf2.parse_word("10101010"))
-    assert frames.lift_order(sc, xi) == "not_liftable"
-
-
-def test_lift_order_against_brute_force_case1():
-    rng = random.Random(5)
-    sc = frames.structure_codes_lattice(len8(1))
-    d_words = list(sc.d_code.codewords())
-    for _ in range(40):
-        xi = rng.randrange(1 << 16)
-        got = frames.lift_order(sc, xi)
-        if any(not sc.c_code.contains(a & xi) for a in d_words):
-            want = "not_liftable"
-        elif all((a & xi).bit_count() % 4 == 0 for a in d_words):
-            want = 2
-        else:
-            want = 4
-        assert got == want
-
-
-def test_lift_order_moonshine_weight4_triples():
-    lee = catalog.get("z4-leech-standard").code()
-    sc = frames.structure_codes_orbifold(lee)
-    rm24 = gf2.reed_muller(2, 4)
-    d_words = list(sc.d_code.codewords())
-
-    def oracle(xi):
-        if any(not sc.c_code.contains(a & xi) for a in d_words):
-            return "not_liftable"
-        if all((a & xi).bit_count() % 4 == 0 for a in d_words):
-            return 2
-        return 4
-
-    for alpha in gf2.weight_words(rm24, 4)[:6]:
-        xi = alpha | (alpha << 16) | (alpha << 32)
-        assert frames.lift_order(sc, xi) == oracle(xi)
-    # and genuinely liftable words: dual(C) = D lies inside P
-    for xi in list(sc.d_code.codewords())[1:8]:
-        assert frames.lift_order(sc, xi) in (2, 4)
-
-
-def test_lifts_commute():
-    sc = frames.structure_codes_lattice(len8(1))
-    p = frames.compute_p(sc)
-    some = [w for w in p.codewords()][:12]
-    for xi in some:
-        assert frames.lifts_commute(sc, xi, 0)
-    # self-pairing: order-2 condition
-    for xi in some:
-        self_ok = frames.lifts_commute(sc, xi, xi)
-        want = all((a & xi).bit_count() % 2 == 0 for a in sc.d_code.codewords())
-        assert self_ok == want
-    with pytest.raises(ValueError):
-        frames.lifts_commute(sc, 1 << 3, 0)  # weight-1 word is not in P
-
-
-def test_lifts_commute_moonshine_brute():
-    rng = random.Random(8)
-    lee = catalog.get("z4-leech-standard").code()
-    sc = frames.structure_codes_orbifold(lee)
-    p = frames.compute_p(sc)
-    picks = [_random_member(rng, p) for _ in range(6)]
-    d_words = list(sc.d_code.codewords())
-    for xi1 in picks[:3]:
-        for xi2 in picks[3:]:
-            brute = all((a & xi1 & xi2).bit_count() % 2 == 0 for a in d_words)
-            assert frames.lifts_commute(sc, xi1, xi2) == brute
-
-
-def _random_member(rng, code):
-    w = 0
-    for b in code.basis:
-        if rng.random() < 0.5:
-            w ^= b
-    return w
 
 
 # -- subcode families ----------------------------------------------------------
@@ -325,7 +229,7 @@ def test_weight_two_graph_is_union_of_cliques():
     for _ in range(200):
         n = rng.randrange(2, 13)
         code = gf2.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(1, n + 1))])
-        edges = set(frames._pair_words(code))
+        edges = set(gf2.weight_words(code, 2))
         for i, j, k in combinations(range(n), 3):
             pairs = [(1 << i) | (1 << j), (1 << j) | (1 << k), (1 << i) | (1 << k)]
             assert sum(e in edges for e in pairs) != 2
@@ -336,7 +240,7 @@ def test_matching_count_closed_form():
     scs += [frames.structure_codes_lattice(c) for c in even_lattice_codes()]
     counts = []
     for sc in scs:
-        edges = frames._pair_words(sc.c_code)
+        edges = gf2.weight_words(sc.c_code, 2)
         counts.append(frames._matching_count(sc.r, edges))
         assert counts[-1] == len(frames.list_perfect_matchings(sc.r, edges))
     assert counts == [11025, 81, 1, 1, 3, 1, 3, 1, 1]
@@ -355,7 +259,7 @@ def test_matching_count_odd_clique_or_uncovered_point():
         (6, [pair(0, 1), pair(1, 2), pair(2, 3), pair(4, 5)], 3),  # cliques 4 + 2
     ]
     for r, gens, want in cases:
-        edges = frames._pair_words(gf2.span(r, gens))
+        edges = gf2.weight_words(gf2.span(r, gens), 2)
         assert frames._matching_count(r, edges) == want
         assert len(frames.list_perfect_matchings(r, edges)) == want
 

@@ -132,6 +132,50 @@ def test_weight_words_routes_agree(monkeypatch):
         monkeypatch.undo()
 
 
+def pair_words_loop(c):
+    """Oracle: the weight-2 words, testing each of the C(n, 2) supports."""
+    out = []
+    for i in range(c.length):
+        for j in range(i + 1, c.length):
+            w = (1 << i) | (1 << j)
+            if c.contains(w):
+                out.append(w)
+    return out
+
+
+def test_weight_two_words_match_pair_loop(monkeypatch):
+    # seeded codes of dimension 4-12 (span route) and 20-28 (candidate
+    # route), each holding pairs on a few points, so that its weight-2 words
+    # form cliques; then the lattice C of every Z4 catalog code
+    from framestab import catalog, frames
+    rng = random.Random(29)
+    codes = []
+    for dims in (range(4, 13), range(20, 29)):
+        for _ in range(6):
+            n, dim = rng.randrange(24, 49), rng.choice(dims)
+            points = rng.sample(range(n), 8)
+            pairs = [(1 << a) | (1 << b) for a, b in (rng.sample(points, 2) for _ in range(4))]
+            codes.append(gf2.span(n, pairs + [rng.randrange(1 << n) for _ in range(dim - 4)]))
+    lattice_cs = [frames.structure_codes_lattice(catalog.get(code_id).code()).c_code
+                  for code_id in catalog.list_ids() if code_id.startswith("z4-")]
+    spans = []
+    weight_classes = gf2.weight_classes
+
+    def counted(c, weights):
+        spans.append(c)
+        return weight_classes(c, weights)
+
+    monkeypatch.setattr(gf2, "weight_classes", counted)
+    for group in (codes, lattice_cs):
+        spans.clear()
+        for c in group:
+            want = pair_words_loop(c)
+            assert want
+            assert gf2.weight_words(c, 2) == want
+        # both routes ran
+        assert 0 < len(spans) < len(group)
+
+
 def test_min_weight():
     assert gf2.min_weight(gf2.golay24()) == 8
     assert gf2.min_weight(gf2.hamming8()) == 4
