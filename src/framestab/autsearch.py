@@ -70,7 +70,9 @@ Z4-code automorphisms ride on the same engine: candidate coordinate
 permutations are constrained by the residue and torsion codes (and, when
 needed, by sign-invariant pair statistics of the minimum-Euclidean-weight
 codewords), and a leaf passes if the linear sign-consistency system over
-GF(2) is solvable.
+GF(2) is solvable. That system is read from the pairings of the permuted
+code with its Z4 dual, and gf2.span reduces it, with the right-hand side
+in an extra bit n.
 """
 
 from __future__ import annotations
@@ -739,108 +741,69 @@ def subcode_stabilizer(code: BinaryCode, sub: BinaryCode, *, budget: int | None 
 
 class _SignSystem:
     """Linear conditions over GF(2) for a sign vector compatible with a
-    coordinate permutation of a Z4-code."""
+    coordinate permutation of a Z4-code.
+
+    Flipping the signs s turns a word w = lo + 2hi into w + 2(s & lo). A
+    Z4-code is the annihilator of its Z4 dual, so that word lies in the code
+    exactly when, for every basis row y = ylo + 2yhi of the dual, the pairing
+    <w, y> = |lo & ylo| + 2(|lo & yhi| + |hi & ylo|) is even and
+    s . (lo & ylo) = <w, y>/2 mod 2. A row of the system is the mask
+    lo & ylo with its right-hand side in bit n, reduced by gf2.span.
+    """
 
     def __init__(self, code: z4.Z4Code):
-        self.code = code
         self.n = code.length
         self.res = z4.residue(code)
         self.tor = z4.torsion(code)
         self.tor_dual = gf2.dual(self.tor)
-        self.checks = self.tor_dual.basis
-        # residue solver: RREF of the mod-2 generator images with bookkeeping
-        # of which Z4 row combinations realize them
-        pairs = []  # (binary word, z4 combo word)
-        for row in code.basis:
-            b = sum((d & 1) << i for i, d in enumerate(row))
-            pairs.append((b, row))
-        self.solver: list[tuple[int, tuple[int, ...]]] = []
-        for b, row in pairs:
-            for pb, prow in self.solver:
-                if b >> ((pb & -pb).bit_length() - 1) & 1:
-                    b ^= pb
-                    row = z4.add_words(row, prow)
-            if b:
-                self.solver.append((b, row))
-        self.solver.sort(key=lambda t: t[0] & -t[0])
-
-    def lift(self, binword: int):
-        """A codeword of the Z4-code reducing to binword mod 2, or None."""
-        out = tuple([0] * self.n)
-        for pb, prow in self.solver:
-            if binword >> ((pb & -pb).bit_length() - 1) & 1:
-                binword ^= pb
-                out = z4.add_words(out, prow)
-        if binword:
-            return None
-        return out
+        self.lifts = z4.residue_lifts(code)
+        self.basis = [z4.pack(row) for row in code.basis]
+        self.dual = [z4.pack(y) for y in z4.z4_dual(code).basis]
 
     def rows_for(self, perm: Perm | None):
-        """GF(2) rows (mask, rhs) expressing sign compatibility with perm."""
-        rows = []
-        inv = None if perm is None else permgrp.inverse(perm)
-        for v in self.code.basis:
-            w = v if inv is None else tuple(v[i] for i in inv)
-            odd = sum((d & 1) << i for i, d in enumerate(w))
-            c = self.lift(odd)
-            if c is None:
-                return None
-            m = 0
-            for i in range(self.n):
-                diff = (w[i] - c[i]) % 4
-                if diff == 2:
-                    m |= 1 << i
-                elif diff != 0:
+        """The rows of sign compatibility with perm, or None if no sign
+        vector is compatible. A set: on the Leech code only 20-34 of the
+        81 rows are distinct."""
+        rows = set()
+        for lo, hi in self.basis:
+            if perm is not None:
+                lo, hi = permgrp.apply_word(perm, lo), permgrp.apply_word(perm, hi)
+            for ylo, yhi in self.dual:
+                mask = lo & ylo
+                pairing = mask.bit_count() + 2 * ((lo & yhi).bit_count() + (hi & ylo).bit_count())
+                if pairing & 1:
                     return None
-            for h in self.checks:
-                rows.append((h & odd, (h & m).bit_count() & 1))
+                if mask:
+                    rows.add(mask | (pairing & 2) << (self.n - 1))
+                elif pairing & 2:
+                    return None
         return rows
-
-    @staticmethod
-    def solve(rows):
-        """(consistent, rank) of a GF(2) system given as (mask, rhs) rows."""
-        basis: list[tuple[int, int]] = []
-        for mask, rhs in rows:
-            for bm, br in basis:
-                if mask >> ((bm & -bm).bit_length() - 1) & 1:
-                    mask ^= bm
-                    rhs ^= br
-            if mask:
-                basis.append((mask, rhs))
-            elif rhs:
-                return False, len(basis)
-        return True, len(basis)
 
     def compatible(self, perm: Perm | None) -> bool:
         rows = self.rows_for(perm)
-        if rows is None:
-            return False
-        ok, _ = self.solve(rows)
-        return ok
+        return rows is not None and not gf2.span(self.n + 1, rows).contains(1 << self.n)
 
     def kernel_order(self) -> int:
-        rows = self.rows_for(None)
-        ok, rank = self.solve(rows)
-        assert ok
-        return 1 << (self.n - rank)
+        return 1 << (self.n - gf2.span(self.n + 1, self.rows_for(None)).dim)
 
 
 def _even_parts(system: _SignSystem, words: np.ndarray) -> np.ndarray:
     """For each residue word c (rows of limbs), the even part m of its lift
     c~ = c + 2m, as limbs. Well-defined modulo the torsion code.
 
-    _SignSystem.lift on all words at once, in bits: the lift so far is kept
-    as its two bit planes, and each solver row is added, with carry, to the
-    words whose remainder has the row's pivot bit set. m is the high plane.
+    The lift is a sum of residue lifts, computed for all words at once in
+    bits: the lift so far is kept as its two bit planes, and each residue
+    lift is added, with carry, to the words whose remainder has the lowest
+    bit of its residue set. m is the high plane.
     """
     count = words.shape[1]
     low, high = np.zeros_like(words), np.zeros_like(words)
-    for pb, prow in system.solver:
-        pivot = (pb & -pb).bit_length() - 1
+    for lift in system.lifts:
+        pivot = (lift[0] & -lift[0]).bit_length() - 1
         limb, bit = divmod(pivot, 64)
         on = ((words[:, limb] ^ low[:, limb]) >> np.uint64(bit)) & np.uint64(1)
         mask = (-on.astype(np.int64)).view(np.uint64)[:, None]
-        row_low, row_high = gf2.limb_array(z4._pack(prow), count)[:, None] & mask
+        row_low, row_high = gf2.limb_array(lift, count)[:, None] & mask
         high ^= row_high ^ (low & row_low)
         low ^= row_low
     if not np.array_equal(low, words):

@@ -34,7 +34,6 @@ def _hnf(rows: list[list[int]], n: int) -> list[list[int]]:
                 q = r[col] // pivot[col]
                 for j in range(n):
                     r[j] -= q * pivot[j]
-            live = [r for r in live if r[col]] + [r for r in live[1:] if not r[col] and any(r)]
             live, extra = [r for r in live if r[col]], [r for r in live if not r[col] and any(r)]
             rest.extend(extra)
         pivot = live[0]

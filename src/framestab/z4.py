@@ -278,24 +278,46 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 # ---------------------------------------------------------------------------
 # A word is packed as two bitplanes (lo, hi): digit d = lo_bit + 2*hi_bit.
 # Every codeword is g_S + 2u for a unique subset S of the lifts g_1..g_k1
-# (Howell rows with independent residues, so the residue of g_S is a word c
-# of C1) and a unique u in C0 (Hammons, Kumar, Calderbank, Sloane & Sole
-# 1994). With g_S = (c, m) packed, the word is (c, m ^ u) and its Euclidean
-# weight is |c| + 4*wt((m ^ u) & ~c). The scan walks the cosets g_S + 2*C0,
-# together with the torsion basis vectors beyond the first INNER_BITS, in
-# binary-reflected Gray order, and evaluates each coset at once over the
-# span of the first INNER_BITS torsion vectors with the span kernel of gf2.
+# (residue_lifts, whose residues are a basis of C1, so the residue of g_S
+# is a word c of C1) and a unique u in C0 (Hammons, Kumar, Calderbank,
+# Sloane & Sole 1994). With g_S = (c, m) packed, the word is (c, m ^ u) and
+# its Euclidean weight is |c| + 4*wt((m ^ u) & ~c). The scan walks the
+# cosets g_S + 2*C0, together with the torsion basis vectors beyond the
+# first INNER_BITS, in binary-reflected Gray order, and evaluates each coset
+# at once over the span of the first INNER_BITS torsion vectors with the
+# span kernel of gf2.
 
 # Number of minimum-weight words a scan keeps; the count stays exact beyond it.
 _WORD_LIMIT = 1 << 18
 
 
-def _pack(word):
+def pack(word):
+    """A Z4 word as its two bitplanes (lo, hi)."""
     lo = hi = 0
     for i, d in enumerate(word):
         lo |= (d & 1) << i
         hi |= (d >> 1) << i
     return lo, hi
+
+
+def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
+    """Packed codewords (lo, hi) whose residues are an echelon basis of C1.
+
+    Each Howell row is reduced, by packed addition (lo ^ plo, hi ^ phi ^
+    (lo & plo)), against the lifts kept so far whose lowest residue bit it
+    holds, and kept if its residue stays nonzero; a 2-pivot row such as
+    (2, 1) can be one. The lifts come sorted by the lowest bit of their
+    residue, and these bits are distinct.
+    """
+    lifts = []
+    for row in c.basis:
+        lo, hi = pack(row)
+        for plo, phi in lifts:
+            if lo & plo & -plo:
+                lo, hi = lo ^ plo, hi ^ phi ^ (lo & plo)
+        if lo:
+            lifts.append((lo, hi))
+    return tuple(sorted(lifts, key=lambda g: g[0] & -g[0]))
 
 
 @lru_cache(maxsize=8)
@@ -314,19 +336,12 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
     inner, extra = tors[:INNER_BITS], tors[INNER_BITS:]
     span = gf2.packed_span(inner, limbs)
 
-    # Gray-walk steps as (add when the bit turns on, add when it turns off).
+    # Gray-walk steps as (add when the bit turns on, add when it turns off),
+    # one per residue lift and one per torsion vector beyond the inner span.
     # Turning a lift off adds its negation 3g: adding g again would shift the
     # word by 2*res(g), which lies outside the inner span when k0 > INNER_BITS.
-    # The lifts are the Howell rows whose residues are independent, one per
-    # basis word of C1; a 2-pivot row such as (2, 1) can be one.
-    steps, residues = [], gf2.span(c.length, [])
-    for row in c.basis:
-        lo, hi = _pack(row)
-        if lo not in residues:
-            residues = gf2.span(c.length, residues.basis + (lo,))
-            steps.append(((lo, hi), (lo, hi ^ lo)))
-    for v in extra:
-        steps.append(((0, v), (0, v)))
+    steps = [((lo, hi), (lo, hi ^ lo)) for lo, hi in residue_lifts(c)]
+    steps += [((0, v), (0, v)) for v in extra]
 
     best, count, words = 1 << 62, 0, []
     lo = hi = 0

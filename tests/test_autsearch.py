@@ -735,17 +735,40 @@ def tuple_loop_colours(words, mtab):
     return np.array([[rank[c] for c in row] for row in colors])
 
 
-def lifted_even_part(system, c):
-    """m with c~ = c + 2m for the lift c~ of _SignSystem.lift, one word."""
-    return sum((d >> 1) << i for i, d in enumerate(system.lift(c)))
+def tuple_lifts(code):
+    """(residue, lift) pairs as digit tuples: the Howell rows reduced against
+    each other one Z4 addition at a time, sorted by lowest residue bit."""
+    lifts = []
+    for row in code.basis:
+        b = sum((d & 1) << i for i, d in enumerate(row))
+        for pb, prow in lifts:
+            if b >> ((pb & -pb).bit_length() - 1) & 1:
+                b ^= pb
+                row = z4.add_words(row, prow)
+        if b:
+            lifts.append((b, row))
+    return sorted(lifts, key=lambda t: t[0] & -t[0])
+
+
+def lifted_even_part(lifts, n, c):
+    """m with c~ = c + 2m for the per-word tuple lift c~ of c."""
+    out = (0,) * n
+    for pb, prow in lifts:
+        if c >> ((pb & -pb).bit_length() - 1) & 1:
+            c ^= pb
+            out = z4.add_words(out, prow)
+    assert c == 0
+    return sum((d >> 1) << i for i, d in enumerate(out))
 
 
 def test_word_graph_pair_colours_match_tuple_loop():
     # the m-words come from the per-word lift, not from the bitwise one
     for code_id in ("z4-pseudo-golay-1", "z4-pseudo-golay-2"):
-        system = ats._SignSystem(catalog.get(code_id).code())
+        code = catalog.get(code_id).code()
+        system = ats._SignSystem(code)
         words = ats.weight_class_systems(system.res)[0]
-        mtab = {c: lifted_even_part(system, c) for c in words}
+        lifts = tuple_lifts(code)
+        mtab = {c: lifted_even_part(lifts, code.length, c) for c in words}
         got = ats._WordGraph(system, words).pair_colors
         assert np.array_equal(got, tuple_loop_colours(words, mtab))
 
@@ -765,15 +788,17 @@ def test_word_pair_colours_multi_limb():
 
 
 def test_even_parts_match_per_word_lift():
-    # the bitwise lift adds the same solver rows as _SignSystem.lift, so the
-    # even parts agree bit for bit, on one limb and on two
+    # the bitwise lift adds the same lifts as the per-word tuple lift, so the
+    # even parts agree bit for bit, on one limb and on two, and every
+    # (c, m) is a codeword
     rng = random.Random(4)
     cases = [catalog.get("z4-pseudo-golay-2").code()]
     cases += [z4.z4_span(n, [tuple(rng.randrange(4) for _ in range(n)) for _ in range(6)])
               for n in (7, 64, 70, 130)]
     for code in cases:
-        system = ats._SignSystem(code)
-        rows = [pb for pb, _ in system.solver]
+        n = code.length
+        lifts = tuple_lifts(code)
+        rows = [pb for pb, _ in lifts]
         words = [0, *rows]
         for _ in range(30):
             w = 0
@@ -781,10 +806,13 @@ def test_even_parts_match_per_word_lift():
                 if rng.random() < 0.5:
                     w ^= pb
             words.append(w)
-        count = -(-code.length // 64)
-        got = ats._even_parts(system, gf2.limb_array(words, count))
-        want = gf2.limb_array([lifted_even_part(system, c) for c in words], count)
+        count = -(-n // 64)
+        got = ats._even_parts(ats._SignSystem(code), gf2.limb_array(words, count))
+        want = gf2.limb_array([lifted_even_part(lifts, n, c) for c in words], count)
         assert np.array_equal(got, want)
+        for c, limbs in zip(words, got):
+            m = sum(int(x) << (64 * l) for l, x in enumerate(limbs))
+            assert code.contains(tuple((c >> i & 1) + 2 * (m >> i & 1) for i in range(n)))
 
 
 def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
@@ -959,6 +987,51 @@ def test_aut_z4_generators_preserve_code():
     system = ats._SignSystem(code)
     for s in image.strong_generators:
         assert system.compatible(s)
+
+
+def brute_sign_count(code, perm):
+    """Oracle: the sign vectors s with (perm, s)(code) == code."""
+    n = code.length
+    total = 0
+    for smask in range(1 << n):
+        signs = tuple(-1 if smask >> i & 1 else 1 for i in range(n))
+        sp = permgrp.SignedPerm(perm, signs)
+        if z4.z4_span(n, [sp.apply(r) for r in code.basis]) == code:
+            total += 1
+    return total
+
+
+def test_sign_system_matches_brute_force():
+    # random short codes, many not self-orthogonal, and Howell forms whose
+    # 2-pivot row has odd entries; the permutations are sampled ones and the
+    # strong generators of Aut(C0) ∩ Aut(C1), so both outcomes occur. The
+    # last fixed code has such a generator, (1, 0, 2, 3, 4), whose pairings
+    # with the dual are all even but whose right-hand sides are inconsistent.
+    rng = random.Random(19)
+    codes = [z4.z4_span(2, [(2, 1)]), z4.z4_span(3, [(2, 1, 3)]),
+             z4.z4_span(4, [(2, 1, 0, 3), (0, 2, 1, 1)]), z4.z4_span(5, [(2, 0, 1, 1, 1)]),
+             z4.z4_span(5, [(1, 0, 2, 1, 3), (0, 1, 0, 3, 3)])]
+    for _ in range(120):
+        n = rng.randrange(2, 6)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 2, 3)) for _ in range(n))
+                for _ in range(rng.randrange(1, 4))]
+        codes.append(z4.z4_span(n, gens))
+    outcomes = []
+    for code in codes:
+        n = code.length
+        system = ats._SignSystem(code)
+        assert system.kernel_order() == brute_sign_count(code, tuple(range(n)))
+        constraint = ats.automorphism_group(ats.structure_for_codes([system.tor, system.res]))
+        perms = list(constraint.strong_generators)
+        perms += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        for perm in perms:
+            brute = brute_sign_count(code, perm) > 0
+            assert system.compatible(perm) == brute, (code, perm)
+            outcomes.append(brute)
+    assert any(outcomes) and not all(outcomes)
+    assert not all(z4.is_self_orthogonal(c) for c in codes)
+    assert any(row[col] == 2 and any(d & 1 for d in row)
+               for c in codes for (col, _), row in zip(c.pivots, c.basis))
 
 
 def test_aut_z4_kernel_times_image_small_brute(monkeypatch):

@@ -231,6 +231,23 @@ def _codeword_scan(c):
     return best, words
 
 
+def test_residue_lifts_are_codewords_over_an_echelon_basis_of_c1():
+    rng = random.Random(23)
+    codes = [catalog.get(i).code() for i in catalog.list_ids() if i.startswith("z4-")]
+    codes += [z4.z4_span(2, [(2, 1)]), z4.z4_span(5, [(2, 1, 0, 3, 2), (0, 2, 2, 0, 1)])]
+    for n in (64, 70, 130):
+        # the last generator leads with a 2 and has an odd tail, like (2, 1)
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(4)]
+        gens.append((2,) + tuple(2 * rng.randrange(2) for _ in range(n - 2)) + (1,))
+        codes.append(z4.z4_span(n, gens))
+    for c in codes:
+        lifts = z4.residue_lifts(c)
+        lows = [lo for lo, _ in lifts]
+        assert gf2.span(c.length, lows) == z4.residue(c)
+        assert len({lo & -lo for lo in lows}) == len(lows) == z4.residue(c).dim
+        assert all(c.contains(unpack(lo, hi, c.length)) for lo, hi in lifts)
+
+
 def test_weight_scan_matches_codeword_scan():
     rng = random.Random(41)
     codes = [z4.z4_span(2, [(2, 1)]), z4.z4_span(5, [(2, 1, 0, 3, 2), (0, 2, 2, 0, 1)])]
