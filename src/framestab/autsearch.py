@@ -87,11 +87,10 @@ from operator import itemgetter
 import numpy as np
 
 from . import gf2, permgrp, z4
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .gf2 import BinaryCode
 from .permgrp import PermGroup, Perm
 
-DEFAULT_BUDGET = 10**8
 # Words of the weight classes taken into a structure: classes are taken in
 # increasing weight while their words fit this budget.
 MAX_CLASS_WORDS = 1600
@@ -474,7 +473,7 @@ def _target_cell(points: _Partition):
 
 
 class _Search:
-    def __init__(self, struct: Structure, budget: int | None, progress=None):
+    def __init__(self, struct: Structure, budget: int | None = None, progress=None):
         self.struct = struct
         self.budget = budget if budget is not None else DEFAULT_BUDGET
         self.progress = progress
@@ -691,7 +690,7 @@ def _aut_binary(code: BinaryCode, budget: int | None, progress) -> PermGroup:
 # -- code equivalence -----------------------------------------------------------
 
 
-def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None):
+def code_isomorphism(a: BinaryCode, b: BinaryCode):
     """A permutation g with g(a) = b, or None.
 
     Cheap invariants (length, dimension, weight data of the selected
@@ -710,9 +709,9 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
     if ([(len(s), gf2.weight(s[0])) for s in struct_a.systems]
             != [(len(s), gf2.weight(s[0])) for s in struct_b.systems]):
         return None
-    target = _Search(struct_a, budget)
+    target = _Search(struct_a)
     target.first_path(_initial_partition(struct_a))
-    search = _Search(struct_b, budget)
+    search = _Search(struct_b)
     search.traces, search.labs = target.traces, target.labs
     small_a, small_b = struct_a.codes[0], struct_b.codes[0]
     return search.find_leaf(
@@ -724,16 +723,13 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode, *, budget: int | None = None)
 # -- subcode stabilizer ----------------------------------------------------------
 
 
-def subcode_stabilizer(code: BinaryCode, sub: BinaryCode, *, budget: int | None = None,
-                       progress=None) -> PermGroup:
+def subcode_stabilizer(code: BinaryCode, sub: BinaryCode) -> PermGroup:
     """Aut(code) ∩ Stab(sub): the permutations preserving both codes.
 
     One partition search over the joint structure of the two codes, with
     leaves verified against both.
     """
-    return automorphism_group(
-        structure_for_codes([code, sub]), budget=budget, progress=progress
-    )
+    return automorphism_group(structure_for_codes([code, sub]))
 
 
 # -- Z4 automorphisms --------------------------------------------------------------

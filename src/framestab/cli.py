@@ -155,12 +155,10 @@ def analyze(ref, as_json):
 @main.command()
 @click.option("--input", "ref", required=True, help="catalog id or matrix file")
 @click.option("--variant", type=click.Choice(["lattice", "orbifold"]), required=True)
-@click.option("--enumerate-h/--no-enumerate-h", default=True,
-              help="enumerate the subcode family directly (default) or not")
 @click.option("--aut-budget", type=click.IntRange(min=1), default=None,
               help="search node budget")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def frame(ref, variant, enumerate_h, aut_budget, as_json):
+def frame(ref, variant, aut_budget, as_json):
     """Full frame-stabilizer report for one code and frame variant."""
     name, code = _load_z4(ref)
     budget = aut_budget if aut_budget is not None else _default_budget()
@@ -169,7 +167,6 @@ def frame(ref, variant, enumerate_h, aut_budget, as_json):
             code,
             variant,
             code_id=name,
-            enumerate_h=enumerate_h,
             budget=budget,
             progress=_progress(f"frame {name}"),
         )

@@ -20,6 +20,10 @@ class EnumerationLimit(FramestabError):
     """An exact computation would require enumerating more objects than the cap allows."""
 
 
+# Node budget of a backtracking search when the caller sets none.
+DEFAULT_BUDGET = 10**8
+
+
 class BudgetExceeded(FramestabError):
     """A backtracking search ran out of its node budget.
 

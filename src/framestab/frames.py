@@ -36,6 +36,9 @@ from . import autsearch, gf2, z4
 from .errors import EnumerationLimit, FramestabError
 from .gf2 import BinaryCode
 
+# Most perfect matchings a member list or the orbifold family enumerates.
+MATCHING_CAP = 1 << 22
+
 
 class VariantError(FramestabError):
     """The requested frame variant is outside its hypotheses."""
@@ -147,8 +150,7 @@ def _matching_count(n_points: int, edges: list[int]) -> int:
     return total
 
 
-def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22,
-                           compatible=None):
+def list_perfect_matchings(n_points: int, edges: list[int], compatible=None):
     """Perfect matchings of a graph on bitmask edges, as edge tuples.
 
     ``compatible(edge, chosen)``, when given, must hold for each edge against
@@ -161,7 +163,7 @@ def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22,
         if not remaining:
             out.append(tuple(chosen))
             return
-        if len(out) > cap:
+        if len(out) > MATCHING_CAP:
             raise EnumerationLimit("matching list cap exceeded")
         low = remaining & -remaining
         for e in edges:
@@ -176,27 +178,26 @@ def list_perfect_matchings(n_points: int, edges: list[int], cap: int = 1 << 22,
     return out
 
 
-def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False,
-                        cap: int = 1 << 22):
+def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False):
     """Subcodes of C isomorphic to d(Z2^n): count, optional member list.
 
     Such a subcode is spanned by n disjoint weight-2 words covering all 2n
     coordinates, so members correspond to perfect matchings of the graph
     whose edges are the weight-2 codewords of C. That graph is a disjoint
     union of cliques, so the count is a product of double factorials
-    (_matching_count) and never reaches cap; cap bounds the member list.
+    (_matching_count); MATCHING_CAP bounds only the member list.
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
     edges = gf2.weight_words(sc.c_code, 2)
     if members:
-        matchings = list_perfect_matchings(sc.r, edges, cap)
+        matchings = list_perfect_matchings(sc.r, edges)
         codes = [gf2.span(sc.r, m) for m in matchings]
         return len(codes), codes
     return _matching_count(sc.r, edges), None
 
 
-def _compatible_matchings(c0: BinaryCode, cap: int = 1 << 22):
+def _compatible_matchings(c0: BinaryCode):
     """Perfect matchings of the n coordinates with every pairwise sum of
     pairs a codeword of c0. Pairwise sums are sums of consecutive chain
     sums, so this is exactly the chain condition of the subcode families."""
@@ -204,7 +205,7 @@ def _compatible_matchings(c0: BinaryCode, cap: int = 1 << 22):
     weight4 = set(gf2.weight_words(c0, 4))
     pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
     return list_perfect_matchings(
-        n, pairs, cap, lambda e, chosen: all((e | f) in weight4 for f in chosen)
+        n, pairs, lambda e, chosen: all((e | f) in weight4 for f in chosen)
     )
 
 
@@ -233,8 +234,7 @@ def _family_two(n: int, matching) -> BinaryCode:
     return gf2.span(2 * n, gens)
 
 
-def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *,
-                         members: bool = False, cap: int = 1 << 22):
+def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *, members: bool = False):
     """Subcodes of C isomorphic to d(E_n): count, optional member list.
 
     With min weight of c0 above 4 the only member is d(E_n) itself. With
@@ -255,7 +255,7 @@ def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *,
     if mw > 4:
         return 1, ([d_en] if members else None)
     found: dict = {d_en.basis: d_en}
-    for matching in _compatible_matchings(c0, cap):
+    for matching in _compatible_matchings(c0):
         for e in (_family_one(n, matching), _family_two(n, matching)):
             if not all(sc.c_code.contains(b) for b in e.basis):
                 raise FramestabError("a subcode of the d(E_n) family does not lie in C")
@@ -318,10 +318,7 @@ def _aut_c_feasible(c_code: BinaryCode) -> bool:
 
 
 def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
-                 enumerate_h: bool = True,
-                 compute_aut_c: bool | None = None,
-                 budget: int | None = None,
-                 progress=None) -> FrameReport:
+                 budget: int | None = None, progress=None) -> FrameReport:
     """Assemble the full stabilizer report for one code and frame variant.
 
     K is the frame stabilizer modulo its pointwise part:
@@ -329,11 +326,14 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
       orbifold: |K| = 2^(dim dual(C0)) * |Aut(C)bar| * |H|
     and |Stab| = 2^(a+b) * |K|. The index |Aut(C) : K| always equals
     |Aut(C0) : Aut(C)bar|; when Aut(C) itself is computed the direct
-    quotient is required to agree.
+    quotient is required to agree. Aut(C) is computed where _aut_c_feasible
+    allows it. |H| is enumerated, or read from |Aut(C)| = 2^e * |Aut(C0)| * |H|
+    (2^e the power of 2 in |K|) when enumeration raises EnumerationLimit;
+    where both routes run they must agree.
     """
     sc = structure_codes(code, variant)
     n = code.length
-    c0, c1 = z4.torsion(code), z4.residue(code)
+    c0 = z4.torsion(code)
     if variant == "orbifold" and (mw := gf2.min_weight(c0)) < 4:
         raise VariantError(
             f"min weight of C0 is {mw}: outside the orbifold transitivity hypotheses"
@@ -344,7 +344,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     aut_c0 = autsearch.aut_binary(c0, budget=budget, progress=progress).order()
 
     aut_c = None
-    if compute_aut_c or (compute_aut_c is None and _aut_c_feasible(sc.c_code)):
+    if _aut_c_feasible(sc.c_code):
         aut_c = autsearch.aut_binary(sc.c_code, budget=budget, progress=progress).order()
 
     if variant == "lattice":
@@ -352,16 +352,14 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     else:
         stab_exp = n - c0.dim  # dim dual(C0)
 
-    # |H|: direct enumeration where feasible, index formula otherwise
-    h_direct = None
-    if enumerate_h:
-        try:
-            if variant == "lattice":
-                h_direct, _ = enumerate_h_lattice(sc)
-            else:
-                h_direct, _ = enumerate_h_orbifold(sc, c0)
-        except EnumerationLimit:
-            h_direct = None
+    # |H|: direct enumeration, index formula when it hits its cap
+    try:
+        if variant == "lattice":
+            h_direct, _ = enumerate_h_lattice(sc)
+        else:
+            h_direct, _ = enumerate_h_orbifold(sc, c0)
+    except EnumerationLimit:
+        h_direct = None
     h_index = None
     if aut_c is not None:
         denom = (1 << stab_exp) * aut_c0

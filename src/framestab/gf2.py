@@ -261,21 +261,21 @@ def weight_classes(c: BinaryCode, weights) -> list[list[int]]:
     return [sorted(words, key=support) for words in found]
 
 
-def weight_words(c: BinaryCode, m: int, *, cap: int = _COMB_ENUM_CAP) -> list[int]:
+def weight_words(c: BinaryCode, m: int) -> list[int]:
     """All codewords of weight exactly m, sorted by support.
 
     Uses whichever of span enumeration and weight-m membership scanning is
     cheaper, counted in span words (CANDIDATE_SPAN_WORDS a candidate); each
-    route counts its own words or candidates against the cap, and
+    route counts its own words or candidates against _COMB_ENUM_CAP, and
     EnumerationLimit is raised if both exceed it.
     """
     if not 0 <= m <= c.length:
         raise ValueError(f"weight {m} out of range for length {c.length}")
     cost_comb = comb(c.length, m)
-    span_fits = c.dim <= SPAN_ENUM_CAP and 1 << c.dim <= cap
-    if span_fits and (cost_comb > cap or 1 << c.dim <= cost_comb * CANDIDATE_SPAN_WORDS):
+    span_fits = c.dim <= SPAN_ENUM_CAP and 1 << c.dim <= _COMB_ENUM_CAP
+    if span_fits and (cost_comb > _COMB_ENUM_CAP or 1 << c.dim <= cost_comb * CANDIDATE_SPAN_WORDS):
         return weight_classes(c, [m])[0]
-    if cost_comb > cap:
+    if cost_comb > _COMB_ENUM_CAP:
         raise EnumerationLimit(
             f"span of size 2^{c.dim} and C({c.length},{m}) candidates above cap")
     found = []
@@ -288,7 +288,7 @@ def weight_words(c: BinaryCode, m: int, *, cap: int = _COMB_ENUM_CAP) -> list[in
     return sorted(found, key=support)
 
 
-def min_weight(c: BinaryCode, *, cap: int = _COMB_ENUM_CAP) -> int:
+def min_weight(c: BinaryCode) -> int:
     """Minimum nonzero codeword weight."""
     if c.dim == 0:
         raise ValueError("the zero code has no nonzero codeword")
@@ -297,7 +297,7 @@ def min_weight(c: BinaryCode, *, cap: int = _COMB_ENUM_CAP) -> int:
         # the zero word, column 0 of the first coset, is left out
         return min(int(span_weights(span, offset)[1 if k == 0 else 0:].min())
                    for k, offset in enumerate(offsets))
-    budget = cap
+    budget = _COMB_ENUM_CAP
     for m in range(1, c.length + 1):
         cost = comb(c.length, m)
         if cost > budget:
@@ -305,7 +305,7 @@ def min_weight(c: BinaryCode, *, cap: int = _COMB_ENUM_CAP) -> int:
                 f"minimum-weight search for [{c.length},{c.dim}] exceeds cap at weight {m}"
             )
         budget -= cost
-        if weight_words(c, m, cap=cap):
+        if weight_words(c, m):
             return m
     raise AssertionError("unreachable: nonzero code has a nonzero word")
 

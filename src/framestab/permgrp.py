@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
+
+# Largest group order that PermGroup.elements iterates.
+ELEMENTS_CAP = 1 << 20
 
 Perm = tuple[int, ...]
 
@@ -284,9 +287,9 @@ class PermGroup:
             self.degree, list(self._strong) + [tuple(g) for g in new_gens], base=self._base
         )
 
-    def elements(self, cap: int = 1 << 20):
+    def elements(self):
         """Iterate all elements (order capped); intended for cross-checks."""
-        if self.order() > cap:
+        if self.order() > ELEMENTS_CAP:
             raise ValueError(f"order {self.order()} above element-iteration cap")
 
         def rec(l, current):
@@ -329,7 +332,7 @@ def subgroup_search(
     degree = group.degree
     found = trivial_group(degree, base=base)
     nodes = 0
-    node_cap = budget if budget is not None else 10**8
+    node_cap = budget if budget is not None else DEFAULT_BUDGET
 
     def tick():
         nonlocal nodes

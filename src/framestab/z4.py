@@ -26,7 +26,7 @@ from .matrixio import parse_z4_matrix
 
 _EUCLIDEAN = (0, 1, 4, 1)
 
-# Default cap for full codeword enumeration.
+# Largest code that full codeword enumeration takes.
 ENUM_CAP = 1 << 30
 
 
@@ -134,10 +134,10 @@ class Z4Code:
     def __contains__(self, word) -> bool:
         return self.contains(word)
 
-    def codewords(self, cap: int = ENUM_CAP):
+    def codewords(self):
         """Iterate all codewords as digit tuples (constant memory)."""
-        if self.size() > cap:
-            raise EnumerationLimit(f"|C| = {self.size()} above enumeration cap {cap}")
+        if self.size() > ENUM_CAP:
+            raise EnumerationLimit(f"|C| = {self.size()} above enumeration cap {ENUM_CAP}")
         rows = list(self.basis)
         radix = [2 if typ == 2 else 4 for _, typ in self.pivots]
 
@@ -321,14 +321,14 @@ def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=8)
-def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
+def _weight_scan(c: Z4Code):
     """Full enumeration pass: (min Euclidean weight, packed words at minimum).
 
     The word list is truncated at 1<<18 entries; the count of minimum-weight
     words is exact either way.
     """
-    if c.size() > cap:
-        raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {cap}")
+    if c.size() > ENUM_CAP:
+        raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {ENUM_CAP}")
     if c.size() == 1:
         raise ValueError("the zero code has no nonzero codeword")
     limbs = -(-c.length // 64)
@@ -369,23 +369,23 @@ def _weight_scan(c: Z4Code, cap: int = ENUM_CAP):
     return best, count, tuple(words)
 
 
-def min_euclidean_weight(c: Z4Code, cap: int = ENUM_CAP) -> int:
-    return _weight_scan(c, cap)[0]
+def min_euclidean_weight(c: Z4Code) -> int:
+    return _weight_scan(c)[0]
 
 
-def min_weight_words(c: Z4Code, cap: int = ENUM_CAP):
+def min_weight_words(c: Z4Code):
     """Packed (lo, hi) pairs of the minimum-Euclidean-weight codewords."""
-    _, count, words = _weight_scan(c, cap)
+    _, count, words = _weight_scan(c)
     if count > len(words):
         raise EnumerationLimit("minimum-weight word list truncated")
     return words
 
 
-def is_extremal(c: Z4Code, cap: int = ENUM_CAP) -> bool:
+def is_extremal(c: Z4Code) -> bool:
     """Type II meeting the bound 8*(floor(n/24) + 1) on the minimum weight."""
     if not is_type_ii(c):
         return False
-    return min_euclidean_weight(c, cap) == 8 * (c.length // 24 + 1)
+    return min_euclidean_weight(c) == 8 * (c.length // 24 + 1)
 
 
 def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> Z4Code:

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from framestab import permgrp
+from framestab import frames, permgrp
 from framestab.cli import main
 
 
@@ -161,19 +161,21 @@ def test_non_utf8_input_is_clean_error(runner, tmp_path, args):
     assert "decode" in result.output
 
 
-def test_frame_enumerate_h_flags(runner):
-    forced = runner.invoke(
-        main, ["frame", "--input", "z4-len8-1", "--variant", "lattice",
-               "--enumerate-h", "--json"]
+def test_frame_enumerate_h_flag_is_gone(runner):
+    result = runner.invoke(
+        main, ["frame", "--input", "z4-len8-1", "--variant", "lattice", "--no-enumerate-h"]
     )
-    assert forced.exit_code == 0
-    assert json.loads(forced.output)["h_count"] == "2027025"
-    formula_only = runner.invoke(
-        main, ["frame", "--input", "z4-len8-1", "--variant", "lattice",
-               "--no-enumerate-h", "--json"]
-    )
-    assert formula_only.exit_code == 0
-    assert json.loads(formula_only.output)["h_count"] == "2027025"
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--no-enumerate-h" in result.output
+
+
+def test_frame_without_either_h_route_is_clean_error(runner, monkeypatch):
+    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
+    monkeypatch.setattr(frames, "_aut_c_feasible", lambda c_code: False)
+    result = runner.invoke(main, ["frame", "--input", "z4-len8-4", "--variant", "orbifold"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: |H| unavailable: ")
+    assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
 
 def test_aut_budget_exceeded(runner):

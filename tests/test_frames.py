@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from framestab import autsearch, catalog, frames, gf2, permgrp, z4
-from framestab.errors import FramestabError
+from framestab.errors import EnumerationLimit, FramestabError
 from framestab.frames import VariantError
 
 
@@ -73,14 +73,6 @@ def test_structure_codes_lattice_requires_even_lattice():
         frames.structure_codes_lattice(z4.z4_span(2, [(1, 0)]))  # not self-orthogonal
     with pytest.raises(VariantError):
         frames.structure_codes_lattice(z4.z4_span(2, [(2, 0)]))  # weight 4, not 8
-
-
-def test_frame_report_without_aut_c():
-    r = frames.frame_report(len8(1), "lattice", compute_aut_c=False)
-    assert r.aut_c is None
-    assert r.h_count_by_index is None
-    assert r.h_count == 2027025
-    assert r.stab_order == 2**15 * factorial(16)
 
 
 def test_pseudo_golay_structure_codes():
@@ -397,6 +389,23 @@ def test_frame_report_e8_orbifold():
     assert r.index_aut_c_k == 1
 
 
+def test_frame_report_h_by_index_when_enumeration_hits_its_cap(monkeypatch):
+    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
+    code = len8(4)
+    with pytest.raises(EnumerationLimit):
+        frames.enumerate_h_orbifold(frames.structure_codes(code, "orbifold"), z4.torsion(code))
+    r = frames.frame_report(code, "orbifold")
+    assert r.h_count == r.h_count_by_index == 15
+    assert r.stab_order == 2**5 * 322560
+
+
+def test_frame_report_without_either_h_route(monkeypatch):
+    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
+    monkeypatch.setattr(frames, "_aut_c_feasible", lambda c_code: False)
+    with pytest.raises(FramestabError, match=r"^\|H\| unavailable"):
+        frames.frame_report(len8(4), "orbifold")
+
+
 def test_stabilizer_of_one_h_member_second_route():
     # |Stab_Aut(C)(one member of H)| = 2^e * |Aut(C0)|, so times |H| it is |Aut(C)|
     from framestab import autsearch
@@ -470,6 +479,7 @@ def test_frame_report_pseudo_golay_1():
     assert r.stab_order == 2**13 * 2**12 * 6072
     assert r.index_aut_c_k == 244823040 // 6072
     assert r.aut_c is None  # length-48 dim-36 aut deliberately not computed
+    assert r.h_count_by_index is None
 
 
 def test_frame_report_pseudo_golay_2():

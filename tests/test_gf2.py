@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from framestab import gf2
-from framestab.errors import ParseError
+from framestab.errors import EnumerationLimit, ParseError
 
 
 def brute_dual(c):
@@ -182,6 +182,18 @@ def test_min_weight():
     assert gf2.min_weight(gf2.even_code(9)) == 2
     with pytest.raises(ValueError):
         gf2.min_weight(gf2.zero_code(3))
+
+
+def test_enumeration_cap():
+    # dimension 30 is past the span caps, and the C(2^14, 2) weight-2
+    # candidates are past _COMB_ENUM_CAP
+    n = 1 << 14
+    c = gf2.span(n, [(1 << i) | (1 << (n - 1 - i)) for i in range(30)])
+    assert c.dim > gf2.SPAN_ENUM_CAP and comb(n, 2) > gf2._COMB_ENUM_CAP
+    with pytest.raises(EnumerationLimit):
+        gf2.weight_words(c, 2)
+    with pytest.raises(EnumerationLimit):
+        gf2.min_weight(c)  # no word of weight 1, then weight 2 is past the cap
 
 
 def test_min_weight_large_dim_path():

@@ -307,9 +307,15 @@ def test_weight_scan_zero_code():
 
 
 def test_enumeration_cap():
-    c = catalog.get("z4-pseudo-golay-1").code()
+    n = 16
+    c = z4.z4_span(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+    assert c.size() == 4**n > z4.ENUM_CAP
     with pytest.raises(EnumerationLimit):
-        z4.min_euclidean_weight(c, cap=1 << 10)
+        z4.min_euclidean_weight(c)
+    with pytest.raises(EnumerationLimit):
+        z4.min_weight_words(c)
+    with pytest.raises(EnumerationLimit):
+        c.codewords()
 
 
 def test_type_ii_generator_criterion_matches_enumeration():
