@@ -33,8 +33,8 @@ other node refines against the first path's trace at its depth and is
 pruned at the first entry that differs (McKay & Piperno 2014): since
 refinement commutes with relabeling, a node that an automorphism maps the
 first path onto repeats the trace entry for entry. Candidates are always
-verified against the actual codes, the pair colours and any extra leaf
-predicate, so the invariants only ever prune.
+verified against the actual codes and the pair colours, or against a leaf
+predicate that implies them, so the invariants only ever prune.
 
 A candidate need not wait for a leaf. A node whose refinement matches the
 trace has the first path's cells at its level, and singletons never move,
@@ -117,7 +117,8 @@ class Structure:
     codes: tuple[BinaryCode, ...]
     systems: list[list[int]]  # non-empty lists of word supports
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
-    leaf_test: object = None  # callable(Perm) -> bool, or None
+    # callable(Perm) -> bool, or None; True only where the colours are kept
+    leaf_test: object = None
 
     def verify(self, p: Perm) -> bool:
         for c in self.codes:
@@ -132,7 +133,10 @@ class Structure:
             rows = np.flatnonzero(q != np.arange(len(q)))[:PRECHECK_ROWS]
             if not np.array_equal(colors[np.ix_(q[rows], q)], colors[rows]):
                 return False
-            if not np.array_equal(colors[np.ix_(q, q)], colors):
+            # a leaf test accepts only maps that keep the colours (the word
+            # graph's recovers a Z4 automorphism), so the whole matrix is
+            # compared only without one
+            if self.leaf_test is None and not np.array_equal(colors[np.ix_(q, q)], colors):
                 return False
         if self.leaf_test is not None and not self.leaf_test(p):
             return False
@@ -955,8 +959,10 @@ def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
         raise BudgetExceeded(str(err), partial=PermGroup(n, gens)) from None
     if all(system.compatible(g) for g in constraint.strong_generators):
         return constraint
-    classes = weight_class_systems(system.res)
-    words = classes[0] if classes else []
+    # the lightest class of C1 itself, skipping the full-support word: the
+    # word graph lifts its words, so they must lie in C1, not in its dual
+    m = gf2.min_weight(system.res) if system.res.dim else n
+    words = gf2.weight_words(system.res, m) if m < n else []
     if n <= len(words) <= 1200 and _pencils_separate(n, words):
         return _WordGraph(system, words).search(budget, progress)
     return permgrp.subgroup_search(

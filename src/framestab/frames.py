@@ -21,10 +21,10 @@ plus permutation group orders:
     d(E_n) (orbifold case); its order is the stabilizer of one member
     times |H|.
   * In the lattice case H is the set of perfect matchings of the graph of
-    weight-2 words of C. In a linear code that graph is a disjoint union of
-    cliques (two weight-2 words sharing a point add to a third), so |H| is
-    a product of double factorials (|Q| - 1)!! over the cliques Q, zero if
-    one has odd size; the count is closed-form and never hits a cap.
+    weight-2 words of C; in the orbifold case (min weight of C0 at least
+    4) its members other than d(E_n) are spanned from the matchings of the
+    n coordinates whose pairs sum pairwise into C0. Both are read in closed
+    form from the columns of a check matrix, with no cap.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ from dataclasses import dataclass
 from math import prod
 
 from . import autsearch, gf2, z4
-from .errors import EnumerationLimit, FramestabError
+from .errors import FramestabError
 from .gf2 import BinaryCode
-
-# Most perfect matchings a member list or the orbifold family enumerates.
-MATCHING_CAP = 1 << 22
 
 
 class VariantError(FramestabError):
@@ -127,86 +124,58 @@ def pointwise_order(sc: StructureCodes) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _matching_count(n_points: int, edges: list[int]) -> int:
-    """Number of perfect matchings of the weight-2 graph of a binary code.
-
-    The edges must be all weight-2 words of one linear code. That graph is a
-    disjoint union of cliques: i~j and j~k give (e_i+e_j) + (e_j+e_k) =
-    e_i+e_k, so each point's clique is the point with its neighbours. A
-    clique of 2m points has (2m-1)!! perfect matchings, and a clique of odd
-    size (an uncovered point is one of size 1) has none.
-    """
-    closed = [1 << i for i in range(n_points)]
-    for e in edges:
-        i, j = (e & -e).bit_length() - 1, e.bit_length() - 1
-        closed[i] |= e
-        closed[j] |= e
-    total = 1
-    for clique in set(closed):
-        size = clique.bit_count()
-        if size % 2:
-            return 0
-        total *= prod(range(size - 1, 0, -2))
-    return total
+def _columns(c: BinaryCode) -> list[int]:
+    """The columns of a check matrix of c, whose rows are a basis of its
+    dual: one int per coordinate, bit k from row k. A word lies in c exactly
+    when the columns over its support add to zero."""
+    checks = gf2.dual(c).basis
+    return [sum((h >> i & 1) << k for k, h in enumerate(checks)) for i in range(c.length)]
 
 
-def list_perfect_matchings(n_points: int, edges: list[int], compatible=None):
-    """Perfect matchings of a graph on bitmask edges, as edge tuples.
-
-    ``compatible(edge, chosen)``, when given, must hold for each edge against
-    the edges already chosen on its path; it only prunes.
-    """
-    full = (1 << n_points) - 1
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, chosen):
-        if not remaining:
-            out.append(tuple(chosen))
-            return
-        if len(out) > MATCHING_CAP:
-            raise EnumerationLimit("matching list cap exceeded")
-        low = remaining & -remaining
-        for e in edges:
-            if e & low and not (e & ~remaining) and (
-                compatible is None or compatible(e, chosen)
-            ):
-                chosen.append(e)
-                rec(remaining & ~e, chosen)
-                chosen.pop()
-
-    rec(full, [])
-    return out
-
-
-def enumerate_h_lattice(sc: StructureCodes, *, members: bool = False):
-    """Subcodes of C isomorphic to d(Z2^n): count, optional member list.
+def enumerate_h_lattice(sc: StructureCodes):
+    """Subcodes of C isomorphic to d(Z2^n): their count, and the cliques.
 
     Such a subcode is spanned by n disjoint weight-2 words covering all 2n
     coordinates, so members correspond to perfect matchings of the graph
-    whose edges are the weight-2 codewords of C. That graph is a disjoint
-    union of cliques, so the count is a product of double factorials
-    (_matching_count); MATCHING_CAP bounds only the member list.
+    whose edges are the weight-2 codewords of C. e_i + e_j lies in C exactly
+    when columns i and j of a check matrix agree, so that graph is the
+    disjoint union of the cliques of equal columns (as point masks). A
+    clique of 2m points has (2m-1)!! perfect matchings, and one of odd size
+    has none.
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
-    edges = gf2.weight_words(sc.c_code, 2)
-    if members:
-        matchings = list_perfect_matchings(sc.r, edges)
-        codes = [gf2.span(sc.r, m) for m in matchings]
-        return len(codes), codes
-    return _matching_count(sc.r, edges), None
+    classes: dict[int, int] = {}
+    for i, col in enumerate(_columns(sc.c_code)):
+        classes[col] = classes.get(col, 0) | 1 << i
+    cliques = list(classes.values())
+    sizes = [q.bit_count() for q in cliques]
+    count = prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes)
+    return count, cliques
 
 
-def _compatible_matchings(c0: BinaryCode):
+def _period_matchings(c0: BinaryCode):
     """Perfect matchings of the n coordinates with every pairwise sum of
-    pairs a codeword of c0. Pairwise sums are sums of consecutive chain
-    sums, so this is exactly the chain condition of the subcode families."""
-    n = c0.length
-    weight4 = set(gf2.weight_words(c0, 4))
-    pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-    return list_perfect_matchings(
-        n, pairs, lambda e, chosen: all((e | f) in weight4 for f in chosen)
-    )
+    pairs a codeword of c0, which must have min weight at least 4. Pairwise
+    sums are sums of consecutive chain sums, so this is exactly the chain
+    condition of the subcode families.
+
+    The columns of a check matrix of c0 are then distinct and nonzero, and
+    two disjoint pairs sum into c0 exactly when their column sums agree. So
+    the pairs of a matching share one column sum s, each column has at most
+    one partner at sum s, and the matchings are one per period s != 0 of
+    the column set (columns ^ s = columns), each a tuple of pair masks in
+    the order of their first points.
+    """
+    cols = _columns(c0)
+    index = {col: i for i, col in enumerate(cols)}
+    out = []
+    for j in range(1, len(cols)):
+        s = cols[0] ^ cols[j]
+        partner = [index.get(col ^ s) for col in cols]
+        if None not in partner:
+            out.append(tuple((1 << i) | (1 << p) for i, p in enumerate(partner) if i < p))
+    return out
 
 
 def _family_one(n: int, matching) -> BinaryCode:
@@ -234,13 +203,13 @@ def _family_two(n: int, matching) -> BinaryCode:
     return gf2.span(2 * n, gens)
 
 
-def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *, members: bool = False):
-    """Subcodes of C isomorphic to d(E_n): count, optional member list.
+def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode):
+    """Subcodes of C isomorphic to d(E_n): their count and list.
 
-    With min weight of c0 above 4 the only member is d(E_n) itself. With
-    min weight exactly 4, every other member arises from a matching of the
-    n coordinates whose pairwise pair-sums lie in c0, in one of two span
-    shapes per matching; duplicates are removed by canonical (RREF) basis.
+    Needs min weight of c0 at least 4. Besides d(E_n) itself, every member
+    arises from a period matching of c0 (_period_matchings), in one of two
+    span shapes per matching; duplicates are removed by canonical (RREF)
+    basis.
     """
     if sc.variant != "orbifold":
         raise VariantError("enumerate_h_orbifold needs the orbifold variant")
@@ -248,20 +217,17 @@ def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode, *, members: bool = 
     mw = gf2.min_weight(c0)
     if mw < 4:
         raise VariantError(
-            f"min weight of C0 is {mw}: the orbifold subcode family is only "
-            "classified for minimum weight at least 4"
+            f"min weight of C0 is {mw}: outside the orbifold transitivity hypotheses"
         )
     d_en = gf2.d_map(gf2.even_code(n))
-    if mw > 4:
-        return 1, ([d_en] if members else None)
     found: dict = {d_en.basis: d_en}
-    for matching in _compatible_matchings(c0):
+    for matching in _period_matchings(c0):
         for e in (_family_one(n, matching), _family_two(n, matching)):
             if not all(sc.c_code.contains(b) for b in e.basis):
                 raise FramestabError("a subcode of the d(E_n) family does not lie in C")
             found[e.basis] = e
     codes = list(found.values())
-    return len(codes), (codes if members else None)
+    return len(codes), codes
 
 
 # ---------------------------------------------------------------------------
@@ -324,71 +290,46 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     K is the frame stabilizer modulo its pointwise part:
       lattice:  |K| = 2^n * |Aut(C)bar| * |H|
       orbifold: |K| = 2^(dim dual(C0)) * |Aut(C)bar| * |H|
-    and |Stab| = 2^(a+b) * |K|. The index |Aut(C) : K| always equals
-    |Aut(C0) : Aut(C)bar|; when Aut(C) itself is computed the direct
-    quotient is required to agree. Aut(C) is computed where _aut_c_feasible
-    allows it. |H| is enumerated, or read from |Aut(C)| = 2^e * |Aut(C0)| * |H|
-    (2^e the power of 2 in |K|) when enumeration raises EnumerationLimit;
-    where both routes run they must agree.
+    and |Stab| = 2^(a+b) * |K|. The index |Aut(C) : K| is
+    |Aut(C0) : Aut(C)bar|. |H| is read in closed form from the columns of a
+    check matrix (enumerate_h_lattice, enumerate_h_orbifold), with no cap,
+    before any search runs. Where _aut_c_feasible allows, Aut(C) is searched
+    as a cross-check: the index formula |Aut(C)| = 2^e * |Aut(C0)| * |H| (2^e
+    the power of 2 in |K|) must give the same |H|, and then the index of K
+    in Aut(C) is the one above.
     """
     sc = structure_codes(code, variant)
     n = code.length
     c0 = z4.torsion(code)
-    if variant == "orbifold" and (mw := gf2.min_weight(c0)) < 4:
-        raise VariantError(
-            f"min weight of C0 is {mw}: outside the orbifold transitivity hypotheses"
-        )
+    if variant == "lattice":
+        h_count, _ = enumerate_h_lattice(sc)
+        stab_exp = n
+    else:
+        h_count, _ = enumerate_h_orbifold(sc, c0)
+        stab_exp = n - c0.dim  # dim dual(C0)
     a, b = pointwise_order(sc)
     kernel, image = autsearch.aut_z4(code, budget=budget, progress=progress)
     bar = image.order()
     aut_c0 = autsearch.aut_binary(c0, budget=budget, progress=progress).order()
 
-    aut_c = None
+    # the index formula, a second route to |H| where Aut(C) is searched
+    aut_c = h_index = None
     if _aut_c_feasible(sc.c_code):
         aut_c = autsearch.aut_binary(sc.c_code, budget=budget, progress=progress).order()
-
-    if variant == "lattice":
-        stab_exp = n
-    else:
-        stab_exp = n - c0.dim  # dim dual(C0)
-
-    # |H|: direct enumeration, index formula when it hits its cap
-    try:
-        if variant == "lattice":
-            h_direct, _ = enumerate_h_lattice(sc)
-        else:
-            h_direct, _ = enumerate_h_orbifold(sc, c0)
-    except EnumerationLimit:
-        h_direct = None
-    h_index = None
-    if aut_c is not None:
         denom = (1 << stab_exp) * aut_c0
         if aut_c % denom:
             raise FramestabError("stabilizer order does not divide |Aut(C)|")
         h_index = aut_c // denom
-    if h_direct is None and h_index is None:
-        raise FramestabError(
-            "|H| unavailable: direct enumeration hit its cap and Aut(C) was not computed"
-        )
-    if h_direct is not None and h_index is not None and h_direct != h_index:
-        raise FramestabError(
-            f"|H| mismatch: enumeration gives {h_direct}, index formula gives {h_index}"
-        )
-    h_count = h_direct if h_direct is not None else h_index
+        if h_index != h_count:
+            raise FramestabError(
+                f"|H| mismatch: closed form gives {h_count}, index formula gives {h_index}"
+            )
 
     k_order = (1 << stab_exp) * bar * h_count
     stab_order = (1 << (a + b)) * k_order
     if aut_c0 % bar:
         raise FramestabError("Aut(C)bar does not divide Aut(C0)")
     index_formula = aut_c0 // bar
-    if aut_c is not None:
-        if aut_c % k_order:
-            raise FramestabError("K does not divide Aut(C)")
-        if aut_c // k_order != index_formula:
-            raise FramestabError(
-                f"index mismatch: |Aut(C):K| = {aut_c // k_order} by division, "
-                f"{index_formula} by the index identity"
-            )
     factored = f"2^{a + b} * 2^{stab_exp} * {bar}"
     if h_count != 1:
         factored += f" * {h_count}"

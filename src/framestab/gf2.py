@@ -433,21 +433,3 @@ def golay24() -> BinaryCode:
         return ext
     raise AssertionError("extended quadratic-residue construction failed self-check")
 
-
-def family(name: str, *params: int) -> BinaryCode:
-    """Dispatch for named code families used throughout the catalog."""
-    name = name.lower()
-    if name in ("even", "e"):
-        (n,) = params
-        return even_code(n)
-    if name == "full":
-        (n,) = params
-        return full_code(n)
-    if name in ("hamming8", "h8"):
-        return hamming8()
-    if name == "rm":
-        r, m = params
-        return reed_muller(r, m)
-    if name == "golay":
-        return golay24()
-    raise ValueError(f"unknown code family {name!r}")

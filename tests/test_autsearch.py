@@ -1108,3 +1108,31 @@ def test_aut_z4_pseudo_golay():
     assert (k1, img1.order()) == (2, 6072)
     k2, img2 = ats.aut_z4(catalog.get("z4-pseudo-golay-2").code())
     assert (k2, img2.order()) == (2, 3)
+
+
+# dim C1 = 5 > 9/2, so weight_class_systems(C1) holds words of the dual of
+# C1; the word graph must take its words from C1 itself
+NINE_COLUMNS = "100001030\n010003303\n001003111\n000103223\n000011332\n"
+
+
+def test_aut_z4_residue_above_half_length_brute():
+    code = z4.from_text(NINE_COLUMNS)
+    n = code.length
+    res, tor = z4.residue(code), z4.torsion(code)
+    assert res.dim > n - res.dim
+    assert not any(res.contains(w) for w in ats.weight_class_systems(res)[0])
+    constraint = ats.automorphism_group(ats.structure_for_codes([tor, res]))
+    assert constraint.order() == 72
+    kernel = image = 0
+    for p in constraint.elements():
+        signed = 0
+        for smask in range(1 << n):
+            signs = tuple(-1 if smask >> i & 1 else 1 for i in range(n))
+            sp = permgrp.SignedPerm(p, signs)
+            signed += all(code.contains(sp.apply(r)) for r in code.basis)
+        image += signed > 0
+        if permgrp.is_identity(p):
+            kernel = signed
+    assert (kernel, image) == (2, 2)
+    got_kernel, got_image = ats.aut_z4(code)
+    assert (got_kernel, got_image.order()) == (kernel, image)

@@ -120,6 +120,17 @@ def test_aut_z4(runner):
     assert all(sorted(g) == list(range(1, 9)) for g in gens)
 
 
+def test_aut_z4_residue_above_half_length(runner, tmp_path):
+    # dim C1 = 5 > 9/2: the word graph takes its words from C1, not its dual
+    path = tmp_path / "nine.txt"
+    path.write_text("100001030\n010003303\n001003111\n000103223\n000011332\n")
+    result = runner.invoke(main, ["aut", "--input", str(path), "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["kernel_order"], payload["image_order"], payload["total_order"]) == (
+        "2", "2", "4")
+
+
 def test_aut_binary_file_input(runner, tmp_path):
     path = tmp_path / "pairs.txt"
     path.write_text("110000\n001100\n000011\n")
@@ -167,15 +178,6 @@ def test_frame_enumerate_h_flag_is_gone(runner):
     )
     assert result.exit_code == 2
     assert "No such option" in result.output and "--no-enumerate-h" in result.output
-
-
-def test_frame_without_either_h_route_is_clean_error(runner, monkeypatch):
-    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
-    monkeypatch.setattr(frames, "_aut_c_feasible", lambda c_code: False)
-    result = runner.invoke(main, ["frame", "--input", "z4-len8-4", "--variant", "orbifold"])
-    assert result.exit_code == 1
-    assert result.output.startswith("Error: |H| unavailable: ")
-    assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
 
 def test_aut_budget_exceeded(runner):

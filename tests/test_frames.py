@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from framestab import autsearch, catalog, frames, gf2, permgrp, z4
-from framestab.errors import EnumerationLimit, FramestabError
+from framestab.errors import FramestabError
 from framestab.frames import VariantError
 
 
@@ -158,6 +158,44 @@ def test_pointwise_orders():
 # -- subcode families ----------------------------------------------------------
 
 
+def list_perfect_matchings(n_points, edges, compatible=None):
+    """Oracle: perfect matchings of a graph on bitmask edges, as edge tuples,
+    by backtracking. compatible(edge, chosen), when given, must hold for
+    each edge against the edges already chosen on its path."""
+    out = []
+
+    def rec(remaining, chosen):
+        if not remaining:
+            out.append(tuple(chosen))
+            return
+        low = remaining & -remaining
+        for e in edges:
+            if e & low and not (e & ~remaining) and (
+                compatible is None or compatible(e, chosen)
+            ):
+                chosen.append(e)
+                rec(remaining & ~e, chosen)
+                chosen.pop()
+
+    rec((1 << n_points) - 1, [])
+    return out
+
+
+def compatible_matchings(c0):
+    """Oracle: matchings of the coordinates whose pairs sum pairwise into c0."""
+    n = c0.length
+    weight4 = set(gf2.weight_words(c0, 4))
+    pairs = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
+    return list_perfect_matchings(
+        n, pairs, lambda e, chosen: all((e | f) in weight4 for f in chosen)
+    )
+
+
+def lattice_sc(c_code):
+    """Lattice structure codes on any C (with D = 0, C <= dual(D) holds)."""
+    return frames.StructureCodes(c_code.length, c_code, gf2.zero_code(c_code.length), "lattice")
+
+
 def test_enumerate_h_lattice_counts():
     expected = {1: 2027025, 2: 11025, 3: 81, 4: 1}
     for k, want in expected.items():
@@ -168,7 +206,9 @@ def test_enumerate_h_lattice_counts():
 
 def test_enumerate_h_lattice_members_case3():
     sc = frames.structure_codes_lattice(len8(3))
-    count, members = frames.enumerate_h_lattice(sc, members=True)
+    count, _ = frames.enumerate_h_lattice(sc)
+    matchings = list_perfect_matchings(sc.r, gf2.weight_words(sc.c_code, 2))
+    members = [gf2.span(sc.r, m) for m in matchings]
     assert count == 81 and len(members) == 81
     assert len({m.basis for m in members}) == 81
     for m in members[:10]:
@@ -228,14 +268,39 @@ def test_weight_two_graph_is_union_of_cliques():
 
 
 def test_matching_count_closed_form():
+    # the classes of equal check-matrix columns are the closed neighbourhoods
+    # of the weight-2 graph, and the count is the oracle's
     scs = [frames.structure_codes_lattice(len8(k)) for k in (2, 3, 4)]
     scs += [frames.structure_codes_lattice(c) for c in even_lattice_codes()]
     counts = []
     for sc in scs:
         edges = gf2.weight_words(sc.c_code, 2)
-        counts.append(frames._matching_count(sc.r, edges))
-        assert counts[-1] == len(frames.list_perfect_matchings(sc.r, edges))
+        count, cliques = frames.enumerate_h_lattice(sc)
+        counts.append(count)
+        assert count == len(list_perfect_matchings(sc.r, edges))
+        for i in range(sc.r):
+            closed = 1 << i
+            for e in edges:
+                if e >> i & 1:
+                    closed |= e
+            assert [q for q in cliques if q >> i & 1] == [closed]
     assert counts == [11025, 81, 1, 1, 3, 1, 3, 1, 1]
+
+
+def test_matching_count_closed_form_random():
+    # random codes with planted weight-2 words, so that many counts are nonzero
+    rng = random.Random(2027)
+    nonzero = 0
+    for _ in range(240):
+        r = rng.randrange(2, 13)
+        gens = [(1 << i) | (1 << rng.randrange(r)) for i in rng.sample(range(r), rng.randrange(r))]
+        gens += [rng.randrange(1 << r) for _ in range(rng.randrange(3))]
+        sc = lattice_sc(gf2.span(r, gens))
+        count, cliques = frames.enumerate_h_lattice(sc)
+        assert count == len(list_perfect_matchings(r, gf2.weight_words(sc.c_code, 2)))
+        assert sum(cliques) == (1 << r) - 1
+        nonzero += count > 0
+    assert nonzero >= 30
 
 
 def test_matching_count_odd_clique_or_uncovered_point():
@@ -251,15 +316,15 @@ def test_matching_count_odd_clique_or_uncovered_point():
         (6, [pair(0, 1), pair(1, 2), pair(2, 3), pair(4, 5)], 3),  # cliques 4 + 2
     ]
     for r, gens, want in cases:
-        edges = gf2.weight_words(gf2.span(r, gens), 2)
-        assert frames._matching_count(r, edges) == want
-        assert len(frames.list_perfect_matchings(r, edges)) == want
+        sc = lattice_sc(gf2.span(r, gens))
+        assert frames.enumerate_h_lattice(sc)[0] == want
+        assert len(list_perfect_matchings(r, gf2.weight_words(sc.c_code, 2))) == want
 
 
 def test_enumerate_h_orbifold_e8():
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    count, members = frames.enumerate_h_orbifold(sc, c0, members=True)
+    count, members = frames.enumerate_h_orbifold(sc, c0)
     assert count == 15
     d_e8 = gf2.d_map(gf2.even_code(8))
     assert any(m == d_e8 for m in members)
@@ -272,7 +337,7 @@ def test_enumerate_h_orbifold_e8():
 def test_enumerate_h_orbifold_members_satisfy_chain_properties():
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    _, members = frames.enumerate_h_orbifold(sc, c0, members=True)
+    _, members = frames.enumerate_h_orbifold(sc, c0)
     n = 8
     for m in members:
         w4 = gf2.weight_words(m, 4)
@@ -289,7 +354,7 @@ def test_enumerate_h_orbifold_w_choices_collapse():
     # all four w choices per chain position give the same subcode
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    matchings = frames._compatible_matchings(c0)
+    matchings = frames._period_matchings(c0)
     assert len(matchings) == 7
     n = 8
     for matching in matchings:
@@ -311,6 +376,35 @@ def test_enumerate_h_orbifold_w_choices_collapse():
         assert frames._family_two(n, tuple(shuffled)) == frames._family_two(n, matching)
 
 
+def period_matching_codes():
+    """Codes of min weight at least 4 with their period matching counts,
+    plus seeded relabelings and subcodes of each."""
+    rng = random.Random(17)
+    leech_c0 = z4.torsion(catalog.get("z4-leech-standard").code())
+    base = [(gf2.hamming8(), 7), (gf2.reed_muller(2, 4), 15), (gf2.reed_muller(3, 5), 31),
+            (leech_c0, 7), (gf2.golay24(), 0)]
+    out = []
+    for code, want in base:
+        n = code.length
+        out.append((code, want))
+        images = list(range(n))
+        rng.shuffle(images)
+        out.append((permgrp.apply_code(tuple(images), code), want))
+        words = rng.sample(code.basis, rng.randrange(1, code.dim))
+        out.append((gf2.span(n, [w ^ rng.choice(code.basis) for w in words]), None))
+    return out
+
+
+def test_period_matchings_equal_backtracking():
+    for code, want in period_matching_codes():
+        if code.dim == 0:
+            continue
+        got = frames._period_matchings(code)
+        assert sorted(got) == sorted(compatible_matchings(code))
+        if want is not None:
+            assert len(got) == want
+
+
 def test_enumerate_h_orbifold_rejects_member_outside_c():
     # a C that lacks the family's e(y) words: the member check must raise
     # (not assert, which python -O strips)
@@ -329,7 +423,7 @@ def test_enumerate_h_orbifold_min_weight_guard():
 def test_enumerate_h_orbifold_pseudo_golay_is_one():
     pg = catalog.get("z4-pseudo-golay-1").code()
     sc = frames.structure_codes_orbifold(pg)
-    count, members = frames.enumerate_h_orbifold(sc, z4.torsion(pg), members=True)
+    count, members = frames.enumerate_h_orbifold(sc, z4.torsion(pg))
     assert count == 1
     assert members[0] == gf2.d_map(gf2.even_code(24))
 
@@ -387,23 +481,6 @@ def test_frame_report_e8_orbifold():
     assert r.h_count == 15
     assert r.stab_order == 2**5 * 322560
     assert r.index_aut_c_k == 1
-
-
-def test_frame_report_h_by_index_when_enumeration_hits_its_cap(monkeypatch):
-    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
-    code = len8(4)
-    with pytest.raises(EnumerationLimit):
-        frames.enumerate_h_orbifold(frames.structure_codes(code, "orbifold"), z4.torsion(code))
-    r = frames.frame_report(code, "orbifold")
-    assert r.h_count == r.h_count_by_index == 15
-    assert r.stab_order == 2**5 * 322560
-
-
-def test_frame_report_without_either_h_route(monkeypatch):
-    monkeypatch.setattr(frames, "MATCHING_CAP", 0)
-    monkeypatch.setattr(frames, "_aut_c_feasible", lambda c_code: False)
-    with pytest.raises(FramestabError, match=r"^\|H\| unavailable"):
-        frames.frame_report(len8(4), "orbifold")
 
 
 def test_stabilizer_of_one_h_member_second_route():

@@ -308,14 +308,6 @@ def test_golay_parameters():
     assert all(w.bit_count() % 4 == 0 for w in g.codewords())
 
 
-def test_family_dispatch():
-    assert gf2.family("even", 6) == gf2.even_code(6)
-    assert gf2.family("rm", 1, 3) == gf2.hamming8()
-    assert gf2.family("golay") == gf2.golay24()
-    with pytest.raises(ValueError):
-        gf2.family("nonesuch")
-
-
 def test_parse_errors():
     with pytest.raises(ParseError) as err:
         gf2.from_text("1100\n1x00\n")
