@@ -134,8 +134,8 @@ class Structure:
             if not np.array_equal(colors[np.ix_(q[rows], q)], colors[rows]):
                 return False
             # a leaf test accepts only maps that keep the colours (the word
-            # graph's recovers a Z4 automorphism), so the whole matrix is
-            # compared only without one
+            # graph's recovers a Z4 automorphism, whose colours are invariant
+            # since C1 ⊆ C0^⊥), so the whole matrix is compared only without one
             if self.leaf_test is None and not np.array_equal(colors[np.ix_(q, q)], colors):
                 return False
         if self.leaf_test is not None and not self.leaf_test(p):
@@ -842,14 +842,14 @@ class _WordGraph:
     For disjoint residue words c, h the bit iota(c, h) = <h, m_c> is
     invariant under every coordinate sign change (the shift s & c of m_c is
     disjoint from h) and well-defined modulo the torsion code (h lies in its
-    dual). Word pairs are colored by intersection size plus the two iota
-    bits where defined: (-1, 0, 0) on the diagonal, (|c ∩ h|, 2, 2) for
-    meeting words and (0, iota(c, h), iota(h, c)) for disjoint ones, ranked
-    in sorted order. The m_c come from one bitwise lift of all words, and
-    the colours from popcounts of packed words (_word_pair_colours). The
-    automorphism image of the Z4-code acts on this colored graph, and
-    coordinate permutations are recovered from word pencils at the leaves
-    of the search, which builds no group on the words.
+    dual, which must contain C1). Word pairs are colored by intersection
+    size plus the two iota bits where defined: (-1, 0, 0) on the diagonal,
+    (|c ∩ h|, 2, 2) for meeting words and (0, iota(c, h), iota(h, c)) for
+    disjoint ones, ranked in sorted order. The m_c come from one bitwise
+    lift of all words, and the colours from popcounts of packed words
+    (_word_pair_colours). The automorphism image of the Z4-code acts on this
+    colored graph, and coordinate permutations are recovered from word
+    pencils at the leaves of the search, which builds no group on the words.
     """
 
     def __init__(self, system: _SignSystem, words: list[int]):
@@ -926,7 +926,8 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
     recovering coordinate permutations at the leaves; statistics of
     codewords cannot separate coordinates here (for extremal codes they are
     forced by design properties of the minimum vectors), but the pairing
-    graph sees the lift data itself. Degenerate classes fall back to
+    graph sees the lift data itself. Degenerate classes, and codes with C1
+    outside C0^⊥ (where the pairing bits are not invariant), fall back to
     subgroup backtracking in the constraint group with sign tests at the
     leaves. A search that runs out of budget raises BudgetExceeded with part
     of the image as its partial group and the full kernel order.
@@ -959,12 +960,13 @@ def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
         raise BudgetExceeded(str(err), partial=PermGroup(n, gens)) from None
     if all(system.compatible(g) for g in constraint.strong_generators):
         return constraint
-    # the lightest class of C1 itself, skipping the full-support word: the
-    # word graph lifts its words, so they must lie in C1, not in its dual
-    m = gf2.min_weight(system.res) if system.res.dim else n
-    words = gf2.weight_words(system.res, m) if m < n else []
-    if n <= len(words) <= 1200 and _pencils_separate(n, words):
-        return _WordGraph(system, words).search(budget, progress)
+    # the word graph's colours are invariant only for C1 ⊆ C0^⊥; then
+    # dim C1 <= n/2, so the lightest class is one of C1 itself
+    if all(system.tor_dual.contains(b) for b in system.res.basis):
+        classes = weight_class_systems(system.res)
+        words = classes[0] if classes else []
+        if n <= len(words) <= 1200 and _pencils_separate(n, words):
+            return _WordGraph(system, words).search(budget, progress)
     return permgrp.subgroup_search(
         constraint, system.compatible, budget=budget, progress=progress
     )

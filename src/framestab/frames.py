@@ -29,6 +29,7 @@ plus permutation group orders:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -133,25 +134,19 @@ def _columns(c: BinaryCode) -> list[int]:
 
 
 def enumerate_h_lattice(sc: StructureCodes):
-    """Subcodes of C isomorphic to d(Z2^n): their count, and the cliques.
+    """Subcodes of C isomorphic to d(Z2^n): their count, and None.
 
     Such a subcode is spanned by n disjoint weight-2 words covering all 2n
     coordinates, so members correspond to perfect matchings of the graph
     whose edges are the weight-2 codewords of C. e_i + e_j lies in C exactly
     when columns i and j of a check matrix agree, so that graph is the
-    disjoint union of the cliques of equal columns (as point masks). A
-    clique of 2m points has (2m-1)!! perfect matchings, and one of odd size
-    has none.
+    disjoint union of the cliques of equal columns. A clique of 2m points
+    has (2m-1)!! perfect matchings, and one of odd size has none.
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
-    classes: dict[int, int] = {}
-    for i, col in enumerate(_columns(sc.c_code)):
-        classes[col] = classes.get(col, 0) | 1 << i
-    cliques = list(classes.values())
-    sizes = [q.bit_count() for q in cliques]
-    count = prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes)
-    return count, cliques
+    sizes = Counter(_columns(sc.c_code)).values()
+    return prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes), None
 
 
 def _period_matchings(c0: BinaryCode):

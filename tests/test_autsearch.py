@@ -1110,17 +1110,19 @@ def test_aut_z4_pseudo_golay():
     assert (k2, img2.order()) == (2, 3)
 
 
-# dim C1 = 5 > 9/2, so weight_class_systems(C1) holds words of the dual of
-# C1; the word graph must take its words from C1 itself
+# C0 = C1 of dimension 5 > 9/2, so C1 does not lie in C0^⊥: the word graph's
+# pairing bits are not invariant there (and weight_class_systems(C1) holds
+# words of the dual of C1), so the image comes from the sign-tested subgroup
+# search
 NINE_COLUMNS = "100001030\n010003303\n001003111\n000103223\n000011332\n"
 
 
-def test_aut_z4_residue_above_half_length_brute():
+def test_aut_z4_residue_above_half_length_brute(monkeypatch):
     code = z4.from_text(NINE_COLUMNS)
     n = code.length
     res, tor = z4.residue(code), z4.torsion(code)
     assert res.dim > n - res.dim
-    assert not any(res.contains(w) for w in ats.weight_class_systems(res)[0])
+    assert not all(gf2.dual(tor).contains(b) for b in res.basis)
     constraint = ats.automorphism_group(ats.structure_for_codes([tor, res]))
     assert constraint.order() == 72
     kernel = image = 0
@@ -1134,5 +1136,12 @@ def test_aut_z4_residue_above_half_length_brute():
         if permgrp.is_identity(p):
             kernel = signed
     assert (kernel, image) == (2, 2)
+    searches = []
+    subgroup_search = permgrp.subgroup_search
+    monkeypatch.setattr(ats, "_WordGraph", None)
+    monkeypatch.setattr(
+        permgrp, "subgroup_search", lambda *a, **k: searches.append(1) or subgroup_search(*a, **k)
+    )
     got_kernel, got_image = ats.aut_z4(code)
     assert (got_kernel, got_image.order()) == (kernel, image)
+    assert searches == [1]
