@@ -5,18 +5,23 @@ list of word systems (sets of codeword supports grouped by weight class,
 possibly from several codes at once; each code gives its classes in
 increasing weight while their words fit MAX_CLASS_WORDS) and an optional
 matrix of pairwise colors. Refinement computes the coarsest equitable
-partition finer than a given one with a queue of splitter cells (McKay
-1981; McKay & Piperno 2014). The words of the systems form a second
+partition finer than a given one with a queue of splitter point cells
+(McKay 1981; McKay & Piperno 2014). The words of the systems form a second
 partition: a queued point cell splits word cells by how many of its points
-each word holds (and point cells by their pairwise color counts toward it),
-and a queued word cell splits point cells by how many of its words pass
-through each point. A cell that splits queues all its parts if it was
-queued, and otherwise all but its first largest part. Below a refined node
-only the individualized point is queued, and the node's point and word
-partitions are carried down the tree as label arrays. Cells are named by
-their start offsets into one label array, splitters are taken singletons
-first and then by start, and parts follow in increasing count, so the
-refinement and its cell order commute with relabeling.
+each word holds (and point cells by their pairwise color counts toward it).
+A point cell that splits queues all its parts if it was queued, and
+otherwise all but its first largest part. Word cells are not queued: once
+the point queue is empty and the word cells have split since, one batch
+step counts, with one bincount over the incidence pairs, the words of every
+word cell through every point, and splits the point cells by that row of
+counts. The coarsest equitable partition does not depend on the order of
+the splitters, so batching them changes no refined cell set. Below a
+refined node only the individualized point is queued, and the node's point
+and word partitions are carried down the tree as label arrays. Cells are
+named by their start offsets into one label array, splitters are taken
+singletons first and then by start, word cells are counted in order, and
+parts follow in increasing count, so the refinement and its cell order
+commute with relabeling.
 
 The tree individualizes one point of the first largest non-singleton cell
 and descends first-path first. Sibling branches are searched bottom-up for
@@ -28,13 +33,14 @@ d points, so the found generators are a strong generating set for it and
 the group is built from them without Schreier-Sims (PermGroup.from_bsgs).
 
 Every refinement on the first path records a trace: the point and word cell
-boundaries (start offsets) after each splitter, then the refined shape. Any
-other node refines against the first path's trace at its depth and is
-pruned at the first entry that differs (McKay & Piperno 2014): since
-refinement commutes with relabeling, a node that an automorphism maps the
-first path onto repeats the trace entry for entry. Candidates are always
-verified against the actual codes and the pair colours, or against a leaf
-predicate that implies them, so the invariants only ever prune.
+boundaries (start offsets) after each splitter and each batch step, then
+the refined shape. Any other node refines against the first path's trace
+at its depth and is pruned at the first entry that differs (McKay &
+Piperno 2014): since refinement commutes with relabeling, a node that an
+automorphism maps the first path onto repeats the trace entry for entry.
+Candidates are always verified against the actual codes and the pair
+colours, or against a leaf predicate that implies them, so the invariants
+only ever prune.
 
 A candidate need not wait for a leaf. A node whose refinement matches the
 trace has the first path's cells at its level, and singletons never move,
@@ -71,8 +77,8 @@ permutations are constrained by the residue and torsion codes (and, when
 needed, by sign-invariant pair statistics of the minimum-Euclidean-weight
 codewords), and a leaf passes if the linear sign-consistency system over
 GF(2) is solvable. That system is read from the pairings of the permuted
-code with its Z4 dual, and gf2.span reduces it, with the right-hand side
-in an extra bit n.
+code with its Z4 dual, with the right-hand side in an extra bit n, and
+gf2.consistent reduces it.
 """
 
 from __future__ import annotations
@@ -149,6 +155,12 @@ class Structure:
         words = [w for system in self.systems for w in system]
         sizes = [len(system) for system in self.systems]
         return _bit_matrix(words, self.n), np.cumsum([0, *sizes[:-1]])
+
+    @cached_property
+    def incidence_pairs(self):
+        """The (word, point) pairs of incidence, as a word array and a point
+        array."""
+        return np.nonzero(self.incidence[0])
 
     @cached_property
     def ncolors(self):
@@ -248,8 +260,9 @@ class _Partition:
     only on the sizes of the cells before it, so names and queue order are
     canonical. starts lists them in order and length[start] is a cell's
     size. The cells waiting to act as splitters are queued: singletons on a
-    stack, taken first, the others on a heap by start. A caller that already
-    holds the cell sizes passes them as length.
+    stack, taken first, the others on a heap by start. Only point cells are
+    queued; word cells split with queue=False. A caller that already holds
+    the cell sizes passes them as length.
     """
 
     def __init__(self, lab, starts, length=None):
@@ -314,19 +327,21 @@ class _Partition:
         self.queued.discard(s)
         return self.lab[s:s + self.length[s]].copy()
 
-    def split(self, key):
-        """Split every cell on which key (indexed by element) is not constant.
+    def split(self, key, queue=True) -> bool:
+        """Split every cell on which key (indexed by element) is not constant;
+        whether any cell split.
 
         The parts follow in increasing key; elements keep their order inside
-        each. All parts are queued if the cell was queued; otherwise all but
-        the first largest (Hopcroft): counts toward it are the counts toward
-        the whole cell, already uniform, minus those toward the other parts.
+        each. With queue, all parts are queued if the cell was queued;
+        otherwise all but the first largest (Hopcroft): counts toward it are
+        the counts toward the whole cell, already uniform, minus those toward
+        the other parts.
         """
         lab, starts, size = self.lab, self.starts, len(self.lab)
         kl = key[lab]
         varies = np.minimum.reduceat(kl, starts) != np.maximum.reduceat(kl, starts)
         if not np.count_nonzero(varies):
-            return
+            return False
         first = np.zeros(size, dtype=bool)
         first[starts] = True
         cell = first.cumsum() - 1
@@ -336,6 +351,8 @@ class _Partition:
         kl[pos] = kl[order]
         first[1:] |= kl[1:] != kl[:-1]
         self._count(first.nonzero()[0])
+        if not queue:
+            return True
         starts = self.starts
         owner = cell[starts]
         inside = varies[owner]
@@ -348,6 +365,7 @@ class _Partition:
             for s, m in group:
                 if s != skip:
                     self.push(s, m)
+        return True
 
 
 def _pair_keys(struct: Structure, members):
@@ -358,7 +376,8 @@ def _pair_keys(struct: Structure, members):
     members' rows of the precomputed Structure.colour_powers. Keys thus
     order as the count vectors do read from the last colour down (the
     count of colour 0 is fixed by the others, as each sums to |members|).
-    When that radix overflows int64 the count vectors are ranked instead.
+    When that radix overflows int64 the reversed count vectors are keyed by
+    _row_keys instead.
     """
     powers = struct.colour_powers
     if powers is not None:
@@ -369,38 +388,93 @@ def _pair_keys(struct: Structure, members):
     block = struct.pair_colors[:, members]
     block += np.arange(0, n * ncolors, ncolors)[:, None]
     counts = np.bincount(block.ravel(), minlength=n * ncolors).reshape(n, ncolors)
-    return np.unique(counts[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
+    return _row_keys(counts[:, ::-1])
+
+
+def _word_cell_keys(struct: Structure, points: _Partition, words: _Partition):
+    """Per point, a canonical int key of how many words of each word cell
+    pass through it; None if those counts are constant on every point cell.
+
+    One bincount over the incidence pairs gives the points x word cells
+    matrix of counts. Only the columns that vary inside some point cell can
+    split one, and the keys order the points as those columns do read from
+    the first word cell (_row_keys).
+    """
+    pair_words, pair_points = struct.incidence_pairs
+    ncells = len(words.starts)
+    cell = np.empty(len(words.lab), dtype=np.int64)
+    cell[words.lab] = np.repeat(np.arange(ncells), words.length[words.starts])
+    counts = np.bincount(pair_points * ncells + cell[pair_words],
+                         minlength=struct.n * ncells).reshape(struct.n, ncells)
+    rows = counts[points.lab]
+    heads = np.repeat(points.starts, points.length[points.starts])
+    varies = (rows != rows[heads]).any(axis=0)
+    if not varies.any():
+        return None
+    return _row_keys(counts[:, varies])
+
+
+def _row_keys(rows):
+    """Per row of a non-negative int matrix, an int64 key: equal exactly for
+    equal rows, and ordered as the rows are, first column most significant.
+
+    The rows read in radix max + 1 when that fits int64 (_radix_keys), and
+    are ranked otherwise: as big-endian bytes, each row is one opaque item
+    whose bytewise order is that order, and ranking those items is far
+    cheaper than np.unique(rows, axis=0).
+    """
+    keys = _radix_keys(rows)
+    if keys is None:
+        big = np.ascontiguousarray(rows, dtype=">u8")
+        items = big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).reshape(-1)
+        keys = np.unique(items, return_inverse=True)[1].reshape(-1)
+    return keys
+
+
+def _radix_keys(rows):
+    """The rows read as numbers in radix max + 1, or None if the largest
+    does not fit int64."""
+    radix = int(rows.max()) + 1
+    width = rows.shape[1]
+    if radix ** width > 1 << 63:
+        return None
+    return rows @ radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
 def _refine(struct: Structure, points: _Partition, active=None, words=None, trace=None):
     """The coarsest equitable partition finer than points, and its word cells.
 
-    Splitter-queue refinement (McKay 1981) on the points and on the words of
-    all systems, which form a second partition: each queued point cell S
-    splits point cells by pair-colour counts toward S and word cells by
-    |w ∩ S|; each queued word cell splits point cells by how many of its
-    words pass through each point. points, with nothing queued, is refined
-    in place. words is the word partition _refine returned with the
-    partition that points individualizes, or None to start from one queued
-    cell per system. active is the start of the one point cell to queue
+    Splitter-queue refinement (McKay 1981) on the points, with the words of
+    all systems as a second partition: each queued point cell S splits point
+    cells by pair-colour counts toward S and word cells by |w ∩ S|. Word
+    cells are not queued. Once the point queue is empty and the word cells
+    have split since the last such step, one batch step splits the point
+    cells by how many words of every word cell pass through each point
+    (_word_cell_keys); the coarsest equitable partition does not depend on
+    the order of the splitters. points, with nothing queued, is refined in
+    place. words is the word partition _refine returned with the partition
+    that points individualizes, or None to start from one cell per system
+    and a batch step. active is the start of the one point cell to queue
     (None: all). A caller that individualized a point of a refined partition
     passes its words and the new singleton's start alone: everything else
     was already equitable. Without words every point cell is queued.
 
     trace, a _Trace or None, receives the point and word cell boundaries
-    after each splitter and then the refined point cell boundaries. If it
-    holds a trace to match, the refinement stops at the first difference and
-    returns None.
+    after each splitter and each batch step, and then the refined point cell
+    boundaries. If it holds a trace to match, the refinement stops at the
+    first difference and returns None.
     """
     if points.discrete() or not struct.systems and struct.pair_colors is None:
         if trace is not None and not trace.end(points.starts.tobytes()):
             return None
         return points, words
+    # whether the word cells split since the last batch step
+    fresh = False
     if struct.systems:
         incidence, system_starts = struct.incidence
         if words is None:
             words = _Partition(np.arange(len(incidence)), system_starts)
-            words.push_all(words.starts)
+            fresh = True
             active = None
         else:
             words = words.copy()
@@ -414,12 +488,14 @@ def _refine(struct: Structure, points: _Partition, active=None, words=None, trac
             if struct.pair_colors is not None:
                 points.split(_pair_keys(struct, splitter))
             if words is not None:
-                words.split(np.add.reduce(incidence[:, splitter], axis=1))
+                fresh |= words.split(np.add.reduce(incidence[:, splitter], axis=1), queue=False)
+        elif fresh:
+            fresh = False
+            keys = _word_cell_keys(struct, points, words)
+            if keys is not None:
+                points.split(keys)
         else:
-            splitter = None if words is None else words.pop()
-            if splitter is None:
-                break
-            points.split(np.add.reduce(incidence[splitter], axis=0))
+            break
         if trace is not None and not trace.step(
                 (points.starts.tobytes(), b"" if words is None else words.starts.tobytes())):
             return None
@@ -431,13 +507,13 @@ def _refine(struct: Structure, points: _Partition, active=None, words=None, trac
 class _Trace:
     """A relabeling-invariant record of one refinement (McKay & Piperno 2014).
 
-    One entry per splitter: the start offsets of the point cells and of the
-    word cells after it (as bytes), which name the cells canonically; then
-    those of the refined point cells alone. The first path records one
-    trace per tree level (expected None). Any other node refines against
-    the first path's trace at its depth; an automorphism carries the
-    first-path node onto the node only if every entry agrees, so refinement
-    stops at the first difference.
+    One entry per splitter and per word-cell batch step: the start offsets
+    of the point cells and of the word cells after it (as bytes), which name
+    the cells canonically; then those of the refined point cells alone.
+    The first path records one trace per tree level (expected None). Any
+    other node refines against the first path's trace at its depth; an
+    automorphism carries the first-path node onto the node only if every
+    entry agrees, so refinement stops at the first difference.
     Boundaries tell apart splits that leave the same number of cells, which
     counts alone do not.
     """
@@ -748,7 +824,9 @@ class _SignSystem:
     exactly when, for every basis row y = ylo + 2yhi of the dual, the pairing
     <w, y> = |lo & ylo| + 2(|lo & yhi| + |hi & ylo|) is even and
     s . (lo & ylo) = <w, y>/2 mod 2. A row of the system is the mask
-    lo & ylo with its right-hand side in bit n, reduced by gf2.span.
+    lo & ylo with its right-hand side in bit n. gf2.consistent decides a
+    permutation's system, and stops at the first row that reduces to the
+    lone right-hand side; gf2.span gives the dimension of the kernel's.
     """
 
     def __init__(self, code: z4.Z4Code):
@@ -781,7 +859,7 @@ class _SignSystem:
 
     def compatible(self, perm: Perm | None) -> bool:
         rows = self.rows_for(perm)
-        return rows is not None and not gf2.span(self.n + 1, rows).contains(1 << self.n)
+        return rows is not None and gf2.consistent(self.n, rows)
 
     def kernel_order(self) -> int:
         return 1 << (self.n - gf2.span(self.n + 1, self.rows_for(None)).dim)

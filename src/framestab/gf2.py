@@ -146,6 +146,30 @@ def span(length: int, generators) -> BinaryCode:
     return BinaryCode(length, _rref(masks))
 
 
+def consistent(n: int, rows) -> bool:
+    """Whether the linear system over GF(2) whose rows are masks over n
+    unknowns, each with its right-hand side in bit n, has a solution.
+
+    Rows are reduced one at a time against those kept so far, each kept
+    under its lowest bit. The system is inconsistent exactly when 1 << n
+    lies in the span of the rows; since bit n is the highest, that is when
+    some row reduces to 1 << n itself, and the answer is False at once.
+    """
+    kept: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = kept.get(low)
+            if pivot is None:
+                break
+            row ^= pivot
+        if row == 1 << n:
+            return False
+        if row:
+            kept[row & -row] = row
+    return True
+
+
 def from_text(text: str) -> BinaryCode:
     n, rows = parse_binary_matrix(text)
     return span(n, rows)

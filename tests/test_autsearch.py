@@ -130,10 +130,15 @@ def test_golay_search_tree_is_small():
     assert ats.aut_binary(gf2.golay24(), budget=40).order() == 244823040
 
 
+def weakly_refined_code():
+    """A [14,9] code whose dual's two lightest classes hold 1 and 2 words."""
+    return gf2.span(14, [1, 10242, 9220, 1032, 1040, 10784, 3648, 1152, 9472])
+
+
 def test_weakly_refined_code_search_tree_is_small():
     # the two lightest classes of the [14,5] dual hold 1 and 2 words, so
     # refinement needs the heavier classes to split the points; it takes 10
-    code = gf2.span(14, [1, 10242, 9220, 1032, 1040, 10784, 3648, 1152, 9472])
+    code = weakly_refined_code()
     assert code.dim == 9
     assert ats.aut_binary(code, budget=100).order() == 48
 
@@ -429,6 +434,119 @@ def test_colour_power_keys_order_as_count_vectors():
             assert np.array_equal(key_steps, count_steps)
 
 
+@pytest.mark.parametrize("radix", [True, False])
+def test_row_keys_order_as_rows(monkeypatch, radix):
+    # equal keys for equal rows only, ordered as the rows from the first
+    # column on: read in radix max + 1 where that fits int64 (63 columns of
+    # 0/1 reach 2^63 - 1 exactly, 64 do not), ranked otherwise
+    if not radix:
+        monkeypatch.setattr(ats, "_radix_keys", lambda rows: None)
+    rng = random.Random(9)
+    ranked = []
+    for width, top in ((1, 2), (3, 5), (6, 700), (7, 760), (39, 3), (40, 3), (63, 2), (64, 2),
+                       (300, 2)):
+        rows = np.array([[rng.randrange(top) for _ in range(width)] for _ in range(30)])
+        rows[3] = rows[11]
+        rows[5] = top - 1
+        ranked.append(ats._radix_keys(rows) is None)
+        keys = ats._row_keys(rows).tolist()
+        lists = rows.tolist()
+        for a in range(30):
+            for b in range(30):
+                assert (keys[a] < keys[b]) == (lists[a] < lists[b])
+                assert (keys[a] == keys[b]) == (lists[a] == lists[b])
+    if radix:
+        assert ranked == [False, False, False, True, False, True, False, True, True]
+    else:
+        assert all(ranked)
+
+
+def random_partition(rng, size):
+    """An ordered partition of range(size) into random cells."""
+    lab = np.array(rng.sample(range(size), size))
+    cuts = sorted(rng.sample(range(1, size), rng.randrange(0, min(size, 6)))) if size > 1 else []
+    return ats._Partition(lab, np.array([0, *cuts]))
+
+
+@pytest.mark.parametrize("radix", [True, False])
+def test_word_cell_keys_order_as_counts(monkeypatch, radix):
+    # inside each point cell, the keys order the points as their counts of
+    # words through them in each word cell, the first word cell most
+    # significant, and are equal exactly where those counts are; None where
+    # the counts are constant on every point cell
+    if not radix:
+        monkeypatch.setattr(ats, "_radix_keys", lambda rows: None)
+    rng = random.Random(31)
+    seen_none = False
+    for struct in refinement_corpus():
+        if not struct.systems:
+            continue
+        words_all = [w for system in struct.systems for w in system]
+        for _ in range(6):
+            points = random_partition(rng, struct.n)
+            words = random_partition(rng, len(words_all))
+            counts = [[sum(1 for a in words.members(c).tolist() if words_all[a] >> x & 1)
+                       for c in words.starts.tolist()] for x in range(struct.n)]
+            keys = ats._word_cell_keys(struct, points, words)
+            cells = cells_of(points)
+            if keys is None:
+                seen_none = True
+                assert all(len({tuple(counts[x]) for x in cell}) == 1 for cell in cells)
+                continue
+            keys = keys.tolist()
+            for cell in cells:
+                for a in cell:
+                    for b in cell:
+                        assert (keys[a] < keys[b]) == (counts[a] < counts[b])
+                        assert (keys[a] == keys[b]) == (counts[a] == counts[b])
+        # the root, one word cell per system: no split exactly where each
+        # system passes through every point equally often
+        root = ats._Partition(np.arange(len(words_all)), struct.incidence[1])
+        uniform = all(len({sum(w >> x & 1 for w in system) for x in range(struct.n)}) == 1
+                      for system in struct.systems)
+        assert (ats._word_cell_keys(struct, ats._initial_partition(struct), root) is None
+                ) == uniform
+    assert seen_none
+
+
+def test_refine_same_cells_with_ranked_word_keys(monkeypatch):
+    # the rank route of the word-cell batch step refines to the same cells,
+    # in the same order, with the same word cells and traces, as the radix
+    # route, along the walk of the commutation tests
+    def walk():
+        out = []
+        rng = random.Random(8)
+        for struct in refinement_corpus():
+            if not struct.systems:
+                continue
+            points = ats._initial_partition(struct)
+            active = words = None
+            for _ in range(4):
+                trace = ats._Trace()
+                got, words = ats._refine(struct, points, active, words, trace)
+                out.append((cells_of(got), words.starts.tolist(), trace.items))
+                s = ats._target_cell(got)
+                if s is None:
+                    break
+                points = got.individualize(s, rng.choice(got.members(s).tolist()))
+                active = s
+        return out
+
+    routes = []
+    radix_keys = ats._radix_keys
+
+    def counted(rows):
+        keys = radix_keys(rows)
+        routes.append(keys is None)
+        return keys
+
+    monkeypatch.setattr(ats, "_radix_keys", counted)
+    want = walk()
+    assert any(routes) and not all(routes)
+    monkeypatch.setattr(ats, "_radix_keys", lambda rows: None)
+    assert walk() == want
+
+
 def test_refine_commutes_with_relabeling():
     rng = random.Random(8)
     for struct in refinement_corpus():
@@ -509,12 +627,16 @@ def test_trace_pruning_runs_one_leaf_test_on_pseudo_golay_2(monkeypatch):
 
 
 def test_refine_trace_stops_at_first_difference():
-    struct = ats.structure_for_codes([gf2.golay24()])
+    # the weakly refined code's root refinement alternates point splitters
+    # and word-cell batch steps, and its entries change along the way (the
+    # Golay root is one splitter and one batch step that split nothing)
+    struct = ats.structure_for_codes([weakly_refined_code()])
     points = ats._initial_partition(struct)
     recorded = ats._Trace()
     want = ats._refine(struct, points.copy(), trace=recorded)
     steps = recorded.items
     assert len(steps) > 2 and steps[-1] == want[0].starts.tobytes()
+    assert len({repr(step) for step in steps}) > 2
     again = ats._Trace(steps)
     assert ats._refine(struct, points.copy(), trace=again) is not None
     assert again.items == steps
@@ -1027,6 +1149,10 @@ def test_sign_system_matches_brute_force():
         for perm in perms:
             brute = brute_sign_count(code, perm) > 0
             assert system.compatible(perm) == brute, (code, perm)
+            rows = system.rows_for(perm)
+            if rows is not None:
+                # the early-exit reduction against the span of every row
+                assert gf2.consistent(n, rows) == (not gf2.span(n + 1, rows).contains(1 << n))
             outcomes.append(brute)
     assert any(outcomes) and not all(outcomes)
     assert not all(z4.is_self_orthogonal(c) for c in codes)

@@ -50,6 +50,26 @@ def test_span_standard_even_double_generators():
     assert c == gf2.d_map(gf2.even_code(8))
 
 
+def test_consistent_matches_brute_force():
+    # rows over n unknowns with the right-hand side in bit n: solvable
+    # exactly when some assignment satisfies every row, which is exactly
+    # when 1 << n is outside the span; the lone right-hand side as a row, a
+    # contradiction only after reduction, and no rows at all are included
+    rng = random.Random(23)
+    systems = [(3, []), (3, [1 << 3]), (3, [0b1011, 0b0011, 0b1000]), (3, [0b0101, 0b1101])]
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        systems.append((n, [rng.randrange(1 << (n + 1)) for _ in range(rng.randrange(0, n + 3))]))
+    outcomes = set()
+    for n, rows in systems:
+        brute = any(all(((row & x).bit_count() & 1) == row >> n & 1 for row in rows)
+                    for x in range(1 << n))
+        assert gf2.consistent(n, rows) == brute, (n, rows)
+        assert brute == (not gf2.span(n + 1, rows).contains(1 << n))
+        outcomes.add(brute)
+    assert outcomes == {False, True}
+
+
 def test_dual_zero_code():
     assert gf2.dual(gf2.zero_code(5)) == gf2.full_code(5)
 
