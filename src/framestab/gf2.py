@@ -31,8 +31,14 @@ _COMB_ENUM_CAP = 1 << 26
 # dimension 18, and a span word about 5-6 ns of numpy popcount.
 CANDIDATE_SPAN_WORDS = 400
 
-# Dimension of the span evaluated at once (2^16 words, 512 KB a limb).
+# Dimension of the packed span (2^16 words, 512 KB a limb).
 INNER_BITS = 16
+# Span words the kernel evaluates per call: a span of width w takes
+# max(1, BLOCK // w) cosets at once. On a 2-CPU Xeon host, the median
+# z4._weight_scan of z4-pseudo-golay-1 (4096 cosets of 4096 words) took 71,
+# 55, 46, 46 and 53 ms at BLOCK = 2^14 .. 2^18, and that of
+# z4-leech-standard (256 cosets of 65536) 40, 35, 35, 38 and 42 ms.
+BLOCK = 1 << 16
 # Up to this dimension weight counts walk codewords() in Python: the span
 # kernel's fixed cost of about ten numpy calls outweighs 2^dim words. For
 # weight_distribution of a random length-24 code the loop takes 4-27 us at
@@ -200,19 +206,24 @@ def dual(c: BinaryCode) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # Words longer than 64 are split into little-endian 64-bit limbs. The span
 # of up to INNER_BITS words is built once as a limbs x 2^k uint64 array, and
-# a whole coset of it (the span XOR one offset word) is counted at once with
-# np.bitwise_count. The remaining words of a basis are walked in Gray order,
-# one offset per coset.
-
-
-def limbs(word: int, count: int) -> list[int]:
-    """word (a Python int, possibly negative) as count 64-bit limbs."""
-    return [word >> (64 * l) & _LIMB_MASK for l in range(count)]
+# a block of its cosets (the span XOR one offset word per row) is counted at
+# once with np.bitwise_count, into buffers allocated once per enumeration.
+# The offsets of all cosets are built up front as one limb array.
 
 
 def limb_array(words, count: int) -> np.ndarray:
-    """words as a len(words) x count uint64 array, one row of limbs each."""
-    return np.array([limbs(v, count) for v in words], dtype=np.uint64).reshape(-1, count)
+    """words (Python ints, possibly negative) as a len(words) x count uint64
+    array, one row of little-endian 64-bit limbs each."""
+    return np.array([[v >> (64 * l) & _LIMB_MASK for l in range(count)] for v in words],
+                    dtype=np.uint64).reshape(-1, count)
+
+
+def limb_ints(rows: np.ndarray) -> list[int]:
+    """The rows of a limb array as Python ints; inverse of limb_array."""
+    found = rows[:, 0].tolist()
+    for l in range(1, rows.shape[1]):
+        found = [f | p << (64 * l) for f, p in zip(found, rows[:, l].tolist())]
+    return found
 
 
 def packed_span(words, count: int) -> np.ndarray:
@@ -227,47 +238,62 @@ def packed_span(words, count: int) -> np.ndarray:
     return span
 
 
-def span_weights(span: np.ndarray, offset: list[int],
-                 mask: list[int] | None = None) -> np.ndarray:
-    """Hamming weight of each column of (span ^ offset) & mask."""
-    t = None
+def span_buffers(span: np.ndarray, cosets: int):
+    """Scratch for span_weights: the number of cosets it evaluates per call,
+    max(1, BLOCK // width) but no more than cosets, and a rows x width
+    uint64 block with the weight arrays of that shape."""
+    count, width = span.shape
+    rows = min(cosets, max(1, BLOCK // width))
+    x = np.empty((rows, width), dtype=np.uint64)
+    t = np.empty((rows, width), dtype=np.uint8 if count == 1 else np.uint16)
+    c = np.empty((rows, width), dtype=np.uint8) if count > 1 else None
+    return rows, (x, c, t)
+
+
+def span_weights(span: np.ndarray, offsets: np.ndarray, masks: np.ndarray | None = None,
+                 *, out) -> np.ndarray:
+    """Hamming weights of (span ^ offsets[r]) & masks[r]: one row per row r of
+    the limb arrays offsets and masks, one column per span column.
+
+    out is span_buffers(span, ...)[1]; the result is a view of its weight
+    array, valid until the next call.
+    """
+    rows = len(offsets)
+    x, c, t = (None if b is None else b[:rows] for b in out)
     for l, row in enumerate(span):
-        x = row ^ offset[l]
-        if mask is not None:
-            x &= mask[l]
-        c = np.bitwise_count(x)
-        t = c if t is None else np.add(t, c, dtype=np.uint16)
+        np.bitwise_xor(row, offsets[:, l, None], out=x)
+        if masks is not None:
+            np.bitwise_and(x, masks[:, l, None], out=x)
+        if l:
+            np.add(t, np.bitwise_count(x, out=c), out=t)
+        else:
+            np.bitwise_count(x, out=t)
     return t
 
 
-def span_words(span: np.ndarray, offset: list[int], cols) -> list[int]:
-    """The columns cols of span ^ offset as Python ints."""
-    found = [0] * len(cols)
-    for l, row in enumerate(span):
-        part = (row[cols] ^ offset[l]).tolist()
-        found = [f | p << (64 * l) for f, p in zip(found, part)]
-    return found
+def span_words(span: np.ndarray, offsets: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The words at the flat indices hits of a span_weights block, as a
+    len(hits) x count limb array."""
+    rows, cols = np.divmod(hits, span.shape[1])
+    return span.T[cols] ^ offsets[rows]
 
 
-def _span_cosets(c: BinaryCode):
-    """Every codeword once, as the packed span of the first INNER_BITS basis
-    words and an iterator over the offsets (as limbs) of its cosets.
+def _span_blocks(c: BinaryCode):
+    """Every codeword once, by blocks of cosets of the packed span of the
+    first INNER_BITS basis words: yields (span, offsets, t) with t the
+    span_weights of the block's offsets.
 
-    The zero word is column 0 of the first coset.
+    The zero word is t[0, 0] of the first block.
     """
     if c.dim > SPAN_ENUM_CAP:
         raise EnumerationLimit(f"dim {c.dim} above span enumeration cap {SPAN_ENUM_CAP}")
     count = max(1, -(-c.length // 64))
-    inner, outer = c.basis[:INNER_BITS], c.basis[INNER_BITS:]
-
-    def offsets():
-        w = 0
-        yield limbs(w, count)
-        for i in range(1, 1 << len(outer)):
-            w ^= outer[(i & -i).bit_length() - 1]
-            yield limbs(w, count)
-
-    return packed_span(inner, count), offsets()
+    span = packed_span(c.basis[:INNER_BITS], count)
+    offsets = packed_span(c.basis[INNER_BITS:], count).T
+    rows, out = span_buffers(span, len(offsets))
+    for s in range(0, len(offsets), rows):
+        block = offsets[s:s + rows]
+        yield span, block, span_weights(span, block, out=out)
 
 
 def weight_classes(c: BinaryCode, weights) -> list[list[int]]:
@@ -276,12 +302,10 @@ def weight_classes(c: BinaryCode, weights) -> list[list[int]]:
     if c.dim <= SMALL_DIM:
         words = list(c.codewords())
         return [sorted((w for w in words if w.bit_count() == m), key=support) for m in weights]
-    span, offsets = _span_cosets(c)
     found = [[] for _ in weights]
-    for offset in offsets:
-        t = span_weights(span, offset)
+    for span, offsets, t in _span_blocks(c):
         for words, m in zip(found, weights):
-            words.extend(span_words(span, offset, np.flatnonzero(t == m)))
+            words.extend(limb_ints(span_words(span, offsets, np.flatnonzero(t == m))))
     return [sorted(words, key=support) for words in found]
 
 
@@ -317,10 +341,9 @@ def min_weight(c: BinaryCode) -> int:
     if c.dim == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if c.dim <= 20:
-        span, offsets = _span_cosets(c)
-        # the zero word, column 0 of the first coset, is left out
-        return min(int(span_weights(span, offset)[1 if k == 0 else 0:].min())
-                   for k, offset in enumerate(offsets))
+        # the zero word, the first entry of the first block, is left out
+        return min(int(t.ravel()[0 if k else 1:].min())
+                   for k, (_, _, t) in enumerate(_span_blocks(c)))
     budget = _COMB_ENUM_CAP
     for m in range(1, c.length + 1):
         cost = comb(c.length, m)
@@ -338,10 +361,9 @@ def weight_distribution(c: BinaryCode) -> dict[int, int]:
     """Weight enumerator as a dict weight -> count, in increasing weight."""
     if c.dim <= SMALL_DIM:
         return dict(sorted(Counter(w.bit_count() for w in c.codewords()).items()))
-    span, offsets = _span_cosets(c)
     counts = np.zeros(c.length + 1, dtype=np.int64)
-    for offset in offsets:
-        counts += np.bincount(span_weights(span, offset), minlength=c.length + 1)
+    for _, _, t in _span_blocks(c):
+        counts += np.bincount(t.ravel(), minlength=c.length + 1)
     return {k: v for k, v in enumerate(counts.tolist()) if v}
 
 

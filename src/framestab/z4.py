@@ -281,11 +281,14 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 # (residue_lifts, whose residues are a basis of C1, so the residue of g_S
 # is a word c of C1) and a unique u in C0 (Hammons, Kumar, Calderbank,
 # Sloane & Sole 1994). With g_S = (c, m) packed, the word is (c, m ^ u) and
-# its Euclidean weight is |c| + 4*wt((m ^ u) & ~c). The scan walks the
+# its Euclidean weight is |c| + 4*wt((m ^ u) & ~c). The scan takes the
 # cosets g_S + 2*C0, together with the torsion basis vectors beyond the
-# first INNER_BITS, in binary-reflected Gray order, and evaluates each coset
-# at once over the span of the first INNER_BITS torsion vectors with the
-# span kernel of gf2.
+# first INNER_BITS, in binary-reflected Gray order: it builds every coset
+# representative up front as limb arrays, and evaluates the cosets a block
+# at a time over the span of the first INNER_BITS torsion vectors with the
+# span kernel of gf2. Minimum-weight words are kept as rows of limbs, the lo
+# limbs then the hi limbs, in scan order: cosets in Gray order, then span
+# column.
 
 # Number of minimum-weight words a scan keeps; the count stays exact beyond it.
 _WORD_LIMIT = 1 << 18
@@ -320,12 +323,32 @@ def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(lifts, key=lambda g: g[0] & -g[0]))
 
 
+def _gray_sums(steps, limbs: int):
+    """Packed sums g_S of the words steps[j] over the sets S = s ^ (s >> 1),
+    for s = 0, 1, ..., 2^len(steps) - 1: their lo and hi bitplanes as limb
+    arrays with one row per s."""
+    lo = np.zeros((1 << len(steps), limbs), dtype=np.uint64)
+    hi = np.zeros_like(lo)
+    parts = gf2.limb_array([w for step in steps for w in step], limbs)
+    for j in range(len(steps)):
+        glo, ghi = parts[2 * j], parts[2 * j + 1]
+        a, b = 1 << j, 2 << j
+        hi[a:b] = hi[:a] ^ ghi ^ (lo[:a] & glo)
+        lo[a:b] = lo[:a] ^ glo
+    s = np.arange(len(lo))
+    gray = s ^ s >> 1
+    return lo[gray], hi[gray]
+
+
 @lru_cache(maxsize=8)
 def _weight_scan(c: Z4Code):
-    """Full enumeration pass: (min Euclidean weight, packed words at minimum).
+    """Full enumeration pass: (min Euclidean weight, exact count of words at
+    the minimum, the words).
 
-    The word list is truncated at 1<<18 entries; the count of minimum-weight
-    words is exact either way.
+    The words form a read-only uint64 array with one row per word: its lo
+    bitplane as little-endian 64-bit limbs, then its hi bitplane
+    (gf2.limb_array's layout). They come in scan order, cosets in Gray order
+    and then span column, and stop after _WORD_LIMIT rows.
     """
     if c.size() > ENUM_CAP:
         raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {ENUM_CAP}")
@@ -335,46 +358,55 @@ def _weight_scan(c: Z4Code):
     tors = torsion(c).basis
     inner, extra = tors[:INNER_BITS], tors[INNER_BITS:]
     span = gf2.packed_span(inner, limbs)
+    width = span.shape[1]
+    # one step per residue lift and one per torsion vector beyond the inner span
+    los, his = _gray_sums(list(residue_lifts(c)) + [(0, v) for v in extra], limbs)
+    masks = ~los
+    residue_weights = np.bitwise_count(los).sum(axis=1, dtype=np.int64)
+    rows, out = gf2.span_buffers(span, len(los))
+    # two values above any weight: the zero word's, and the target of a row
+    # that holds no word at the minimum
+    zero_word = np.iinfo(out[2].dtype).max
+    no_target = zero_word - 1
 
-    # Gray-walk steps as (add when the bit turns on, add when it turns off),
-    # one per residue lift and one per torsion vector beyond the inner span.
-    # Turning a lift off adds its negation 3g: adding g again would shift the
-    # word by 2*res(g), which lies outside the inner span when k0 > INNER_BITS.
-    steps = [((lo, hi), (lo, hi ^ lo)) for lo, hi in residue_lifts(c)]
-    steps += [((0, v), (0, v)) for v in extra]
-
-    best, count, words = 1 << 62, 0, []
-    lo = hi = 0
-    for step in range(1 << len(steps)):
-        if step:
-            j = (step & -step).bit_length() - 1
-            glo, ghi = steps[j][0 if (step ^ step >> 1) >> j & 1 else 1]
-            lo, hi = lo ^ glo, hi ^ ghi ^ (lo & glo)
-        wlo = lo.bit_count()
-        if wlo > best:
+    # the words at the minimum are kept as flat indices coset * width + column
+    best, count, found, kept = 1 << 62, 0, [], 0
+    for s in range(0, len(los), rows):
+        # cosets whose residue weight is above the best before the block
+        # hold no word at the minimum
+        idx = s + np.flatnonzero(residue_weights[s:s + rows] <= best)
+        if not len(idx):
             continue
-        his = gf2.limbs(hi, limbs)
-        t = gf2.span_weights(span, his, gf2.limbs(~lo, limbs))
-        first = 0 if step else 1  # the zero word sits at index 0 of the first coset
-        tmin = int(t[first:].min())
-        w = wlo + 4 * tmin
-        if w > best:
+        t = gf2.span_weights(span, his[idx], masks[idx], out=out)
+        if s == 0:
+            # coset 0, of residue weight 0, is never skipped
+            t[0, 0] = zero_word
+        tmin = t.min(axis=1)
+        w = residue_weights[idx] + 4 * tmin.astype(np.int64)
+        wmin = int(w.min())
+        if wmin > best:
             continue
-        hits = np.flatnonzero(t[first:] == tmin) + first
-        if w < best:
-            best, count, words = w, 0, []
+        if wmin < best:
+            best, count, found, kept = wmin, 0, [], 0
+        target = np.where(w == best, tmin, no_target)
+        hits = np.flatnonzero(t == target[:, None])
         count += len(hits)
-        hits = hits[:_WORD_LIMIT - len(words)]
-        words.extend((lo, f) for f in gf2.span_words(span, his, hits))
-    return best, count, tuple(words)
+        hits = hits[:_WORD_LIMIT - kept]
+        found.append(idx[hits // width] * width + hits % width)
+        kept += len(hits)
+    found = np.concatenate(found)
+    words = np.hstack([los[found // width], gf2.span_words(span, his, found)])
+    words.flags.writeable = False
+    return best, count, words
 
 
 def min_euclidean_weight(c: Z4Code) -> int:
     return _weight_scan(c)[0]
 
 
-def min_weight_words(c: Z4Code):
-    """Packed (lo, hi) pairs of the minimum-Euclidean-weight codewords."""
+def min_weight_words(c: Z4Code) -> np.ndarray:
+    """The minimum-Euclidean-weight codewords, as _weight_scan's read-only
+    limb rows (lo limbs, then hi limbs) in scan order."""
     _, count, words = _weight_scan(c)
     if count > len(words):
         raise EnumerationLimit("minimum-weight word list truncated")

@@ -257,6 +257,13 @@ def test_span_kernel_matches_codewords_oracle():
             assert gf2.weight_words(c, m) == sorted(by_weight[m], key=gf2.support)
 
 
+def test_span_kernel_blocks_of_several_cosets(monkeypatch):
+    # three cosets of the 2^16-column span share a block, and the last block
+    # of the 2^(dim - 16) cosets is partial
+    monkeypatch.setattr(gf2, "BLOCK", 3 << 16)
+    test_span_kernel_matches_codewords_oracle()
+
+
 def test_weight_distribution_of_small_codes():
     assert gf2.weight_distribution(gf2.zero_code(5)) == {0: 1}
     assert gf2.weight_distribution(gf2.golay24()) == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -15,6 +16,14 @@ def len8(k):
 
 def unpack(lo, hi, n):
     return tuple((lo >> i & 1) + 2 * (hi >> i & 1) for i in range(n))
+
+
+def unpack_rows(words):
+    """_weight_scan's limb rows (lo limbs, then hi limbs) as (lo, hi) ints."""
+    limbs = words.shape[1] // 2
+    return [(sum(v << 64 * l for l, v in enumerate(row[:limbs])),
+             sum(v << 64 * l for l, v in enumerate(row[limbs:])))
+            for row in words.tolist()]
 
 
 def relabel(c, rng):
@@ -211,7 +220,7 @@ def test_min_euclidean_weight_len8():
 
 def test_min_weight_words_len8():
     c = len8(1)
-    words = z4.min_weight_words(c)
+    words = unpack_rows(z4.min_weight_words(c))
     assert all(z4.euclidean_weight(unpack(lo, hi, 8)) == 8 for lo, hi in words)
     direct = [w for w in c.codewords() if z4.euclidean_weight(w) == 8]
     assert len(words) == len(direct)
@@ -267,15 +276,16 @@ def test_weight_scan_matches_codeword_scan():
         best, words = _codeword_scan(c)
         m, count, packed = z4._weight_scan(c)
         assert (m, count) == (best, len(words))
-        assert {unpack(lo, hi, c.length) for lo, hi in packed} == words
+        assert {unpack(lo, hi, c.length) for lo, hi in unpack_rows(packed)} == words
 
 
 def test_weight_scan_beyond_inner_span_leech():
-    # k0 = 18 > INNER_BITS: the Gray walk also steps through torsion vectors,
-    # so a lift turned off must be subtracted, not added again
+    # k0 = 18 > INNER_BITS: the coset representatives also range over
+    # torsion vectors, so each must be the Z4 sum g_S; a lift counted twice
+    # would shift its word by 2*res(g), outside the inner span
     c = catalog.get("z4-leech-standard").code()
     assert z4.torsion(c).dim > z4.INNER_BITS
-    words = z4.min_weight_words(c)
+    words = unpack_rows(z4.min_weight_words(c))
     assert len(words) == 95610
     assert len(set(words)) == len(words)
     unpacked = [unpack(lo, hi, 24) for lo, hi in words]
@@ -284,6 +294,161 @@ def test_weight_scan_beyond_inner_span_leech():
     assert z4.is_self_dual(c)
     pairings = np.array(unpacked) @ np.array(c.basis).T % 4
     assert not pairings.any()
+
+
+def _scan_blocks(c):
+    """Cosets of _weight_scan and the number of them it evaluates per block."""
+    span = gf2.packed_span(z4.torsion(c).basis[:z4.INNER_BITS], -(-c.length // 64))
+    cosets = 1 << (z4.residue(c).dim + max(0, z4.torsion(c).dim - z4.INNER_BITS))
+    return cosets, gf2.span_buffers(span, cosets)[0]
+
+
+def test_weight_scan_cosets_sharing_a_block():
+    # the octacode's span of C0 has 16 columns, so all 16 cosets are one
+    # block, and the zero word is the first entry of its first row
+    c = len8(4)
+    assert _scan_blocks(c) == (16, 16)
+    best, words = _codeword_scan(c)
+    m, count, packed = z4._weight_scan(c)
+    got = unpack_rows(packed)
+    assert (m, count, len(got)) == (best, len(words), len(words))
+    assert {unpack(lo, hi, 8) for lo, hi in got} == words
+    assert (0, 0) not in got
+
+
+def test_weight_scan_later_block_lowers_minimum(monkeypatch):
+    # 2*C0 = span{(2, 2, 0, 0), (2, 2, 2, 2)} has minimum weight 8; the
+    # coset of the lift (1, 1, 0, 0) holds (1, 1, 0, 0) and (3, 3, 0, 0),
+    # of weight 2
+    c = z4.z4_span(4, [(2, 2, 2, 2), (1, 1, 0, 0)])
+    want = {(1, 1, 0, 0), (3, 3, 0, 0)}
+    for block in (gf2.BLOCK, 1):
+        # at BLOCK = 1 each coset is a block of its own, so the first block
+        # sets the minimum 8 and the second lowers it to 2
+        monkeypatch.setattr(gf2, "BLOCK", block)
+        assert _scan_blocks(c) == (2, 2 if block > 1 else 1)
+        m, count, packed = z4._weight_scan.__wrapped__(c)
+        assert (m, count) == (2, 2)
+        assert {unpack(lo, hi, 4) for lo, hi in unpack_rows(packed)} == want
+
+
+def test_weight_scan_two_limbs():
+    # the octacode on coordinates 60-67, across the limb boundary, next to
+    # a weight-12 word of 2s
+    octa = len8(4)
+    n = 70
+    gens = [(0,) * 60 + row + (0, 0) for row in octa.basis]
+    gens.append((2,) * 6 + (0,) * 62 + (2,) * 2)
+    c = z4.z4_span(n, gens)
+    best, words = _codeword_scan(c)
+    m, count, packed = z4._weight_scan(c)
+    assert packed.shape == (count, 4)
+    assert (m, count) == (best, len(words)) == (8, len(z4.min_weight_words(octa)))
+    got = unpack_rows(packed)
+    assert {unpack(lo, hi, n) for lo, hi in got} == words
+    assert any(lo >> 64 and lo & (1 << 64) - 1 for lo, _ in got)
+
+
+@pytest.mark.parametrize("code_id, limit", [("z4-len8-4", 50), ("z4-leech-standard", 1000)])
+def test_weight_scan_truncated_word_list(monkeypatch, code_id, limit):
+    # the octacode's one block holds all its 128 words at the minimum, and
+    # each of Leech's blocks is one coset holding hundreds
+    c = catalog.get(code_id).code()
+    m, count, full = z4._weight_scan.__wrapped__(c)
+    assert limit < count
+    # the cut falls between two words of one coset: their lo limbs agree
+    assert np.array_equal(full[limit - 1, :1], full[limit, :1])
+    monkeypatch.setattr(z4, "_WORD_LIMIT", limit)
+    z4._weight_scan.cache_clear()
+    try:
+        got = z4._weight_scan(c)
+        assert got[:2] == (m, count)
+        assert np.array_equal(got[2], full[:limit])
+        with pytest.raises(EnumerationLimit):
+            z4.min_weight_words(c)
+    finally:
+        z4._weight_scan.cache_clear()
+
+
+def test_weight_scan_words_read_only():
+    # the lru_cache hands one array to every caller
+    c = len8(2)
+    words = z4.min_weight_words(c)
+    with pytest.raises(ValueError):
+        words[0, 0] = 0
+    assert z4.min_weight_words(c) is words
+    assert z4.euclidean_weight(unpack(*unpack_rows(words)[0], 8)) == 8
+
+
+def _scan_order_reference(c):
+    """_weight_scan one coset at a time in Python: (minimum, every word at
+    it as (lo, hi) in scan order, (residue weight, minimum) of each coset).
+
+    The cosets come in Gray order over the residue lifts and then the
+    torsion vectors beyond the first INNER_BITS, each word g_S summed
+    afresh; within a coset, span column j holds the sum of the inner
+    torsion vectors at the set bits of j."""
+    tors = z4.torsion(c).basis
+    inner, extra = tors[:z4.INNER_BITS], tors[z4.INNER_BITS:]
+    steps = list(z4.residue_lifts(c)) + [(0, v) for v in extra]
+    span = [0]
+    for v in inner:
+        span += [u ^ v for u in span]
+    best, words, cosets = None, [], []
+    for s in range(1 << len(steps)):
+        lo = hi = 0
+        for j, (glo, ghi) in enumerate(steps):
+            if (s ^ s >> 1) >> j & 1:
+                lo, hi = lo ^ glo, hi ^ ghi ^ (lo & glo)
+        cols = span[1:] if s == 0 else span  # the zero word is left out
+        weights = [lo.bit_count() + 4 * ((hi ^ u) & ~lo).bit_count() for u in cols]
+        for u, w in zip(cols, weights):
+            if best is None or w < best:
+                best, words = w, []
+            if w == best:
+                words.append((lo, hi ^ u))
+        cosets.append((lo.bit_count(), min(weights, default=math.inf)))
+    return best, words, cosets
+
+
+def _skips_before_a_hit(cosets, best, rows):
+    """Whether some block of rows cosets skips one (residue weight above the
+    minimum before the block) ahead of one holding a word at best."""
+    before = math.inf
+    for b in range(0, len(cosets), rows):
+        block = cosets[b:b + rows]
+        if any(rw > before and any(m == best for _, m in block[i + 1:])
+               for i, (rw, _) in enumerate(block)):
+            return True
+        before = min([before] + [m for _, m in block])
+    return False
+
+
+def test_weight_scan_order_matches_coset_walk(monkeypatch):
+    # three cosets a block, so that cosets skipped by residue weight sit
+    # between others of their block; INNER_BITS = 2 puts torsion vectors
+    # into the Gray walk
+    rng = random.Random(5)
+    codes = [relabel(len8(k), rng) for k in (1, 2, 3, 4)]
+    for _ in range(25):
+        n = rng.randrange(3, 11)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                for _ in range(rng.randrange(1, 5))]
+        codes.append(z4.z4_span(n, gens))
+    skipped = 0
+    for inner_bits in (z4.INNER_BITS, 2):
+        monkeypatch.setattr(z4, "INNER_BITS", inner_bits)
+        for c in codes:
+            if c.size() == 1:
+                continue
+            width = 1 << min(z4.torsion(c).dim, inner_bits)
+            monkeypatch.setattr(gf2, "BLOCK", 3 * width)
+            best, words, cosets = _scan_order_reference(c)
+            m, count, packed = z4._weight_scan.__wrapped__(c)
+            assert (m, count) == (best, len(words))
+            assert unpack_rows(packed) == words
+            skipped += _skips_before_a_hit(cosets, best, 3)
+    assert skipped
 
 
 def test_weight_scan_invariant_under_relabeling():
