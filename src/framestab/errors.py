@@ -37,4 +37,3 @@ class BudgetExceeded(FramestabError):
         super().__init__(message)
         self.partial = partial
         self.kernel_order = kernel_order
-        self.lower_bound_only = True

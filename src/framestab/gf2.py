@@ -22,14 +22,12 @@ import numpy as np
 from .errors import EnumerationLimit
 from .matrixio import parse_binary_matrix
 
-# Above this dimension, full span enumeration is refused and operations fall
-# back to weight-limited searches (or raise EnumerationLimit).
+# The one span limit: up to this dimension every weight question enumerates
+# the span; above it codewords(), weight_classes and weight_distribution raise
+# EnumerationLimit, and weight_words and min_weight test the weight-m words
+# for membership, at most _COMB_ENUM_CAP of them for each weight m.
 SPAN_ENUM_CAP = 28
 _COMB_ENUM_CAP = 1 << 26
-# What one weight-m candidate of weight_words costs, in span words: a
-# candidate is one BinaryCode.contains in Python, about 1.6-2.4 us at
-# dimension 18, and a span word about 5-6 ns of numpy popcount.
-CANDIDATE_SPAN_WORDS = 400
 
 # Dimension of the packed span (2^16 words, 512 KB a limb).
 INNER_BITS = 16
@@ -40,10 +38,14 @@ INNER_BITS = 16
 # z4-leech-standard (256 cosets of 65536) 40, 35, 35, 38 and 42 ms.
 BLOCK = 1 << 16
 # Up to this dimension weight counts walk codewords() in Python: the span
-# kernel's fixed cost of about ten numpy calls outweighs 2^dim words. For
-# weight_distribution of a random length-24 code the loop takes 4-27 us at
-# dimensions 1-6 against 15-44 us for the kernel; from dimension 7 (about
-# 50 us either way) the kernel is as fast or faster.
+# kernel's fixed cost of about ten numpy calls outweighs 2^dim words. On the
+# small sides (dimensions 1-6) of the codes that frame reports of the length-8
+# and Leech Z4-codes search, one weight_distribution + weight_classes pair
+# takes 4-113 us looped against 30-186 us on the kernel; at dimension 7 both
+# take about 0.55 ms. Every frame report's search setup pays this: on a 2-CPU
+# Xeon host, benchmark frames-e8 with the loop deleted read wall_s 0.0195 ->
+# 0.0201 s (+2.7%) and op_p50_s 0.00372 -> 0.00384 s (+3.0%), medians of 8
+# alternating pairs of 5 s runs (seeds 1-8), lower in only 2 of 8.
 SMALL_DIM = 6
 
 _LIMB_MASK = (1 << 64) - 1
@@ -312,49 +314,34 @@ def weight_classes(c: BinaryCode, weights) -> list[list[int]]:
 def weight_words(c: BinaryCode, m: int) -> list[int]:
     """All codewords of weight exactly m, sorted by support.
 
-    Uses whichever of span enumeration and weight-m membership scanning is
-    cheaper, counted in span words (CANDIDATE_SPAN_WORDS a candidate); each
-    route counts its own words or candidates against _COMB_ENUM_CAP, and
-    EnumerationLimit is raised if both exceed it.
+    Enumerates the span up to dimension SPAN_ENUM_CAP. Above it, tests each
+    of the C(length, m) words of weight m for membership, and raises
+    EnumerationLimit if they are more than _COMB_ENUM_CAP.
     """
     if not 0 <= m <= c.length:
         raise ValueError(f"weight {m} out of range for length {c.length}")
-    cost_comb = comb(c.length, m)
-    span_fits = c.dim <= SPAN_ENUM_CAP and 1 << c.dim <= _COMB_ENUM_CAP
-    if span_fits and (cost_comb > _COMB_ENUM_CAP or 1 << c.dim <= cost_comb * CANDIDATE_SPAN_WORDS):
+    if c.dim <= SPAN_ENUM_CAP:
         return weight_classes(c, [m])[0]
-    if cost_comb > _COMB_ENUM_CAP:
-        raise EnumerationLimit(
-            f"span of size 2^{c.dim} and C({c.length},{m}) candidates above cap")
-    found = []
-    for coords in combinations(range(c.length), m):
-        w = 0
-        for i in coords:
-            w |= 1 << i
-        if c.contains(w):
-            found.append(w)
-    return sorted(found, key=support)
+    if comb(c.length, m) > _COMB_ENUM_CAP:
+        raise EnumerationLimit(f"C({c.length},{m}) candidates of [{c.length},{c.dim}] above cap")
+    # combinations come in lexicographic order, which is support order
+    words = (sum(1 << i for i in coords) for coords in combinations(range(c.length), m))
+    return [w for w in words if c.contains(w)]
 
 
 def min_weight(c: BinaryCode) -> int:
-    """Minimum nonzero codeword weight."""
+    """Minimum nonzero codeword weight.
+
+    One span enumeration up to dimension SPAN_ENUM_CAP; above it, the least
+    m for which weight_words(c, m) is not empty.
+    """
     if c.dim == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    if c.dim <= 20:
+    if c.dim <= SPAN_ENUM_CAP:
         # the zero word, the first entry of the first block, is left out
         return min(int(t.ravel()[0 if k else 1:].min())
                    for k, (_, _, t) in enumerate(_span_blocks(c)))
-    budget = _COMB_ENUM_CAP
-    for m in range(1, c.length + 1):
-        cost = comb(c.length, m)
-        if cost > budget:
-            raise EnumerationLimit(
-                f"minimum-weight search for [{c.length},{c.dim}] exceeds cap at weight {m}"
-            )
-        budget -= cost
-        if weight_words(c, m):
-            return m
-    raise AssertionError("unreachable: nonzero code has a nonzero word")
+    return next(m for m in range(1, c.length + 1) if weight_words(c, m))
 
 
 def weight_distribution(c: BinaryCode) -> dict[int, int]:

@@ -211,7 +211,7 @@ class PermGroup:
                 if dirty:
                     break
             if dirty:
-                l = 0 if lev is None else min(l, lev)
+                l = min(l, lev)
                 continue
             l += 1
 

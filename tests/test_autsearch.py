@@ -217,7 +217,6 @@ def test_budget_exceeded_reports_partial():
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(gf2.golay24(), budget=20)
     assert err.value.partial is not None
-    assert err.value.lower_bound_only
 
 
 # -- refinement -----------------------------------------------------------------

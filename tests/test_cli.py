@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from framestab import frames, permgrp
+from framestab import frames, gf2, permgrp
 from framestab.cli import main
 
 
@@ -62,6 +62,21 @@ def test_analyze_zero_code(runner, tmp_path):
     assert info["size"] == "1"
     assert info["min_euclidean_weight"] is None
     assert info["extremal"] is False
+
+
+def test_analyze_twice_golay_pair(runner, tmp_path):
+    # 2·(G⊕G), G the Golay code: C0 = G⊕G of dimension 24, C1 = 0
+    g = gf2.golay24()
+    rows = list(g.basis) + [b << 24 for b in g.basis]
+    matrix = tmp_path / "twice-golay-pair.txt"
+    matrix.write_text("".join(gf2.format_word(r, 48).replace("1", "2") + "\n" for r in rows))
+    result = runner.invoke(main, ["analyze", "--input", str(matrix), "--json"])
+    assert result.exit_code == 0, result.output
+    info = json.loads(result.output)
+    assert info["c0"] == {"dim": 24, "min_weight": 8}
+    assert info["c1"] == {"dim": 0, "min_weight": None}
+    assert info["min_euclidean_weight"] == 32
+    assert info["size"] == "16777216"
 
 
 def test_analyze_empty_file(runner, tmp_path):

@@ -120,17 +120,16 @@ def test_weight_words_strategies_agree():
 
 
 def test_weight_words_routes_agree(monkeypatch):
-    # a candidate weighs CANDIDATE_SPAN_WORDS span words: the 2^18 words of
-    # the Leech C0 cost less than its C(24,4) candidates, and at length 20
-    # and weight 3 the switch lies between dimensions 18 and 19
+    # each code takes the span route by default; with SPAN_ENUM_CAP set below
+    # its dimension, the candidate scan gives the same words and minimum
     from framestab import catalog, z4
     rng = random.Random(13)
-    cases = [(z4.torsion(catalog.get("z4-leech-standard").code()), 4, True)]
-    for dim, by_span in ((18, True), (19, False)):
+    cases = [(z4.torsion(catalog.get("z4-leech-standard").code()), 4)]
+    for dim in (18, 19):
         c = random_code(rng, 20, dim + 4)
         while c.dim != dim:
             c = random_code(rng, 20, dim + 4)
-        cases.append((c, 3, by_span))
+        cases.append((c, 3))
     assert cases[0][0].dim == 18
     spans = []
     weight_classes = gf2.weight_classes
@@ -139,16 +138,15 @@ def test_weight_words_routes_agree(monkeypatch):
         spans.append(c.dim)
         return weight_classes(c, weights)
 
-    for c, m, by_span in cases:
+    for c, m in cases:
         monkeypatch.setattr(gf2, "weight_classes", counted)
         spans.clear()
-        default = gf2.weight_words(c, m)
-        assert spans == ([c.dim] if by_span else [])
+        default, least = gf2.weight_words(c, m), gf2.min_weight(c)
+        assert spans == [c.dim]
         assert default and all(w.bit_count() == m and c.contains(w) for w in default)
-        # forced onto the candidate scan, then onto the span enumeration
-        for weight in (0, 1 << 40):
-            monkeypatch.setattr(gf2, "CANDIDATE_SPAN_WORDS", weight)
-            assert gf2.weight_words(c, m) == default
+        monkeypatch.setattr(gf2, "SPAN_ENUM_CAP", c.dim - 1)
+        assert (gf2.weight_words(c, m), gf2.min_weight(c)) == (default, least)
+        assert spans == [c.dim]
         monkeypatch.undo()
 
 
@@ -164,18 +162,20 @@ def pair_words_loop(c):
 
 
 def test_weight_two_words_match_pair_loop(monkeypatch):
-    # seeded codes of dimension 4-12 (span route) and 20-28 (candidate
-    # route), each holding pairs on a few points, so that its weight-2 words
-    # form cliques; then the lattice C of every Z4 catalog code
+    # seeded codes of dimension 4-12 (span route) and 31-36 (candidate
+    # route, above SPAN_ENUM_CAP), each holding pairs on a few points, so
+    # that its weight-2 words form cliques; then the lattice C of every Z4
+    # catalog code
     from framestab import catalog, frames
     rng = random.Random(29)
     codes = []
-    for dims in (range(4, 13), range(20, 29)):
+    for dims, lengths in ((range(4, 13), range(24, 49)), (range(31, 37), range(40, 49))):
         for _ in range(6):
-            n, dim = rng.randrange(24, 49), rng.choice(dims)
+            n, dim = rng.choice(lengths), rng.choice(dims)
             points = rng.sample(range(n), 8)
             pairs = [(1 << a) | (1 << b) for a, b in (rng.sample(points, 2) for _ in range(4))]
             codes.append(gf2.span(n, pairs + [rng.randrange(1 << n) for _ in range(dim - 4)]))
+    assert sum(c.dim > gf2.SPAN_ENUM_CAP for c in codes) == 6
     lattice_cs = [frames.structure_codes_lattice(catalog.get(code_id).code()).c_code
                   for code_id in catalog.list_ids() if code_id.startswith("z4-")]
     spans = []
@@ -217,14 +217,31 @@ def test_enumeration_cap():
 
 
 def test_min_weight_large_dim_path():
-    # dim 21 forces the combination-scan path (span cap is 20)
+    # dims 20 and 21 take the span, and dim 30 (above SPAN_ENUM_CAP) the
+    # candidate scan
     c = gf2.dual(gf2.span(30, [0b111 << i for i in range(0, 27, 3)]))
     assert c.dim == 21
     assert gf2.min_weight(c) == 1  # coordinates 28..30 are unconstrained
-    # covered version: all pairs inside blocks, min weight 2, span path
+    # covered version: all pairs inside blocks, min weight 2
     c2 = gf2.dual(gf2.span(30, [0b111 << i for i in range(0, 30, 3)]))
     assert c2.dim == 20
     assert gf2.min_weight(c2) == 2
+    c3 = gf2.dual(gf2.span(45, [0b111 << i for i in range(0, 45, 3)]))
+    assert c3.dim == 30 > gf2.SPAN_ENUM_CAP
+    assert gf2.min_weight(c3) == 2
+    pairs = gf2.weight_words(c3, 2)
+    assert len(pairs) == 45 and pairs == pair_words_loop(c3)
+
+
+def test_min_weight_of_golay_pair():
+    # G⊕G, the Golay code on coordinates 1-24 and a copy on 25-48: its 2^24
+    # words take one span pass, where a candidate scan would test C(48, m)
+    # words for each m up to 8
+    g = gf2.golay24()
+    c = gf2.span(48, list(g.basis) + [b << 24 for b in g.basis])
+    assert c.dim == 24
+    assert gf2.min_weight(c) == 8
+    assert len(gf2.weight_words(c, 8)) == 2 * 759
 
 
 def span_kernel_corpus():
