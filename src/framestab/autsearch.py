@@ -800,18 +800,6 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode):
     )
 
 
-# -- subcode stabilizer ----------------------------------------------------------
-
-
-def subcode_stabilizer(code: BinaryCode, sub: BinaryCode) -> PermGroup:
-    """Aut(code) ∩ Stab(sub): the permutations preserving both codes.
-
-    One partition search over the joint structure of the two codes, with
-    leaves verified against both.
-    """
-    return automorphism_group(structure_for_codes([code, sub]))
-
-
 # -- Z4 automorphisms --------------------------------------------------------------
 
 

@@ -72,7 +72,8 @@ def _catalog_entry(ref: str) -> catalog.CatalogEntry:
     try:
         return catalog.get(ref)
     except KeyError as err:
-        raise click.ClickException(str(err)) from err
+        # str() of a KeyError quotes its message
+        raise click.ClickException(err.args[0]) from err
 
 
 def _parse_any(text: str):

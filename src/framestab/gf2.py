@@ -183,10 +183,6 @@ def from_text(text: str) -> BinaryCode:
     return span(n, rows)
 
 
-def zero_code(n: int) -> BinaryCode:
-    return BinaryCode(n, ())
-
-
 def dual(c: BinaryCode) -> BinaryCode:
     """Dual under the intersection-parity pairing <x,y> = |x & y| mod 2."""
     pivots = [(b & -b).bit_length() - 1 for b in c.basis]
@@ -401,10 +397,6 @@ def even_code(n: int) -> BinaryCode:
     if n < 1:
         raise ValueError("length must be positive")
     return span(n, [0b11 << i for i in range(n - 1)])
-
-
-def repetition_code(n: int) -> BinaryCode:
-    return span(n, [(1 << n) - 1])
 
 
 def reed_muller(r: int, m: int) -> BinaryCode:

@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 
-# Largest group order that PermGroup.elements iterates.
-ELEMENTS_CAP = 1 << 20
-
 Perm = tuple[int, ...]
 
 
@@ -42,15 +39,6 @@ def inverse(p: Perm) -> Perm:
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
-
-
-def perm_from_cycles(n: int, cycles) -> Perm:
-    """Build a permutation from 1-indexed cycles."""
-    images = list(range(n))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a - 1] = b - 1
-    return tuple(images)
 
 
 def cycle_string(p: Perm) -> str:
@@ -286,20 +274,6 @@ class PermGroup:
         return PermGroup(
             self.degree, list(self._strong) + [tuple(g) for g in new_gens], base=self._base
         )
-
-    def elements(self):
-        """Iterate all elements (order capped); intended for cross-checks."""
-        if self.order() > ELEMENTS_CAP:
-            raise ValueError(f"order {self.order()} above element-iteration cap")
-
-        def rec(l, current):
-            if l == len(self._base):
-                yield current
-                return
-            for u in self._transversals[l].values():
-                yield from rec(l + 1, compose(u, current))
-
-        yield from rec(0, identity(self.degree))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"

@@ -13,7 +13,6 @@ The Euclidean weight of a word uses representatives {0, +-1, 2}: digits 0,
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ from .matrixio import parse_z4_matrix
 
 _EUCLIDEAN = (0, 1, 4, 1)
 
-# Largest code that full codeword enumeration takes.
+# Largest code that the minimum-weight scan (_weight_scan) enumerates.
 ENUM_CAP = 1 << 30
 
 
@@ -36,14 +35,6 @@ def euclidean_weight(word) -> int:
 
 def inner_product(x, y) -> int:
     return sum(a * b for a, b in zip(x, y)) % 4
-
-
-def add_words(x, y):
-    return tuple((a + b) % 4 for a, b in zip(x, y))
-
-
-def scale_word(k: int, x):
-    return tuple(k * a % 4 for a in x)
 
 
 def _howell(rows, n):
@@ -118,41 +109,6 @@ class Z4Code:
     def size(self) -> int:
         return 4**self.k1 * 2**self.k2
 
-    def reduce(self, word):
-        word = list(word)
-        for (col, typ), row in zip(self.pivots, self.basis):
-            e = word[col] % 4
-            k = e if typ == 1 else (e >> 1 if e % 2 == 0 else 0)
-            if k:
-                for j in range(col, self.length):
-                    word[j] = (word[j] - k * row[j]) % 4
-        return tuple(d % 4 for d in word)
-
-    def contains(self, word) -> bool:
-        return not any(self.reduce(word))
-
-    def __contains__(self, word) -> bool:
-        return self.contains(word)
-
-    def codewords(self):
-        """Iterate all codewords as digit tuples (constant memory)."""
-        if self.size() > ENUM_CAP:
-            raise EnumerationLimit(f"|C| = {self.size()} above enumeration cap {ENUM_CAP}")
-        rows = list(self.basis)
-        radix = [2 if typ == 2 else 4 for _, typ in self.pivots]
-
-        def rec(i, acc):
-            if i == len(rows):
-                yield acc
-                return
-            word = acc
-            for k in range(radix[i]):
-                yield from rec(i + 1, word)
-                if k + 1 < radix[i]:
-                    word = add_words(word, rows[i])
-
-        return rec(0, tuple([0] * self.length))
-
     def __str__(self):
         rows = ",".join("".join(map(str, r)) for r in self.basis)
         return f"Z4[{self.length}]{group_shape(self)}<{rows}>"
@@ -175,10 +131,6 @@ def z4_span(length: int, generators) -> Z4Code:
 def from_text(text: str) -> Z4Code:
     n, rows = parse_z4_matrix(text)
     return z4_span(n, rows)
-
-
-def zero_code(n: int) -> Z4Code:
-    return Z4Code(n, ())
 
 
 @lru_cache(maxsize=8)
@@ -418,18 +370,3 @@ def is_extremal(c: Z4Code) -> bool:
     if not is_type_ii(c):
         return False
     return min_euclidean_weight(c) == 8 * (c.length // 24 + 1)
-
-
-def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> Z4Code:
-    """Random self-orthogonal code built by greedy orthogonal extension."""
-    gens: list[tuple[int, ...]] = []
-    attempts = 0
-    while len(gens) < rows and attempts < 200 * rows:
-        attempts += 1
-        cand = tuple(rng.randrange(4) for _ in range(n))
-        if euclidean_weight(cand) % 4 != 0:
-            continue
-        if any(inner_product(cand, g) != 0 for g in gens):
-            continue
-        gens.append(cand)
-    return z4_span(n, gens)

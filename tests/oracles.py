@@ -1,21 +1,125 @@
-"""Construction A lattices from Z4-codes, with exact integer arithmetic.
+"""Test oracles: independent, brute-force routes the tests check the library
+against. Nothing in framestab uses them.
 
-A lattice is stored through its doubled basis: an upper-triangular integer
-matrix M (Hermite normal form) whose rows are twice the actual basis
-vectors. The actual lattice is (1/2) * rowspan_Z(M), so Gram entries are
-rationals with denominator 4 and every predicate is decided exactly.
-
-For the Leech lattice, vectors are scaled by sqrt(8): a LeechWord is the
-integer vector sqrt(8) * v, and membership is decided by the congruence
-conditions of the standard Golay-code construction.
+- Construction A lattices from Z4-codes, with exact integer arithmetic.
+  A lattice is stored through its doubled basis: an upper-triangular
+  integer matrix M (Hermite normal form) whose rows are twice the actual
+  basis vectors. The actual lattice is (1/2) * rowspan_Z(M), so Gram
+  entries are rationals with denominator 4 and every predicate is decided
+  exactly.
+- Leech lattice membership, with vectors scaled by sqrt(8): a LeechWord is
+  the integer vector sqrt(8) * v, and membership is decided by the
+  congruence conditions of the standard Golay-code construction.
+- Z4 codeword listing and membership by reduction against the Howell basis,
+  permutation group element listing, permutations from cycles, and random
+  self-orthogonal Z4-codes.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import gf2, z4
+from framestab import gf2, permgrp, z4
+from framestab.errors import EnumerationLimit
+
+# ---------------------------------------------------------------------------
+# Z4-codes
+# ---------------------------------------------------------------------------
+
+
+def add_words(x, y):
+    return tuple((a + b) % 4 for a, b in zip(x, y))
+
+
+def reduce(c: z4.Z4Code, word):
+    """word reduced against the Howell basis of c; zero exactly on codewords."""
+    word = list(word)
+    for (col, typ), row in zip(c.pivots, c.basis):
+        e = word[col] % 4
+        k = e if typ == 1 else (e >> 1 if e % 2 == 0 else 0)
+        if k:
+            for j in range(col, c.length):
+                word[j] = (word[j] - k * row[j]) % 4
+    return tuple(d % 4 for d in word)
+
+
+def contains(c: z4.Z4Code, word) -> bool:
+    return not any(reduce(c, word))
+
+
+def codewords(c: z4.Z4Code):
+    """Iterate all codewords of c as digit tuples (constant memory)."""
+    if c.size() > z4.ENUM_CAP:
+        raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {z4.ENUM_CAP}")
+    rows = list(c.basis)
+    radix = [2 if typ == 2 else 4 for _, typ in c.pivots]
+
+    def rec(i, acc):
+        if i == len(rows):
+            yield acc
+            return
+        word = acc
+        for k in range(radix[i]):
+            yield from rec(i + 1, word)
+            if k + 1 < radix[i]:
+                word = add_words(word, rows[i])
+
+    return rec(0, tuple([0] * c.length))
+
+
+def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> z4.Z4Code:
+    """Random self-orthogonal code built by greedy orthogonal extension."""
+    gens: list[tuple[int, ...]] = []
+    attempts = 0
+    while len(gens) < rows and attempts < 200 * rows:
+        attempts += 1
+        cand = tuple(rng.randrange(4) for _ in range(n))
+        if z4.euclidean_weight(cand) % 4 != 0:
+            continue
+        if any(z4.inner_product(cand, g) != 0 for g in gens):
+            continue
+        gens.append(cand)
+    return z4.z4_span(n, gens)
+
+
+# ---------------------------------------------------------------------------
+# Permutations
+# ---------------------------------------------------------------------------
+
+# Largest group order that elements iterates.
+ELEMENTS_CAP = 1 << 20
+
+
+def perm_from_cycles(n: int, cycles) -> permgrp.Perm:
+    """Build a permutation from 1-indexed cycles."""
+    images = list(range(n))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a - 1] = b - 1
+    return tuple(images)
+
+
+def elements(group: permgrp.PermGroup):
+    """Iterate all elements of group (order capped)."""
+    if group.order() > ELEMENTS_CAP:
+        raise ValueError(f"order {group.order()} above element-iteration cap")
+    levels = len(group.base)
+
+    def rec(l, current):
+        if l == levels:
+            yield current
+            return
+        for u in group.transversal(l).values():
+            yield from rec(l + 1, permgrp.compose(u, current))
+
+    yield from rec(0, permgrp.identity(group.degree))
+
+
+# ---------------------------------------------------------------------------
+# Construction A
+# ---------------------------------------------------------------------------
 
 
 def _hnf(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -102,7 +206,7 @@ def construction_a(c: z4.Z4Code) -> ALattice:
 
 def four_frame_lattice(n: int) -> ALattice:
     """A_4(0): the orthogonal frame lattice with Gram 4*I."""
-    return construction_a(z4.zero_code(n))
+    return construction_a(z4.z4_span(n, []))
 
 
 def is_integral(lat: ALattice) -> bool:
@@ -149,7 +253,7 @@ def verify_quotient(c: z4.Z4Code) -> bool:
         return False
     # every doubled basis row reduces into c
     for row in lat.doubled:
-        if tuple(x % 4 for x in row) not in c:
+        if not contains(c, tuple(x % 4 for x in row)):
             return False
     # every code generator lifts into the lattice
     for g in c.basis:

@@ -15,7 +15,8 @@ from math import factorial
 
 import pytest
 
-from framestab import autsearch, catalog, frames, gf2, lattice, permgrp, z4
+import oracles
+from framestab import autsearch, catalog, frames, gf2, permgrp, z4
 
 
 def report(criterion, detail, started=None):
@@ -33,7 +34,7 @@ def len8(k):
 def test_criterion_1_structure_codes_exact():
     t = time.time()
     e16 = gf2.even_code(16)
-    rep16 = gf2.repetition_code(16)
+    rep16 = gf2.span(16, [(1 << 16) - 1])
     blocks2 = [0b11 << (blk + off) for blk in (0, 8) for off in range(7)]
     blocks3 = [0b11 << (blk + off) for blk in range(0, 16, 4) for off in range(3)]
     expected = {
@@ -282,14 +283,14 @@ def test_criterion_9_construction_a_equivalences():
         gens = [tuple(rng.randrange(4) for _ in range(n))
                 for _ in range(rng.randrange(1, 5))]
         c = z4.z4_span(n, gens)
-        lat = lattice.construction_a(c)
-        assert lattice.is_integral(lat) == z4.is_self_orthogonal(c)
+        lat = oracles.construction_a(c)
+        assert oracles.is_integral(lat) == z4.is_self_orthogonal(c)
     for _ in range(60):
-        c = z4.random_self_orthogonal(rng.randrange(4, 13), rng.randrange(1, 5), rng)
+        c = oracles.random_self_orthogonal(rng.randrange(4, 13), rng.randrange(1, 5), rng)
         self_orth += 1
-        lat = lattice.construction_a(c)
-        assert lattice.is_even(lat) == z4.all_weights_divisible_by_8(c)
-        assert (lattice.is_even(lat) and lattice.is_unimodular(lat)) == z4.is_type_ii(c)
+        lat = oracles.construction_a(c)
+        assert oracles.is_even(lat) == z4.all_weights_divisible_by_8(c)
+        assert (oracles.is_even(lat) and oracles.is_unimodular(lat)) == z4.is_type_ii(c)
     assert self_orth >= 50
     report(9, f"Construction-A equivalences on {self_orth} random "
               "self-orthogonal codes plus 80 arbitrary codes", t)
@@ -301,7 +302,7 @@ def test_criterion_9_aut_matches_brute_force():
     corpus = [
         gf2.even_code(4),
         gf2.hamming8(),
-        gf2.repetition_code(6),
+        gf2.span(6, [(1 << 6) - 1]),
         gf2.span(8, ["11001100", "00110011", "10101010"]),
         gf2.span(7, ["1110000", "0011100", "1000011"]),
     ]
@@ -324,12 +325,12 @@ def test_criterion_9_leech_membership():
             for line in entry.matrix.strip().splitlines()]
     assert len(rows) == 18
     for row in rows:
-        assert lattice.leech_member(lattice.leech_scaled_generator(row))
-    frame_vectors = lattice.leech_frame_vectors()
+        assert oracles.leech_member(oracles.leech_scaled_generator(row))
+    frame_vectors = oracles.leech_frame_vectors()
     assert len(frame_vectors) == 24
     for v in frame_vectors:
-        assert lattice.leech_member(v)
-    assert not lattice.leech_member([2] + [0] * 23)
+        assert oracles.leech_member(v)
+    assert not oracles.leech_member([2] + [0] * 23)
     report(9, "Leech membership: 18 scaled generators and 24 frame vectors "
               "accepted, (2,0,...,0) rejected", t)
 

