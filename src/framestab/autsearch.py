@@ -72,13 +72,15 @@ trace does, and a kept one is searched as before. Waiting for a failure
 keeps the filter off levels where every sibling holds an automorphism,
 which it would pass row for row.
 
-Z4-code automorphisms ride on the same engine: candidate coordinate
-permutations are constrained by the residue and torsion codes (and, when
-needed, by sign-invariant pair statistics of the minimum-Euclidean-weight
-codewords), and a leaf passes if the linear sign-consistency system over
-GF(2) is solvable. That system is read from the pairings of the permuted
-code with its Z4 dual, with the right-hand side in an extra bit n, and
-gf2.consistent reduces it.
+Z4-code automorphisms ride on the same engine. Their image in Sym_n lies
+in the constraint group Aut(C0) ∩ Aut(C1), one aut_binary call, and a
+permutation lies in it exactly when a linear sign-consistency system over
+GF(2), read from the pairings of the permuted code with its Z4 dual (the
+right-hand side in bit n), is solvable under gf2.consistent. Where some
+constraint generator fails that test and C1 ⊆ C0^⊥, the search runs on the
+word graph of the lightest weight class of C1, if those words separate the
+coordinates; otherwise subgroup_search walks the constraint group with a
+sign test at each leaf.
 """
 
 from __future__ import annotations
@@ -229,20 +231,20 @@ def weight_class_systems(code: BinaryCode):
 
 
 def structure_for_codes(codes) -> Structure:
-    codes = tuple(codes)
-    n = codes[0].length
-    for c in codes:
+    sides = tuple(_small_side(c) for c in codes)
+    n = sides[0].length
+    for c in sides:
         if c.length != n:
             raise ValueError("codes must share a length")
     systems = []
     seen = set()
-    for c in codes:
-        for words in weight_class_systems(c):
+    for side in sides:
+        for words in weight_class_systems(side):
             key = frozenset(words)
             if key not in seen:
                 seen.add(key)
                 systems.append(words)
-    return Structure(n, tuple(_small_side(c) for c in codes), systems)
+    return Structure(n, sides, systems)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -752,19 +754,21 @@ def automorphism_group(struct: Structure, *, budget: int | None = None, progress
     return PermGroup.from_bsgs(struct.n, base, level_gens)
 
 
-def aut_binary(code: BinaryCode, *, budget: int | None = None, progress=None) -> PermGroup:
-    """Full automorphism group of a binary code in Sym_n.
+def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> PermGroup:
+    """The permutations in Sym_n that keep every code given.
 
-    Memoized: a frame report asks for Aut(C0) again after aut_z4 has used it
-    as its constraint group when C1 is C0 or its dual (every self-dual code).
-    Callers must not mutate the group.
+    Memoized on the codes' distinct small sides (_small_side), which fix
+    the group: a code and its dual share one entry, and so do aut_z4's
+    constraint group Aut(C0) ∩ Aut(C1) and a frame report's Aut(C0)
+    wherever C1 is C0 or its dual (every self-dual code). Callers must not
+    mutate the group.
     """
-    return _aut_binary(code, budget, progress)
+    return _aut_binary(tuple(dict.fromkeys(map(_small_side, codes))), budget, progress)
 
 
 @lru_cache(maxsize=8)
-def _aut_binary(code: BinaryCode, budget: int | None, progress) -> PermGroup:
-    return automorphism_group(structure_for_codes([code]), budget=budget, progress=progress)
+def _aut_binary(sides: tuple[BinaryCode, ...], budget: int | None, progress) -> PermGroup:
+    return automorphism_group(structure_for_codes(sides), budget=budget, progress=progress)
 
 
 # -- code equivalence -----------------------------------------------------------
@@ -821,7 +825,6 @@ class _SignSystem:
         self.n = code.length
         self.res = z4.residue(code)
         self.tor = z4.torsion(code)
-        self.tor_dual = gf2.dual(self.tor)
         self.lifts = z4.residue_lifts(code)
         self.basis = [z4.pack(row) for row in code.basis]
         self.dual = [z4.pack(y) for y in z4.z4_dual(code).basis]
@@ -922,15 +925,20 @@ class _WordGraph:
         self.system = system
         self.words = words
         self.n = system.n
-        packed = gf2.limb_array(words, max(1, -(-self.n // 64)))
-        self.pair_colors = _word_pair_colours(packed, _even_parts(system, packed))
         # pencils: for each coordinate, the words through it
         incidence = _bit_matrix(words, self.n)
         self.pencils = [np.flatnonzero(incidence[:, i]).tolist() for i in range(self.n)]
         self.word_index = {c: a for a, c in enumerate(words)}
 
+    @cached_property
+    def pair_colors(self):
+        packed = gf2.limb_array(self.words, max(1, -(-self.n // 64)))
+        return _word_pair_colours(packed, _even_parts(self.system, packed))
+
     def coordinate_perm(self, gamma) -> Perm | None:
-        """The point permutation inducing the word permutation gamma, if any."""
+        """The point permutation inducing the word permutation gamma, if any;
+        for the identity, None exactly when the words do not separate the
+        coordinates."""
         p = [None] * self.n
         seen = set()
         for i in range(self.n):
@@ -1010,15 +1018,7 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
 def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
     n = system.n
     try:
-        # C1 ⊆ C0 and, for a self-dual code, C1 = C0^⊥: either way
-        # Aut(C0) ∩ Aut(C1) = Aut(C0), which aut_binary memoizes for the
-        # frame report
-        if system.res in (system.tor, system.tor_dual):
-            constraint = aut_binary(system.tor, budget=budget, progress=progress)
-        else:
-            constraint = automorphism_group(
-                structure_for_codes([system.tor, system.res]), budget=budget, progress=progress
-            )
+        constraint = aut_binary(system.tor, system.res, budget=budget, progress=progress)
     except BudgetExceeded as err:
         # the partial group preserves C0 and C1; only its sign-compatible
         # generators are known to lie in the image
@@ -1026,27 +1026,16 @@ def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
         raise BudgetExceeded(str(err), partial=PermGroup(n, gens)) from None
     if all(system.compatible(g) for g in constraint.strong_generators):
         return constraint
-    # the word graph's colours are invariant only for C1 ⊆ C0^⊥; then
-    # dim C1 <= n/2, so the lightest class is one of C1 itself
-    if all(system.tor_dual.contains(b) for b in system.res.basis):
+    # the word graph's colours are invariant only for C1 ⊆ C0^⊥, read from
+    # the parities of the basis words; then dim C1 <= n/2, so the lightest
+    # class is one of C1 itself
+    if not any((a & b).bit_count() & 1 for a in system.res.basis for b in system.tor.basis):
         classes = weight_class_systems(system.res)
         words = classes[0] if classes else []
-        if n <= len(words) <= 1200 and _pencils_separate(n, words):
-            return _WordGraph(system, words).search(budget, progress)
+        if n <= len(words) <= 1200:
+            graph = _WordGraph(system, words)
+            if graph.coordinate_perm(range(len(words))) is not None:
+                return graph.search(budget, progress)
     return permgrp.subgroup_search(
         constraint, system.compatible, budget=budget, progress=progress
     )
-
-
-def _pencils_separate(n: int, words: list[int]) -> bool:
-    """Whether each coordinate is the exact intersection of the words through
-    it; required for recovering coordinate permutations from word
-    permutations."""
-    for i in range(n):
-        mask = -1
-        for w in words:
-            if w >> i & 1:
-                mask &= w
-        if mask != 1 << i:
-            return False
-    return True

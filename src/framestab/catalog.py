@@ -258,14 +258,14 @@ _CATALOG = _entries()
 
 
 def list_ids() -> list[str]:
-    ids = sorted(_CATALOG)
-    ids.append("bin-even-<n>")
-    return ids
+    """The fixed ids; the even-weight family bin-even-N (N >= 2) is not listed."""
+    return sorted(_CATALOG)
 
 
 def get(entry_id: str) -> CatalogEntry:
     suffix = entry_id.removeprefix("bin-even-")
-    if suffix != entry_id and suffix.isdecimal() and int(suffix) > 0:
+    # the even-weight code of length 1 is the zero code, which has no matrix
+    if suffix != entry_id and suffix.isdecimal() and int(suffix) >= 2:
         n = int(suffix)
         code = gf2.even_code(n)
         return CatalogEntry(
@@ -279,7 +279,8 @@ def get(entry_id: str) -> CatalogEntry:
         entry = _CATALOG[entry_id]
     except KeyError:
         raise KeyError(
-            f"unknown catalog id {entry_id!r}; known ids: {', '.join(list_ids())}"
+            f"unknown catalog id {entry_id!r}; known ids: {', '.join(list_ids())}, "
+            "and bin-even-N for N >= 2"
         ) from None
     want = _CHECKSUMS.get(entry_id)
     if want is not None and entry.digest() != want:

@@ -116,9 +116,9 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def analyze(ref, as_json):
     """Basic invariants of a Z4-code: size, shape, residue/torsion, flags."""
-    name, code = _load_z4(ref)
-    c0, c1 = z4.torsion(code), z4.residue(code)
     try:
+        name, code = _load_z4(ref)
+        c0, c1 = z4.torsion(code), z4.residue(code)
         self_orth = z4.is_self_orthogonal(code)
         self_dual = z4.is_self_dual(code)
         type_ii = z4.is_type_ii(code)
@@ -161,9 +161,9 @@ def analyze(ref, as_json):
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def frame(ref, variant, aut_budget, as_json):
     """Full frame-stabilizer report for one code and frame variant."""
-    name, code = _load_z4(ref)
     budget = aut_budget if aut_budget is not None else _default_budget()
     try:
+        name, code = _load_z4(ref)
         report = frames.frame_report(
             code,
             variant,
@@ -205,9 +205,9 @@ def frame(ref, variant, aut_budget, as_json):
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def aut(ref, binary, aut_budget, as_json):
     """Automorphism group (binary code in Sym_n, or Z4-code as kernel/image)."""
-    name, code = _load_any(ref, binary)
     budget = aut_budget if aut_budget is not None else _default_budget()
     try:
+        name, code = _load_any(ref, binary)
         if isinstance(code, z4.Z4Code):
             kernel, image = autsearch.aut_z4(
                 code, budget=budget, progress=_progress(f"aut {name}")
@@ -257,6 +257,8 @@ def catalog_cmd():
 
 @catalog_cmd.command("list")
 def catalog_list():
+    """List the catalog ids. The even-weight codes bin-even-N, for any
+    N >= 2, are not listed."""
     for entry_id in catalog.list_ids():
         click.echo(entry_id)
 

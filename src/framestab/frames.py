@@ -52,15 +52,13 @@ class StructureCodes:
     def __post_init__(self):
         if self.variant not in ("lattice", "orbifold"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        dual_d = gf2.dual(self.d_code)
-        for b in self.c_code.basis:
-            if not dual_d.contains(b):
-                raise ValueError("structure codes must satisfy C <= dual(D)")
+        if any((c & d).bit_count() & 1 for c in self.c_code.basis for d in self.d_code.basis):
+            raise ValueError("structure codes must satisfy C <= dual(D)")
 
 
 def structure_codes_lattice(code: z4.Z4Code) -> StructureCodes:
     """Structure codes of the lattice VOA frame attached to a Z4-code."""
-    if not z4.is_self_orthogonal(code) or not z4.all_weights_divisible_by_8(code):
+    if not z4.all_weights_divisible_by_8(code):
         raise VariantError(
             "lattice variant needs an even Construction-A lattice "
             "(all Euclidean weights divisible by 8)"
@@ -98,7 +96,8 @@ def structure_codes(code: z4.Z4Code, variant: str) -> StructureCodes:
 
 
 def holomorphic(sc: StructureCodes) -> bool:
-    return sc.c_code == gf2.dual(sc.d_code)
+    """Whether C = dual(D): C <= dual(D) holds, so the dimensions decide."""
+    return sc.c_code.dim + sc.d_code.dim == sc.r
 
 
 def compute_p(sc: StructureCodes) -> BinaryCode:

@@ -13,6 +13,8 @@ against. Nothing in framestab uses them.
 - Z4 codeword listing and membership by reduction against the Howell basis,
   permutation group element listing, permutations from cycles, and random
   self-orthogonal Z4-codes.
+- Whether a word list separates the coordinates, by intersecting the words
+  through each coordinate.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> z4.Z4Code:
             continue
         gens.append(cand)
     return z4.z4_span(n, gens)
+
+
+def pencils_separate(n: int, words: list[int]) -> bool:
+    """Whether each coordinate is the exact intersection of the words through
+    it; required for recovering coordinate permutations from word
+    permutations."""
+    for i in range(n):
+        mask = -1
+        for w in words:
+            if w >> i & 1:
+                mask &= w
+        if mask != 1 << i:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,19 @@ def test_generators_fix_the_code():
             assert permgrp.apply_code(s, code) == code
 
 
+def test_code_and_its_dual_share_one_memo_entry():
+    # the memo keys on the small side, which a code and its dual share
+    # unless both have dimension n/2
+    ats._aut_binary.cache_clear()
+    rng = random.Random(23)
+    codes = [gf2.reed_muller(1, 4), gf2.even_code(9), gf2.hamming8()]
+    codes += [random_code(rng, n, k) for n, k in ((6, 2), (7, 5), (9, 4), (10, 7))]
+    for c in codes:
+        assert ats.aut_binary(c) is ats.aut_binary(gf2.dual(c))
+        # a code repeated, or given with its dual, keeps the same group
+        assert ats.aut_binary(c, gf2.dual(c), c) is ats.aut_binary(c)
+
+
 def test_moonshine_d_aut_order():
     d = catalog.get("bin-moonshine-d").code()
     assert ats.aut_binary(d).order() == 2**12 * 6 * 20160
@@ -964,6 +977,67 @@ def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
         ats.aut_z4(catalog.get("z4-pseudo-golay-2").code(), budget=200)
     assert err.value.partial.degree == 24
     assert set(degrees) == {24}
+
+
+def z4_constraint_corpus():
+    """Every catalog Z4-code, the two short codes whose images come from the
+    subgroup search, and seeded self-orthogonal and unrestricted codes."""
+    codes = [catalog.get(i).code() for i in catalog.list_ids() if i.startswith("z4-")]
+    codes += [z4.z4_span(5, [(2, 0, 1, 1, 1)]), z4.from_text(NINE_COLUMNS)]
+    rng = random.Random(29)
+    for _ in range(12):
+        codes.append(oracles.random_self_orthogonal(rng.randrange(4, 11), rng.randrange(1, 5), rng))
+    for _ in range(12):
+        n = rng.randrange(3, 9)
+        codes.append(z4.z4_span(n, [tuple(rng.choice((0, 1, 2, 2, 3)) for _ in range(n))
+                                    for _ in range(rng.randrange(1, 4))]))
+    return codes
+
+
+def test_one_constraint_call_matches_direct_search():
+    # aut_binary(C0, C1) is the group that a search on both codes at once
+    # finds, with the same generators
+    ats._aut_binary.cache_clear()
+    for code in z4_constraint_corpus():
+        tor, res = z4.torsion(code), z4.residue(code)
+        direct = ats.automorphism_group(ats.structure_for_codes([tor, res]))
+        group = ats.aut_binary(tor, res)
+        assert (group.order(), group.generators) == (direct.order(), direct.generators), code
+        if z4.is_self_dual(code):
+            # C1 = C0^⊥ has C0's small side: a frame report's Aut(C0) is a memo hit
+            assert ats.aut_binary(tor) is group
+
+
+def word_list_corpus():
+    """(n, words): the Golay octads, the lightest C1 class of every catalog
+    Z4-code, and seeded word lists, some of which do not separate the
+    coordinates."""
+    lists = [(24, gf2.weight_words(gf2.golay24(), 8))]
+    for code_id in catalog.list_ids():
+        if code_id.startswith("z4-"):
+            res = z4.residue(catalog.get(code_id).code())
+            classes = ats.weight_class_systems(res)
+            # z4-len8-1's residue holds only 0 and the all-ones word
+            lists.append((res.length, classes[0] if classes else []))
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randrange(3, 12)
+        words = {rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 3 * n))}
+        lists.append((n, sorted(words)))
+    return lists
+
+
+def test_identity_coordinate_perm_is_the_pencil_rule():
+    # the word graph runs exactly where the words through each coordinate
+    # meet in it alone, and that check builds no colour matrix
+    outcomes = []
+    for n, words in word_list_corpus():
+        graph = ats._WordGraph(ats._SignSystem(z4.z4_span(n, [])), words)
+        separates = graph.coordinate_perm(range(len(words))) is not None
+        assert separates == oracles.pencils_separate(n, words), (n, words)
+        assert "pair_colors" not in vars(graph)
+        outcomes.append(separates)
+    assert outcomes[0] and any(outcomes[1:]) and not all(outcomes)
 
 
 # -- code equivalence ---------------------------------------------------------

@@ -2,16 +2,27 @@ import pytest
 
 from framestab import catalog, gf2, z4
 
+KNOWN_IDS = [
+    "bin-golay", "bin-hamming8", "bin-moonshine-d", "bin-rm-1-4", "bin-rm-2-4",
+    "z4-leech-standard", "z4-len8-1", "z4-len8-2", "z4-len8-3", "z4-len8-4",
+    "z4-pseudo-golay-1", "z4-pseudo-golay-2",
+]
+
 
 def test_list_ids():
     ids = catalog.list_ids()
-    assert len(ids) >= 13
-    assert "z4-len8-4" in ids and "z4-leech-standard" in ids
+    assert ids == KNOWN_IDS
+    # every listed id resolves, and its matrix parses
+    for eid in ids:
+        assert catalog.get(eid).code().length > 0
 
 
 def test_unknown_id():
-    with pytest.raises(KeyError):
-        catalog.get("z4-nonsense")
+    # the even-weight family starts at length 2: length 1 is the zero code,
+    # which has no matrix
+    for eid in ("z4-nonsense", "bin-even-0", "bin-even-1", "bin-even-<n>"):
+        with pytest.raises(KeyError, match="bin-even-N for N >= 2"):
+            catalog.get(eid)
 
 
 def test_len8_4_matrix_rows():
@@ -60,6 +71,7 @@ def test_binary_entries_match_families():
     assert catalog.get("bin-rm-1-4").code() == gf2.reed_muller(1, 4)
     assert catalog.get("bin-rm-2-4").code() == gf2.reed_muller(2, 4)
     assert catalog.get("bin-even-10").code() == gf2.even_code(10)
+    assert catalog.get("bin-even-2").code() == gf2.even_code(2)
 
 
 def test_moonshine_d_entry():

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from framestab import frames, gf2, permgrp
+from framestab import catalog, frames, gf2, permgrp
 from framestab.cli import main
 
 
@@ -17,9 +17,23 @@ def runner():
 def test_catalog_list(runner):
     result = runner.invoke(main, ["catalog", "list"])
     assert result.exit_code == 0
-    ids = result.output.split()
-    assert len(ids) >= 13
-    assert "z4-pseudo-golay-1" in ids
+    ids = result.output.splitlines()
+    assert set(ids) >= {
+        "bin-golay", "bin-hamming8", "bin-moonshine-d", "bin-rm-1-4", "bin-rm-2-4",
+        "z4-leech-standard", "z4-len8-1", "z4-len8-2", "z4-len8-3", "z4-len8-4",
+        "z4-pseudo-golay-1", "z4-pseudo-golay-2",
+    }
+    # every listed line is an id that the other commands accept
+    for line in ids:
+        shown = runner.invoke(main, ["catalog", "show", line])
+        assert shown.exit_code == 0, (line, shown.output)
+        assert shown.output.startswith(f"# {line} (")
+
+
+def test_catalog_list_help_names_the_even_family(runner):
+    result = runner.invoke(main, ["catalog", "list", "--help"])
+    assert result.exit_code == 0
+    assert "bin-even-N" in result.output and "N >= 2" in result.output
 
 
 def test_catalog_show(runner):
@@ -260,6 +274,29 @@ def test_catalog_show_bad_even_length(runner):
     result = runner.invoke(main, ["catalog", "show", "bin-even-x"])
     assert result.exit_code == 1
     assert result.output.startswith("Error: unknown catalog id 'bin-even-x';")
+
+
+@pytest.mark.parametrize("args", [["aut", "--input", "bin-even-1", "--binary"],
+                                  ["aut", "--input", "bin-even-1"],
+                                  ["catalog", "show", "bin-even-1"]])
+def test_even_code_of_length_1_is_an_unknown_id(runner, args):
+    # the even-weight code of length 1 is the zero code, which has no matrix
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: unknown catalog id 'bin-even-1';")
+    assert "bin-even-N for N >= 2" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_catalog_entry_that_fails_to_parse_is_clean_error(runner, monkeypatch):
+    entry = catalog.CatalogEntry(id="bad", kind="z4", matrix="1 2\n3", provenance="test")
+    monkeypatch.setattr(catalog, "get", lambda ref: entry)
+    for args in (["analyze", "--input", "bad"], ["aut", "--input", "bad"],
+                 ["frame", "--input", "bad", "--variant", "lattice"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert result.output.startswith("Error: line "), (args, result.output)
+        assert isinstance(result.exception, SystemExit), args
 
 
 def test_frame_unknown_catalog_id(runner):

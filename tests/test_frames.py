@@ -616,3 +616,45 @@ def test_frame_report_invariant_under_relabeling(code_id, variant):
 @pytest.mark.parametrize("code_id,variant", LEN24_FRAMES)
 def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
     assert_report_invariant(code_id, variant, 1)
+
+
+@pytest.mark.parametrize("k,variant", [(1, "lattice"), (2, "lattice"), (3, "lattice"),
+                                       (4, "lattice"), (4, "orbifold")])
+def test_e8_report_duals(monkeypatch, k, variant):
+    # C ≤ dual(D) and holomorphy are read without a dual, and C0 and C1
+    # share one constraint search: 7 duals at most, with every memo empty
+    calls = []
+    dual = gf2.dual
+    monkeypatch.setattr(gf2, "dual", lambda c: calls.append(c) or dual(c))
+    code = len8(k)
+    for memo in (autsearch._aut_binary, z4.torsion, z4.residue, z4.z4_dual):
+        memo.cache_clear()
+    frames.frame_report(code, variant)
+    assert len(calls) <= 7
+
+
+def test_structure_checks_match_the_dual():
+    # C <= dual(D) is read from the parities of basis words, and holomorphy
+    # from dimensions; both agree with dual(D) itself on seeded code pairs
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(300):
+        r = rng.randrange(2, 11)
+        d_code = gf2.span(r, [rng.randrange(1 << r) for _ in range(rng.randrange(r + 1))])
+        dual_d = gf2.dual(d_code)
+        pick = rng.randrange(3)
+        if pick == 0:
+            c_code = dual_d
+        elif pick == 1:
+            c_code = gf2.span(r, [b for b in dual_d.basis if rng.random() < 0.6])
+        else:
+            c_code = gf2.span(r, [rng.randrange(1 << r) for _ in range(rng.randrange(1, r + 1))])
+        if all(dual_d.contains(b) for b in c_code.basis):
+            sc = frames.StructureCodes(r, c_code, d_code, "lattice")
+            outcomes.add(frames.holomorphic(sc))
+            assert frames.holomorphic(sc) == (c_code == dual_d)
+        else:
+            outcomes.add("raised")
+            with pytest.raises(ValueError, match="C <= dual"):
+                frames.StructureCodes(r, c_code, d_code, "lattice")
+    assert outcomes == {True, False, "raised"}
