@@ -95,7 +95,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import gf2, permgrp, z4
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, PROGRESS_INTERVAL, BudgetExceeded
 from .gf2 import BinaryCode
 from .permgrp import PermGroup, Perm
 
@@ -564,7 +564,7 @@ class _Search:
 
     def tick(self):
         self.nodes += 1
-        if self.progress and self.nodes % 100_000 == 0:
+        if self.progress and self.nodes % PROGRESS_INTERVAL == 0:
             self.progress(self.nodes)
         if self.nodes > self.budget:
             # the caller knows what group the found generators stand for

@@ -23,6 +23,9 @@ class EnumerationLimit(FramestabError):
 # Node budget of a backtracking search when the caller sets none.
 DEFAULT_BUDGET = 10**8
 
+# A backtracking search calls its progress callback every this many nodes.
+PROGRESS_INTERVAL = 100_000
+
 
 class BudgetExceeded(FramestabError):
     """A backtracking search ran out of its node budget.

@@ -22,15 +22,17 @@ plus permutation group orders:
     times |H|.
   * In the lattice case H is the set of perfect matchings of the graph of
     weight-2 words of C; in the orbifold case (min weight of C0 at least
-    4) its members other than d(E_n) are spanned from the matchings of the
-    n coordinates whose pairs sum pairwise into C0. Both are read in closed
-    form from the columns of a check matrix, with no cap.
+    4) it is d(E_n) and two members per matching of the n coordinates
+    whose pairs sum pairwise into C0, so |H| = 1 + 2 * (number of such
+    matchings). Both counts are read in closed form from the columns of
+    one check matrix (of C, or of C0), with no cap and no member built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from . import autsearch, gf2, z4
@@ -54,6 +56,11 @@ class StructureCodes:
             raise ValueError(f"unknown variant {self.variant!r}")
         if any((c & d).bit_count() & 1 for c in self.c_code.basis for d in self.d_code.basis):
             raise ValueError("structure codes must satisfy C <= dual(D)")
+
+    @cached_property
+    def checks(self) -> BinaryCode:
+        """dual(C), whose basis is the rows of a check matrix of C."""
+        return gf2.dual(self.c_code)
 
 
 def structure_codes_lattice(code: z4.Z4Code) -> StructureCodes:
@@ -107,8 +114,7 @@ def compute_p(sc: StructureCodes) -> BinaryCode:
     basis of D against a parity-check basis of C gives the full linear
     system; P is the dual of the span of the products h & alpha.
     """
-    checks = gf2.dual(sc.c_code).basis
-    rows = [h & alpha for h in checks for alpha in sc.d_code.basis]
+    rows = [h & alpha for h in sc.checks.basis for alpha in sc.d_code.basis]
     return gf2.dual(gf2.span(sc.r, rows))
 
 
@@ -124,12 +130,12 @@ def pointwise_order(sc: StructureCodes) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _columns(c: BinaryCode) -> list[int]:
-    """The columns of a check matrix of c, whose rows are a basis of its
-    dual: one int per coordinate, bit k from row k. A word lies in c exactly
-    when the columns over its support add to zero."""
-    checks = gf2.dual(c).basis
-    return [sum((h >> i & 1) << k for k, h in enumerate(checks)) for i in range(c.length)]
+def _columns(checks: BinaryCode) -> list[int]:
+    """The columns of the check matrix whose rows are the basis of checks,
+    the dual of a code c: one int per coordinate, bit k from row k. A word
+    lies in c exactly when the columns over its support add to zero."""
+    return [sum((h >> i & 1) << k for k, h in enumerate(checks.basis))
+            for i in range(checks.length)]
 
 
 def enumerate_h_lattice(sc: StructureCodes):
@@ -144,7 +150,7 @@ def enumerate_h_lattice(sc: StructureCodes):
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
-    sizes = Counter(_columns(sc.c_code)).values()
+    sizes = Counter(_columns(sc.checks)).values()
     return prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes), None
 
 
@@ -161,7 +167,7 @@ def _period_matchings(c0: BinaryCode):
     the column set (columns ^ s = columns), each a tuple of pair masks in
     the order of their first points.
     """
-    cols = _columns(c0)
+    cols = _columns(gf2.dual(c0))
     index = {col: i for i, col in enumerate(cols)}
     out = []
     for j in range(1, len(cols)):
@@ -172,38 +178,28 @@ def _period_matchings(c0: BinaryCode):
     return out
 
 
-def _family_one(n: int, matching) -> BinaryCode:
-    gens = [gf2.d_word(x) for x in matching]
-    gens += [gf2.e_word(matching[i] ^ matching[i + 1]) for i in range(len(matching) - 1)]
-    return gf2.span(2 * n, gens)
-
-
-def _pick_w(xa: int, xb: int) -> int:
-    return (xa & -xa) | (xb & -xb)
-
-
-def _family_two(n: int, matching) -> BinaryCode:
-    """Second family: e(y_j) + d(w_j) with w_j meeting consecutive pairs once.
-
-    All four choices of w_j differ by d(x_j) or d(x_(j+1)), which are already
-    generators, so any choice spans the same subcode; the smallest points are
-    used for determinism.
-    """
-    gens = [gf2.d_word(x) for x in matching]
-    for i in range(len(matching) - 1):
-        y = matching[i] ^ matching[i + 1]
-        w = _pick_w(matching[i], matching[i + 1])
-        gens.append(gf2.e_word(y) ^ gf2.d_word(w))
-    return gf2.span(2 * n, gens)
-
-
 def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode):
-    """Subcodes of C isomorphic to d(E_n): their count and list.
+    """Subcodes of C isomorphic to d(E_n): their count, and None.
 
-    Needs min weight of c0 at least 4. Besides d(E_n) itself, every member
-    arises from a period matching of c0 (_period_matchings), in one of two
-    span shapes per matching; duplicates are removed by canonical (RREF)
-    basis.
+    Needs min weight of c0 at least 4. Besides d(E_n) itself, H has two
+    members per period matching x_0, ..., x_(m-1) of c0 (_period_matchings),
+    with y_j = x_j + x_(j+1):
+
+        family one = Span{ d(x_j), e(y_j) },
+        family two = Span{ d(x_j), e(y_j) + d(w_j) },
+
+    w_j a pair meeting x_j and x_(j+1) in one point each. Their generators
+    lie in Span{ d(E_n), e(c0) }, so once d(E_n) and e(c0) lie in C, every
+    member does. The count 1 + 2 * (number of matchings) is exact:
+
+      * distinct periods give distinct matchings, because the check columns
+        of c0 are distinct;
+      * write each word as d(a) + e(b); the y_j are independent, so the
+        words of a member with b = 0 are exactly the d(sum of some x_j).
+        Those words fix the matching, and they span n/2 dimensions, fewer
+        than the n - 1 of d(E_n) for n >= 4;
+      * e(y_0) lies in family one but not in family two, because w_0 meets
+        x_0 in one point.
     """
     if sc.variant != "orbifold":
         raise VariantError("enumerate_h_orbifold needs the orbifold variant")
@@ -213,15 +209,10 @@ def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode):
         raise VariantError(
             f"min weight of C0 is {mw}: outside the orbifold transitivity hypotheses"
         )
-    d_en = gf2.d_map(gf2.even_code(n))
-    found: dict = {d_en.basis: d_en}
-    for matching in _period_matchings(c0):
-        for e in (_family_one(n, matching), _family_two(n, matching)):
-            if not all(sc.c_code.contains(b) for b in e.basis):
-                raise FramestabError("a subcode of the d(E_n) family does not lie in C")
-            found[e.basis] = e
-    codes = list(found.values())
-    return len(codes), codes
+    gens = gf2.d_map(gf2.even_code(n)).basis + gf2.e_map(c0).basis
+    if not all(sc.c_code.contains(g) for g in gens):
+        raise FramestabError("a subcode of the d(E_n) family does not lie in C")
+    return 1 + 2 * len(_period_matchings(c0)), None
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +277,14 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
       orbifold: |K| = 2^(dim dual(C0)) * |Aut(C)bar| * |H|
     and |Stab| = 2^(a+b) * |K|. The index |Aut(C) : K| is
     |Aut(C0) : Aut(C)bar|. |H| is read in closed form from the columns of a
-    check matrix (enumerate_h_lattice, enumerate_h_orbifold), with no cap,
+    check matrix (enumerate_h_lattice, enumerate_h_orbifold): the product of
+    double factorials over the cliques of equal columns of C, or 1 + 2 *
+    (number of periods of C0's column set). It has no cap and is read
     before any search runs. Where _aut_c_feasible allows, Aut(C) is searched
     as a cross-check: the index formula |Aut(C)| = 2^e * |Aut(C0)| * |H| (2^e
     the power of 2 in |K|) must give the same |H|, and then the index of K
-    in Aut(C) is the one above.
+    in Aut(C) is the one above. One check matrix of C (sc.checks) serves
+    |H|, P and this search, since Aut(C) = Aut(dual C).
     """
     sc = structure_codes(code, variant)
     n = code.length
@@ -309,7 +303,7 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     # the index formula, a second route to |H| where Aut(C) is searched
     aut_c = h_index = None
     if _aut_c_feasible(sc.c_code):
-        aut_c = autsearch.aut_binary(sc.c_code, budget=budget, progress=progress).order()
+        aut_c = autsearch.aut_binary(sc.checks, budget=budget, progress=progress).order()
         denom = (1 << stab_exp) * aut_c0
         if aut_c % denom:
             raise FramestabError("stabilizer order does not divide |Aut(C)|")

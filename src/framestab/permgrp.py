@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, PROGRESS_INTERVAL, BudgetExceeded
 
 Perm = tuple[int, ...]
 
@@ -311,7 +311,7 @@ def subgroup_search(
     def tick():
         nonlocal nodes
         nodes += 1
-        if progress and nodes % 200_000 == 0:
+        if progress and nodes % PROGRESS_INTERVAL == 0:
             progress(nodes)
         if nodes > node_cap:
             raise BudgetExceeded(

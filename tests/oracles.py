@@ -15,6 +15,8 @@ against. Nothing in framestab uses them.
   self-orthogonal Z4-codes.
 - Whether a word list separates the coordinates, by intersecting the words
   through each coordinate.
+- The members of the orbifold family H, spanned one by one from the period
+  matchings and told apart by canonical (RREF) basis.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from framestab import gf2, permgrp, z4
+from framestab import frames, gf2, permgrp, z4
 from framestab.errors import EnumerationLimit
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,47 @@ def pencils_separate(n: int, words: list[int]) -> bool:
         if mask != 1 << i:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Orbifold subcode family
+# ---------------------------------------------------------------------------
+
+
+def family_one(n: int, matching) -> gf2.BinaryCode:
+    gens = [gf2.d_word(x) for x in matching]
+    gens += [gf2.e_word(matching[i] ^ matching[i + 1]) for i in range(len(matching) - 1)]
+    return gf2.span(2 * n, gens)
+
+
+def _pick_w(xa: int, xb: int) -> int:
+    return (xa & -xa) | (xb & -xb)
+
+
+def family_two(n: int, matching) -> gf2.BinaryCode:
+    """Second family: e(y_j) + d(w_j) with w_j meeting consecutive pairs once.
+
+    All four choices of w_j differ by d(x_j) or d(x_(j+1)), which are already
+    generators, so any choice spans the same subcode; the smallest points are
+    used for determinism.
+    """
+    gens = [gf2.d_word(x) for x in matching]
+    for i in range(len(matching) - 1):
+        y = matching[i] ^ matching[i + 1]
+        w = _pick_w(matching[i], matching[i + 1])
+        gens.append(gf2.e_word(y) ^ gf2.d_word(w))
+    return gf2.span(2 * n, gens)
+
+
+def orbifold_members(n: int, c0: gf2.BinaryCode) -> list[gf2.BinaryCode]:
+    """The distinct subcodes d(E_n), family_one and family_two of every
+    period matching of c0 (frames._period_matchings), d(E_n) first."""
+    d_en = gf2.d_map(gf2.even_code(n))
+    found = {d_en.basis: d_en}
+    for matching in frames._period_matchings(c0):
+        for e in (family_one(n, matching), family_two(n, matching)):
+            found[e.basis] = e
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,24 @@ def test_budget_exceeded_reports_partial():
     assert err.value.partial is not None
 
 
+def test_both_searches_report_progress_every_interval(monkeypatch):
+    # the partition search and permgrp.subgroup_search share one interval
+    for module in (ats, permgrp):
+        monkeypatch.setattr(module, "PROGRESS_INTERVAL", 3)
+    seen = []
+    search = ats._Search(ats.structure_for_codes([gf2.hamming8()]), None, seen.append)
+    search.search()
+    assert search.nodes >= 6
+    assert seen == list(range(3, search.nodes + 1, 3))
+
+    seen.clear()
+    sym10 = permgrp.PermGroup(10, [oracles.perm_from_cycles(10, [[1, 2]]),
+                                   oracles.perm_from_cycles(10, [list(range(1, 11))])])
+    with pytest.raises(BudgetExceeded):
+        permgrp.subgroup_search(sym10, lambda p: False, budget=50, progress=seen.append)
+    assert seen == list(range(3, 52, 3))  # nodes 1..51, the last over budget
+
+
 # -- refinement -----------------------------------------------------------------
 
 

@@ -280,7 +280,7 @@ def test_matching_count_closed_form():
         counts.append(count)
         assert count == len(list_perfect_matchings(sc.r, edges))
         cliques = {}
-        for i, col in enumerate(frames._columns(sc.c_code)):
+        for i, col in enumerate(frames._columns(sc.checks)):
             cliques[col] = cliques.get(col, 0) | 1 << i
         for i in range(sc.r):
             closed = 1 << i
@@ -327,8 +327,9 @@ def test_matching_count_odd_clique_or_uncovered_point():
 def test_enumerate_h_orbifold_e8():
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    count, members = frames.enumerate_h_orbifold(sc, c0)
-    assert count == 15
+    count, _ = frames.enumerate_h_orbifold(sc, c0)
+    members = oracles.orbifold_members(8, c0)
+    assert count == len(members) == 15
     d_e8 = gf2.d_map(gf2.even_code(8))
     assert any(m == d_e8 for m in members)
     for m in members:
@@ -340,7 +341,9 @@ def test_enumerate_h_orbifold_e8():
 def test_enumerate_h_orbifold_members_satisfy_chain_properties():
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    _, members = frames.enumerate_h_orbifold(sc, c0)
+    count, _ = frames.enumerate_h_orbifold(sc, c0)
+    members = oracles.orbifold_members(8, c0)
+    assert count == len(members)
     n = 8
     for m in members:
         w4 = gf2.weight_words(m, 4)
@@ -360,8 +363,10 @@ def test_enumerate_h_orbifold_w_choices_collapse():
     matchings = frames._period_matchings(c0)
     assert len(matchings) == 7
     n = 8
+    count, _ = frames.enumerate_h_orbifold(sc, c0)
+    assert count == len(oracles.orbifold_members(n, c0))
     for matching in matchings:
-        reference = frames._family_two(n, matching)
+        reference = oracles.family_two(n, matching)
         k = len(matching)
         for mask in range(4 ** (k - 1)):
             gens = [gf2.d_word(x) for x in matching]
@@ -375,8 +380,8 @@ def test_enumerate_h_orbifold_w_choices_collapse():
             assert gf2.span(16, gens) == reference
         # and any ordering of the matching spans the same pair of subcodes
         shuffled = list(matching)[::-1]
-        assert frames._family_one(n, tuple(shuffled)) == frames._family_one(n, matching)
-        assert frames._family_two(n, tuple(shuffled)) == frames._family_two(n, matching)
+        assert oracles.family_one(n, tuple(shuffled)) == oracles.family_one(n, matching)
+        assert oracles.family_two(n, tuple(shuffled)) == oracles.family_two(n, matching)
 
 
 def period_matching_codes():
@@ -408,6 +413,26 @@ def test_period_matchings_equal_backtracking():
             assert len(got) == want
 
 
+def test_enumerate_h_orbifold_closed_form_counts_oracle_members():
+    # 1 + 2 * (period matchings) is the number of distinct spanned members,
+    # and every member lies in C once d(E_n) and e(C0) do
+    cases = [(frames.structure_codes_orbifold(code), z4.torsion(code)) for code in
+             [len8(4)] + [catalog.get(i).code() for i in
+                          ("z4-pseudo-golay-1", "z4-pseudo-golay-2", "z4-leech-standard")]]
+    for c0, _ in period_matching_codes():
+        if c0.dim and gf2.min_weight(c0) >= 4:
+            n = c0.length
+            c_code = gf2.span(2 * n, gf2.d_map(gf2.even_code(n)).basis + gf2.e_map(c0).basis)
+            cases.append((frames.StructureCodes(2 * n, c_code, gf2.span(2 * n, []), "orbifold"), c0))
+    assert len(cases) == 4 + 15
+    for sc, c0 in cases:
+        count, _ = frames.enumerate_h_orbifold(sc, c0)
+        members = oracles.orbifold_members(sc.r // 2, c0)
+        assert count == len(members) == 1 + 2 * len(frames._period_matchings(c0))
+        for m in members:
+            assert all(sc.c_code.contains(b) for b in m.basis)
+
+
 def test_enumerate_h_orbifold_rejects_member_outside_c():
     # a C that lacks the family's e(y) words: the member check must raise
     # (not assert, which python -O strips)
@@ -426,8 +451,9 @@ def test_enumerate_h_orbifold_min_weight_guard():
 def test_enumerate_h_orbifold_pseudo_golay_is_one():
     pg = catalog.get("z4-pseudo-golay-1").code()
     sc = frames.structure_codes_orbifold(pg)
-    count, members = frames.enumerate_h_orbifold(sc, z4.torsion(pg))
-    assert count == 1
+    count, _ = frames.enumerate_h_orbifold(sc, z4.torsion(pg))
+    members = oracles.orbifold_members(24, z4.torsion(pg))
+    assert count == len(members) == 1
     assert members[0] == gf2.d_map(gf2.even_code(24))
 
 
@@ -621,16 +647,23 @@ def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
 @pytest.mark.parametrize("k,variant", [(1, "lattice"), (2, "lattice"), (3, "lattice"),
                                        (4, "lattice"), (4, "orbifold")])
 def test_e8_report_duals(monkeypatch, k, variant):
-    # C ≤ dual(D) and holomorphy are read without a dual, and C0 and C1
-    # share one constraint search: 7 duals at most, with every memo empty
+    # with every memo empty, the report takes the dual of its C once
+    # (sc.checks, read by |H|, P and the Aut(C) search), C ≤ dual(D) and
+    # holomorphy are read without a dual, and C0 and C1 share one
+    # constraint search: 5 duals at most
     calls = []
     dual = gf2.dual
     monkeypatch.setattr(gf2, "dual", lambda c: calls.append(c) or dual(c))
+    built = []
+    structure_codes = frames.structure_codes
+    monkeypatch.setattr(frames, "structure_codes",
+                        lambda *args: built.append(structure_codes(*args)) or built[-1])
     code = len8(k)
     for memo in (autsearch._aut_binary, z4.torsion, z4.residue, z4.z4_dual):
         memo.cache_clear()
     frames.frame_report(code, variant)
-    assert len(calls) <= 7
+    assert [c is built[0].c_code for c in calls].count(True) == 1
+    assert len(calls) <= 5
 
 
 def test_structure_checks_match_the_dual():

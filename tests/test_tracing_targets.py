@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from framestab import z4
+from framestab import autsearch, catalog, frames, z4
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +49,24 @@ def test_per_layer_metrics_read_traced_spans():
     for table in ("SELF_S", "COUNTS"):
         read += [s for names in _literal(worker, table).values() for s in names]
     assert set(read) <= spans
+
+
+@pytest.mark.parametrize("code_id, variant", [("z4-len8-1", "lattice"), ("z4-len8-4", "orbifold")])
+def test_after_hooks_read_what_they_need(monkeypatch, code_id, variant):
+    # the tracer's _after hooks read result[0] of both |H| functions, the
+    # generators of each automorphism group and the report's aut_c
+    groups = []
+    search = autsearch.automorphism_group
+    monkeypatch.setattr(autsearch, "automorphism_group",
+                        lambda *args, **kw: groups.append(search(*args, **kw)) or groups[-1])
+    autsearch._aut_binary.cache_clear()
+    code = catalog.get(code_id).code()
+    report = frames.frame_report(code, variant)
+    sc = frames.structure_codes(code, variant)
+    if variant == "lattice":
+        result = frames.enumerate_h_lattice(sc)
+    else:
+        result = frames.enumerate_h_orbifold(sc, z4.torsion(code))
+    assert type(result[0]) is int and result[0] == report.h_count
+    assert sum(len(group.generators) for group in groups) > 0
+    assert report.aut_c is not None  # C has length 16, so Aut(C) is searched
