@@ -1,18 +1,19 @@
 """Built-in generator matrices for every code the pipeline reproduces.
 
-Matrices are stored as verbatim text blocks in the printed layout and
-parsed at load; a checksum over the digit stream guards the transcription,
-and the test suite re-derives every expected invariant. Expected values are
-tagged 'given' (asserted by the source of the matrix) or 'derived'
-(recomputed independently here).
+Each entry is a generator matrix and its provenance. Printed matrices are
+stored as verbatim text blocks in the printed layout and parsed at load; a
+checksum over the digit stream guards the transcription. The gf2 family
+codes are formatted from their constructions. The tests re-derive the
+invariants each code is known for.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gf2, z4
+from .errors import FramestabError
 
 Z4_LEN8 = {
     1: """
@@ -126,7 +127,6 @@ class CatalogEntry:
     kind: str  # "z4" | "binary"
     matrix: str
     provenance: str
-    expected: dict = field(default_factory=dict)
 
     def code(self):
         if self.kind == "z4":
@@ -138,52 +138,35 @@ class CatalogEntry:
         return hashlib.sha256(stream.encode()).hexdigest()[:16]
 
 
+def _binary(entry_id: str, code: gf2.BinaryCode, provenance: str) -> CatalogEntry:
+    return CatalogEntry(
+        id=entry_id,
+        kind="binary",
+        matrix="\n".join(gf2.format_word(b, code.length) for b in code.basis),
+        provenance=provenance,
+    )
+
+
 def _entries() -> dict[str, CatalogEntry]:
     out: dict[str, CatalogEntry] = {}
-    shapes = {1: "4*2^6", 2: "4^2*2^4", 3: "4^3*2^2", 4: "4^4"}
-    stab_shapes = {
-        1: "2^(1+14).Sym16",
-        2: "2^(2+12).(Sym8 wr 2)",
-        3: "2^(3+9).(Sym4 wr Sym4)",
-        4: "2^(4+5).(2 wr AGL(3,2))",
-    }
     for k, text in Z4_LEN8.items():
         out[f"z4-len8-{k}"] = CatalogEntry(
             id=f"z4-len8-{k}",
             kind="z4",
             matrix=text,
             provenance=f"type II length-8 classification, matrix {k} of 4",
-            expected={
-                "shape": (shapes[k], "given"),
-                "type_ii": (True, "given"),
-                "min_euclidean_weight": (8, "derived"),
-                "stab_shape_lattice": (stab_shapes[k], "given"),
-            },
         )
     out["z4-pseudo-golay-1"] = CatalogEntry(
         id="z4-pseudo-golay-1",
         kind="z4",
         matrix=PSEUDO_GOLAY_1,
         provenance="pseudo Golay code, worked example 1",
-        expected={
-            "type_ii": (True, "given"),
-            "min_euclidean_weight": (16, "given"),
-            "aut_total": (12144, "given"),
-            "aut_bar": (6072, "given"),
-            "stab_shape_orbifold": ("2^13.(2^12.PSL2(23))", "given"),
-        },
     )
     out["z4-pseudo-golay-2"] = CatalogEntry(
         id="z4-pseudo-golay-2",
         kind="z4",
         matrix=PSEUDO_GOLAY_2,
         provenance="pseudo Golay code, worked example 2",
-        expected={
-            "type_ii": (True, "given"),
-            "aut_total": (6, "given"),
-            "aut_bar": (3, "given"),
-            "stab_shape_orbifold": ("2^13.(2^12.3)", "given"),
-        },
     )
     out["z4-leech-standard"] = CatalogEntry(
         id="z4-leech-standard",
@@ -196,61 +179,20 @@ def _entries() -> dict[str, CatalogEntry]:
             "the unique single-digit repair that restores self-duality, and "
             "it passes the Type II / extremal / residue checks)"
         ),
-        expected={
-            "type_ii": (True, "given"),
-            "dim_c1": (6, "given"),
-            "min_weight_c0": (4, "given"),
-            "aut_total": (2**18 * 1008, "given"),
-            "aut_bar": (2**9 * 1008, "given"),
-            "stab_shape_orbifold": ("2^(7+20).(2^12.(Sym3 x GL(4,2)))", "given"),
-        },
     )
     out["bin-moonshine-d"] = CatalogEntry(
         id="bin-moonshine-d",
         kind="binary",
         matrix=MOONSHINE_D,
         provenance="structure code D of the standard moonshine frame",
-        expected={
-            "dim": (7, "given"),
-            "aut_order": (2**12 * 6 * 20160, "given"),
-        },
     )
-    out["bin-golay"] = CatalogEntry(
-        id="bin-golay",
-        kind="binary",
-        matrix="\n".join(
-            gf2.format_word(b, 24) for b in gf2.golay24().basis
-        ),
-        provenance="binary Golay code (extended quadratic residue form)",
-        expected={
-            "params": ((24, 12, 8), "derived"),
-            "self_dual": (True, "derived"),
-            "min_weight": (8, "derived"),
-            "aut_order": (244823040, "given"),
-        },
-    )
-    out["bin-hamming8"] = CatalogEntry(
-        id="bin-hamming8",
-        kind="binary",
-        matrix="\n".join(gf2.format_word(b, 8) for b in gf2.hamming8().basis),
-        provenance="extended Hamming [8,4,4] code",
-        expected={
-            "params": ((8, 4, 4), "derived"),
-            "aut_order": (1344, "given"),
-        },
-    )
-    for r, m in ((1, 4), (2, 4)):
-        rm = gf2.reed_muller(r, m)
-        out[f"bin-rm-{r}-{m}"] = CatalogEntry(
-            id=f"bin-rm-{r}-{m}",
-            kind="binary",
-            matrix="\n".join(gf2.format_word(b, 16) for b in rm.basis),
-            provenance=f"Reed-Muller RM({r},{m})",
-            expected={
-                "dim": (rm.dim, "derived"),
-                "aut_order": (322560, "given") if r == 2 else (322560, "derived"),
-            },
-        )
+    for entry_id, code, provenance in (
+        ("bin-golay", gf2.golay24(), "binary Golay code (extended quadratic residue form)"),
+        ("bin-hamming8", gf2.hamming8(), "extended Hamming [8,4,4] code"),
+        ("bin-rm-1-4", gf2.reed_muller(1, 4), "Reed-Muller RM(1,4)"),
+        ("bin-rm-2-4", gf2.reed_muller(2, 4), "Reed-Muller RM(2,4)"),
+    ):
+        out[entry_id] = _binary(entry_id, code, provenance)
     return out
 
 
@@ -266,15 +208,7 @@ def get(entry_id: str) -> CatalogEntry:
     suffix = entry_id.removeprefix("bin-even-")
     # the even-weight code of length 1 is the zero code, which has no matrix
     if suffix != entry_id and suffix.isdecimal() and int(suffix) >= 2:
-        n = int(suffix)
-        code = gf2.even_code(n)
-        return CatalogEntry(
-            id=entry_id,
-            kind="binary",
-            matrix="\n".join(gf2.format_word(b, n) for b in code.basis),
-            provenance="even-weight code",
-            expected={"dim": (n - 1, "derived")},
-        )
+        return _binary(entry_id, gf2.even_code(int(suffix)), "even-weight code")
     try:
         entry = _CATALOG[entry_id]
     except KeyError:
@@ -284,5 +218,5 @@ def get(entry_id: str) -> CatalogEntry:
         ) from None
     want = _CHECKSUMS.get(entry_id)
     if want is not None and entry.digest() != want:
-        raise AssertionError(f"catalog entry {entry_id} failed its checksum")
+        raise FramestabError(f"catalog entry {entry_id} failed its checksum")
     return entry

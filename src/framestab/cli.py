@@ -8,7 +8,6 @@ progress on stderr; results go to stdout, as text or JSON.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,21 +16,6 @@ import click
 from . import autsearch, catalog, frames, gf2, permgrp, z4
 from .errors import BudgetExceeded, FramestabError, ParseError
 from .matrixio import parse_z4_matrix
-
-BUDGET_ENV = "FRAMESTAB_AUT_BUDGET"
-
-
-def _default_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise click.ClickException(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
-    return budget
 
 
 def _progress(label):
@@ -106,7 +90,23 @@ def _load_any(ref: str, force_binary: bool):
     return entry.id, code
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a library error reaches the user as one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceeded as err:
+            raise _budget_error(err) from err
+        except FramestabError as err:
+            raise click.ClickException(str(err)) from err
+
+
+_aut_budget = click.option("--aut-budget", type=click.IntRange(min=1), help="search node budget",
+                           envvar="FRAMESTAB_AUT_BUDGET", show_envvar=True)
+
+
+@click.group(cls=_Main)
 def main():
     """Structure codes and Virasoro frame stabilizers from Z4-codes."""
 
@@ -116,29 +116,26 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def analyze(ref, as_json):
     """Basic invariants of a Z4-code: size, shape, residue/torsion, flags."""
-    try:
-        name, code = _load_z4(ref)
-        c0, c1 = z4.torsion(code), z4.residue(code)
-        self_orth = z4.is_self_orthogonal(code)
-        self_dual = z4.is_self_dual(code)
-        type_ii = z4.is_type_ii(code)
-        # the zero code has no nonzero word, hence no minimum weight
-        min_w = z4.min_euclidean_weight(code) if code.size() > 1 else None
-        info = {
-            "id": name,
-            "length": code.length,
-            "size": str(code.size()),
-            "shape": z4.group_shape(code),
-            "c0": {"dim": c0.dim, "min_weight": gf2.min_weight(c0) if c0.dim else None},
-            "c1": {"dim": c1.dim, "min_weight": gf2.min_weight(c1) if c1.dim else None},
-            "self_orthogonal": self_orth,
-            "self_dual": self_dual,
-            "type_ii": type_ii,
-            "min_euclidean_weight": min_w,
-            "extremal": z4.is_extremal(code),
-        }
-    except FramestabError as err:
-        raise click.ClickException(str(err)) from err
+    name, code = _load_z4(ref)
+    c0, c1 = z4.torsion(code), z4.residue(code)
+    self_orth = z4.is_self_orthogonal(code)
+    self_dual = z4.is_self_dual(code)
+    type_ii = z4.is_type_ii(code)
+    # the zero code has no nonzero word, hence no minimum weight
+    min_w = z4.min_euclidean_weight(code) if code.size() > 1 else None
+    info = {
+        "id": name,
+        "length": code.length,
+        "size": str(code.size()),
+        "shape": z4.group_shape(code),
+        "c0": {"dim": c0.dim, "min_weight": gf2.min_weight(c0) if c0.dim else None},
+        "c1": {"dim": c1.dim, "min_weight": gf2.min_weight(c1) if c1.dim else None},
+        "self_orthogonal": self_orth,
+        "self_dual": self_dual,
+        "type_ii": type_ii,
+        "min_euclidean_weight": min_w,
+        "extremal": z4.is_extremal(code),
+    }
     if as_json:
         click.echo(json.dumps(info, indent=2))
         return
@@ -156,25 +153,18 @@ def analyze(ref, as_json):
 @main.command()
 @click.option("--input", "ref", required=True, help="catalog id or matrix file")
 @click.option("--variant", type=click.Choice(["lattice", "orbifold"]), required=True)
-@click.option("--aut-budget", type=click.IntRange(min=1), default=None,
-              help="search node budget")
+@_aut_budget
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def frame(ref, variant, aut_budget, as_json):
     """Full frame-stabilizer report for one code and frame variant."""
-    budget = aut_budget if aut_budget is not None else _default_budget()
-    try:
-        name, code = _load_z4(ref)
-        report = frames.frame_report(
-            code,
-            variant,
-            code_id=name,
-            budget=budget,
-            progress=_progress(f"frame {name}"),
-        )
-    except BudgetExceeded as err:
-        raise _budget_error(err) from err
-    except FramestabError as err:
-        raise click.ClickException(str(err)) from err
+    name, code = _load_z4(ref)
+    report = frames.frame_report(
+        code,
+        variant,
+        code_id=name,
+        budget=aut_budget,
+        progress=_progress(f"frame {name}"),
+    )
     if as_json:
         click.echo(json.dumps(report.to_json(), indent=2))
         return
@@ -200,53 +190,44 @@ def frame(ref, variant, aut_budget, as_json):
 @main.command()
 @click.option("--input", "ref", required=True, help="catalog id or matrix file")
 @click.option("--binary", is_flag=True, help="treat the input as a binary code")
-@click.option("--aut-budget", type=click.IntRange(min=1), default=None,
-              help="search node budget")
+@_aut_budget
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def aut(ref, binary, aut_budget, as_json):
     """Automorphism group (binary code in Sym_n, or Z4-code as kernel/image)."""
-    budget = aut_budget if aut_budget is not None else _default_budget()
-    try:
-        name, code = _load_any(ref, binary)
-        if isinstance(code, z4.Z4Code):
-            kernel, image = autsearch.aut_z4(
-                code, budget=budget, progress=_progress(f"aut {name}")
-            )
-            total = kernel * image.order()
-            payload = {
-                "id": name,
-                "kind": "z4",
-                "kernel_order": str(kernel),
-                "image_order": str(image.order()),
-                "total_order": str(total),
-                "image_generators": [permgrp.images_1indexed(g) for g in image.generators],
-            }
-            text = (
-                f"|Aut({name})| = {total} "
-                f"(sign kernel {kernel}, image in Sym_{code.length} of order {image.order()})"
-            )
-            gens = image
-        else:
-            group = autsearch.aut_binary(
-                code, budget=budget, progress=_progress(f"aut {name}")
-            )
-            payload = {
-                "id": name,
-                "kind": "binary",
-                "order": str(group.order()),
-                "generators": [permgrp.images_1indexed(g) for g in group.generators],
-            }
-            text = f"|Aut({name})| = {group.order()}"
-            gens = group
-    except BudgetExceeded as err:
-        raise _budget_error(err) from err
-    except FramestabError as err:
-        raise click.ClickException(str(err)) from err
+    name, code = _load_any(ref, binary)
+    if isinstance(code, z4.Z4Code):
+        kernel, group = autsearch.aut_z4(
+            code, budget=aut_budget, progress=_progress(f"aut {name}")
+        )
+        total = kernel * group.order()
+        payload = {
+            "id": name,
+            "kind": "z4",
+            "kernel_order": str(kernel),
+            "image_order": str(group.order()),
+            "total_order": str(total),
+            "image_generators": [permgrp.images_1indexed(g) for g in group.generators],
+        }
+        text = (
+            f"|Aut({name})| = {total} "
+            f"(sign kernel {kernel}, image in Sym_{code.length} of order {group.order()})"
+        )
+    else:
+        group = autsearch.aut_binary(
+            code, budget=aut_budget, progress=_progress(f"aut {name}")
+        )
+        payload = {
+            "id": name,
+            "kind": "binary",
+            "order": str(group.order()),
+            "generators": [permgrp.images_1indexed(g) for g in group.generators],
+        }
+        text = f"|Aut({name})| = {group.order()}"
     if as_json:
         click.echo(json.dumps(payload, indent=2))
         return
     click.echo(text)
-    for g in gens.generators:
+    for g in group.generators:
         click.echo(f"  {permgrp.cycle_string(g)}")
 
 

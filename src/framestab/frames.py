@@ -31,12 +31,13 @@ plus permutation group orders:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
 from . import autsearch, gf2, z4
-from .errors import FramestabError
+from .errors import BudgetExceeded, FramestabError
 from .gf2 import BinaryCode
 
 
@@ -283,8 +284,10 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     before any search runs. Where _aut_c_feasible allows, Aut(C) is searched
     as a cross-check: the index formula |Aut(C)| = 2^e * |Aut(C0)| * |H| (2^e
     the power of 2 in |K|) must give the same |H|, and then the index of K
-    in Aut(C) is the one above. One check matrix of C (sc.checks) serves
-    |H|, P and this search, since Aut(C) = Aut(dual C).
+    in Aut(C) is the one above; a budget stop in this search, unlike one in
+    aut_z4 or Aut(C0), leaves aut_c and h_count_by_index None. One check
+    matrix of C (sc.checks) serves |H|, P and this search, since Aut(C) =
+    Aut(dual C).
     """
     sc = structure_codes(code, variant)
     n = code.length
@@ -303,7 +306,9 @@ def frame_report(code: z4.Z4Code, variant: str, *, code_id: str = "",
     # the index formula, a second route to |H| where Aut(C) is searched
     aut_c = h_index = None
     if _aut_c_feasible(sc.c_code):
-        aut_c = autsearch.aut_binary(sc.checks, budget=budget, progress=progress).order()
+        with suppress(BudgetExceeded):  # a budget stop skips the cross-check
+            aut_c = autsearch.aut_binary(sc.checks, budget=budget, progress=progress).order()
+    if aut_c is not None:
         denom = (1 << stab_exp) * aut_c0
         if aut_c % denom:
             raise FramestabError("stabilizer order does not divide |Aut(C)|")

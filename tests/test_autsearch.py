@@ -55,6 +55,7 @@ def test_aut_even_full_and_repetition():
 
 def test_aut_hamming_and_reed_muller():
     assert ats.aut_binary(gf2.hamming8()).order() == 1344
+    assert ats.aut_binary(gf2.reed_muller(1, 4)).order() == 322560
     assert ats.aut_binary(gf2.reed_muller(2, 4)).order() == 322560
 
 

@@ -254,13 +254,13 @@ def test_aut_budget_option_must_be_positive(runner, raw):
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
 def test_aut_budget_env_must_be_positive_integer(runner, raw):
+    # the variable is validated like the flag: a usage error that names it
     for args in (["aut", "--input", "bin-hamming8", "--binary"],
                  ["frame", "--input", "z4-len8-1", "--variant", "lattice"]):
         result = runner.invoke(main, args, env={"FRAMESTAB_AUT_BUDGET": raw})
-        assert result.exit_code == 1
-        assert result.output.startswith("Error: ")
+        assert result.exit_code == 2
         assert "FRAMESTAB_AUT_BUDGET" in result.output
-        assert repr(raw) in result.output
+        assert raw in result.output
 
 
 def test_aut_budget_env_sets_the_budget(runner):
@@ -268,6 +268,16 @@ def test_aut_budget_env_sets_the_budget(runner):
                            env={"FRAMESTAB_AUT_BUDGET": "10"})
     assert result.exit_code == 1
     assert "lower bound" in result.output
+
+
+def test_checksum_failure_is_a_clean_error(runner, monkeypatch):
+    monkeypatch.setitem(catalog._CHECKSUMS, "z4-len8-1", "0" * 16)
+    for args in (["catalog", "show", "z4-len8-1"],
+                 ["frame", "--input", "z4-len8-1", "--variant", "lattice"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output == "Error: catalog entry z4-len8-1 failed its checksum\n"
+        assert isinstance(result.exception, SystemExit)
 
 
 def test_catalog_show_bad_even_length(runner):

@@ -571,6 +571,21 @@ def test_frame_report_searches_aut_c0_once(monkeypatch, code_id, variant):
     assert sizes.count(code.length) == 1
 
 
+@pytest.mark.parametrize("code_id, budget", [
+    ("z4-len8-1", 8), ("z4-len8-2", 8), ("z4-len8-3", 8),
+    ("z4-len8-1", 12), ("z4-len8-2", 12), ("z4-len8-3", 12),
+    ("z4-leech-standard", 25), ("z4-leech-standard", 40),
+])
+def test_budget_stop_in_aut_c_skips_the_cross_check(code_id, budget):
+    # these budgets cover the searches of Aut(code) and Aut(C0), not that
+    # of Aut(C): the report stands, without its index-formula route to |H|
+    code = catalog.get(code_id).code()
+    full = frames.frame_report(code, "lattice")
+    assert full.aut_c is not None and full.h_count_by_index is not None
+    got = frames.frame_report(code, "lattice", budget=budget)
+    assert got == replace(full, aut_c=None, h_count_by_index=None)
+
+
 def test_frame_report_rejects_small_min_weight_orbifold():
     with pytest.raises(VariantError):
         frames.frame_report(len8(1), "orbifold")
