@@ -72,6 +72,19 @@ trace does, and a kept one is searched as before. Waiting for a failure
 keeps the filter off levels where every sibling holds an automorphism,
 which it would pass row for row.
 
+Points whose transposition keeps every code are twins, and aut_binary
+searches only what the twins leave. For one code, i and j are twins when
+e_i + e_j lies in the code (two RREF rows that agree off their pivots, or a
+row of weight 2) or in its dual (equal columns of the basis), so no dual is
+taken to find them. Twins form classes, and the group is (Π Sym(class)) ⋊ A:
+A permutes the classes, and its lifts send the k-th point of a class to the
+k-th point of its image. A is the automorphism group of the quotient codes
+on one point per class, each class giving a representative's bit or its
+parity, with the class sizes and kinds as point colours that the search
+starts from and verify keeps. The group is built from A's base and strong
+generators, lifted, and the adjacent transpositions of each class, again
+without Schreier-Sims. A code without twins is searched directly.
+
 Z4-code automorphisms ride on the same engine. Their image in Sym_n lies
 in the constraint group Aut(C0) ∩ Aut(C1), one aut_binary call, and a
 permutation lies in it exactly when a linear sign-consistency system over
@@ -87,7 +100,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -119,7 +132,8 @@ FILTER_BLOCK_BYTES = 120_000
 
 @dataclass
 class Structure:
-    """What the search must preserve: codes, word systems, pair colours."""
+    """What the search must preserve: codes, word systems, pair and point
+    colours."""
 
     n: int
     codes: tuple[BinaryCode, ...]
@@ -127,8 +141,13 @@ class Structure:
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
     # callable(Perm) -> bool, or None; True only where the colours are kept
     leaf_test: object = None
+    # per point, an int colour that every automorphism keeps, or None
+    colours: tuple[int, ...] | None = None
 
     def verify(self, p: Perm) -> bool:
+        if self.colours is not None and any(
+                self.colours[x] != c for x, c in zip(p, self.colours)):
+            return False
         for c in self.codes:
             for b in c.basis:
                 if not c.contains(permgrp.apply_word(p, b)):
@@ -211,7 +230,11 @@ def weight_class_systems(code: BinaryCode):
     tree. Selection depends only on the weight distribution, so equivalent
     codes select corresponding classes.
     """
-    side = _small_side(code)
+    return _class_systems(_small_side(code))
+
+
+def _class_systems(side: BinaryCode):
+    """weight_class_systems of a code taken as it is, not its small side."""
     if side.dim == 0:
         return []
     dist = gf2.weight_distribution(side)
@@ -231,7 +254,11 @@ def weight_class_systems(code: BinaryCode):
 
 
 def structure_for_codes(codes) -> Structure:
-    sides = tuple(_small_side(c) for c in codes)
+    return _structure(tuple(_small_side(c) for c in codes))
+
+
+def _structure(sides) -> Structure:
+    """The structure of codes taken as they are: their own weight classes."""
     n = sides[0].length
     for c in sides:
         if c.length != n:
@@ -239,7 +266,7 @@ def structure_for_codes(codes) -> Structure:
     systems = []
     seen = set()
     for side in sides:
-        for words in weight_class_systems(side):
+        for words in _class_systems(side):
             key = frozenset(words)
             if key not in seen:
                 seen.add(key)
@@ -251,8 +278,14 @@ def structure_for_codes(codes) -> Structure:
 
 
 def _initial_partition(struct: Structure):
-    """One cell holding every point."""
-    return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
+    """One cell holding every point, or with point colours one cell per
+    colour, in increasing colour, each in point order."""
+    if struct.colours is None:
+        return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
+    colours = np.array(struct.colours)
+    lab = np.argsort(colours, kind="stable")
+    ordered = colours[lab]
+    return _Partition(lab, np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]))
 
 
 class _Partition:
@@ -605,7 +638,7 @@ class _Search:
             # every generator found so far was found at depth >= `depth`, so
             # fixes base[:depth]; once this level is done they generate its
             # whole stabilizer
-            reached = _orbit_of(beta, self.found_gens)
+            reached = permgrp.orbit(beta, self.found_gens)
             siblings = points.members(s)[1:].tolist()
             kept = None
             for k, v in enumerate(siblings):
@@ -620,7 +653,7 @@ class _Search:
                                    struct.verify)
                 if g is not None:
                     self.found_gens.append(g)
-                    reached = _orbit_of(beta, self.found_gens)
+                    reached = permgrp.orbit(beta, self.found_gens)
                 elif kept is None and lockstep:
                     rest = [u for u in siblings[k + 1:] if u not in reached]
                     kept = set(_sibling_filter(struct, points, s, beta, rest))
@@ -731,19 +764,6 @@ def _sibling_filter(struct: Structure, points: _Partition, s, beta, siblings):
     return kept
 
 
-def _orbit_of(point, gens):
-    orbit = {point}
-    queue = [point]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return orbit
-
-
 def automorphism_group(struct: Structure, *, budget: int | None = None, progress=None) -> PermGroup:
     search = _Search(struct, budget, progress)
     try:
@@ -757,18 +777,217 @@ def automorphism_group(struct: Structure, *, budget: int | None = None, progress
 def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> PermGroup:
     """The permutations in Sym_n that keep every code given.
 
-    Memoized on the codes' distinct small sides (_small_side), which fix
-    the group: a code and its dual share one entry, and so do aut_z4's
+    Points whose transposition keeps every code are twins (_twin_classes).
+    Without twins the codes are searched directly (automorphism_group).
+    With them the group is (Π Sym(class)) ⋊ A, and only A, the class
+    permutations whose order-preserving lifts keep every code, is searched,
+    as the automorphism group of the quotient codes on one point per class
+    (_twin_quotient); the Sym factors are taken in closed form. A budget
+    stop there raises BudgetExceeded whose partial group holds the class
+    transpositions and the lifts of the generators found so far.
+
+    Memoized on the codes' distinct small sides (_small_side) alone, which
+    fix the group: a code and its dual share one entry, and so do aut_z4's
     constraint group Aut(C0) ∩ Aut(C1) and a frame report's Aut(C0)
-    wherever C1 is C0 or its dual (every self-dual code). Callers must not
-    mutate the group.
+    wherever C1 is C0 or its dual (every self-dual code). A search that
+    finishes is cached whatever its budget and progress callback; one that
+    stops caches nothing. Callers must not mutate the group.
     """
-    return _aut_binary(tuple(dict.fromkeys(map(_small_side, codes))), budget, progress)
+    sides = tuple(dict.fromkeys(map(_small_side, codes)))
+    return _aut_binary(_Request(sides, budget, progress))
+
+
+@dataclass(frozen=True)
+class _Request:
+    """The distinct small sides of an aut_binary call, with the search
+    limits that ride along; compared and hashed on the sides only."""
+
+    sides: tuple[BinaryCode, ...]
+    budget: int | None = field(compare=False)
+    progress: object = field(compare=False)
 
 
 @lru_cache(maxsize=8)
-def _aut_binary(sides: tuple[BinaryCode, ...], budget: int | None, progress) -> PermGroup:
-    return automorphism_group(structure_for_codes(sides), budget=budget, progress=progress)
+def _aut_binary(request: _Request) -> PermGroup:
+    return _aut(request.sides, None, request.budget, request.progress)
+
+
+def _aut(codes, colours, budget, progress) -> PermGroup:
+    """The permutations that keep every code, taken as it is, and the point
+    colours (a tuple, or None): through the twin quotient where there are
+    twins, by the direct search otherwise."""
+    twins = _twin_classes(codes, colours)
+    if twins is None:
+        struct = _structure(codes)
+        struct.colours = colours
+        return automorphism_group(struct, budget=budget, progress=progress)
+    return _twin_quotient(codes, colours, *twins, budget, progress)
+
+
+# -- twin quotient ----------------------------------------------------------------
+
+
+def _equal_columns(code: BinaryCode) -> list[int]:
+    """The classes of points with equal columns in the code's basis, as bit
+    masks."""
+    columns = gf2.columns(code)
+    if len(set(columns)) == len(columns):
+        return []
+    masks: dict[int, int] = {}
+    for i, column in enumerate(columns):
+        masks[column] = masks.get(column, 0) | 1 << i
+    return [mask for mask in masks.values() if mask & (mask - 1)]
+
+
+def _weight_two_classes(code: BinaryCode) -> list[int]:
+    """The classes of points i, j with e_i + e_j in the code, as bit masks,
+    read from the RREF basis.
+
+    Such a word has pivot bits in {i, j} only, so it is one basis row of
+    weight 2, whose second point is not a pivot, or the sum of two rows that
+    agree off their pivots. So the pivots of rows with one tail (the row
+    without its pivot) form a class, joined by the tail's point when the
+    tail has weight 1.
+    """
+    by_tail: dict[int, int] = {}
+    for row in code.basis:
+        pivot = row & -row
+        by_tail[row ^ pivot] = by_tail.get(row ^ pivot, 0) | pivot
+    classes = []
+    for tail, pivots in by_tail.items():
+        if tail.bit_count() == 1:
+            pivots |= tail
+        if pivots & (pivots - 1):
+            classes.append(pivots)
+    return classes
+
+
+def _twin_classes(codes, colours):
+    """The twin classes of the codes (None if every class is one point), as
+    point lists in order of their lowest point, and per class its kind in
+    each code: 0 where the class has equal generator columns (every word is
+    constant on it), 1 where it has equal check columns (the code holds
+    every even word on it).
+
+    Points i and j are twins when (i j) keeps every code and the colours, so
+    for each code e_i + e_j lies in it or in its dual. The transpositions in
+    a group join into cliques, so the classes are those of one code,
+    intersected over the codes and split by colour. For a code, the dual's
+    weight-2 words are the equal columns of its basis (_equal_columns), and
+    its own come from the RREF basis (_weight_two_classes); no dual is
+    taken. A class of 3 or more points has one kind only (e_i + e_j in the
+    code and e_j + e_k in its dual would pair to 1); a pair of both kinds,
+    and a lone point, count as kind 0.
+    """
+    n = codes[0].length
+    parts = None
+    checked = []  # per code, the points of its kind-1 classes
+    for code in codes:
+        gen = _equal_columns(code)
+        check = [c for c in _weight_two_classes(code) if c not in gen]
+        checked.append(sum(check))
+        parts = gen + check if parts is None else _meets(parts, gen + check)
+    if parts and colours is not None:
+        by_colour: dict[int, int] = {}
+        for i, c in enumerate(colours):
+            by_colour[c] = by_colour.get(c, 0) | 1 << i
+        parts = _meets(parts, list(by_colour.values()))
+    if not parts:
+        return None
+    lone = (1 << n) - 1
+    for p in parts:
+        lone ^= p
+    classes = sorted([[i - 1 for i in gf2.support(p)] for p in parts]
+                     + [[i - 1] for i in gf2.support(lone)])
+    kinds = []
+    for points in classes:
+        low = 1 << points[0] if len(points) > 1 else 0
+        kinds.append(tuple(int(bool(low & mask)) for mask in checked))
+    return classes, kinds
+
+
+def _meets(parts, others):
+    """The intersections of two lists of disjoint masks that hold 2 or more
+    points."""
+    out = []
+    for p in parts:
+        for q in others:
+            both = p & q
+            if both & (both - 1):
+                out.append(both)
+    return out
+
+
+def _transposition(n: int, i: int, j: int) -> Perm:
+    p = list(range(n))
+    p[i], p[j] = j, i
+    return tuple(p)
+
+
+def _twin_quotient(codes, colours, classes, kinds, budget, progress) -> PermGroup:
+    """Aut of the codes as (Π Sym(class)) ⋊ A, from a search of A alone.
+
+    A class of kind 0 contributes its first point's bit to a quotient word,
+    and one of kind 1 its parity. Every code is the set of words constant on
+    its kind-0 classes whose quotient lies in its quotient code, so the
+    order-preserving lift of a class permutation keeps the code exactly when
+    the permutation keeps the quotient code and each class's colour: its
+    points' colour, its size and its kinds. A is the group of those
+    permutations. When every class has one colour and every quotient code is
+    its own small side, A is aut_binary of the quotient codes, and shares
+    its memo. Otherwise A is searched on the quotient codes as they are,
+    from their colour cells (_aut), and a quotient with twins of its own is
+    quotiented again; this takes no dual.
+
+    The base is the first points of the classes of A's base, with the
+    lifted generators of A's levels, then each class's points but its last,
+    whose stabilizers the adjacent transpositions of the classes generate.
+    """
+    n, m = codes[0].length, len(classes)
+    masks = [sum(1 << i for i in points) for points in classes]
+    quotients = []
+    for k, code in enumerate(codes):
+        rows = []
+        for word in code.basis:
+            q = 0
+            for t, (mask, points) in enumerate(zip(masks, classes)):
+                bit = (word & mask).bit_count() if kinds[t][k] else word >> points[0]
+                q |= (bit & 1) << t
+            rows.append(q)
+        quotients.append(gf2.span(m, rows))
+    quotients = tuple(dict.fromkeys(quotients))
+    keys = [(0 if colours is None else colours[points[0]], len(points), *kind)
+            for points, kind in zip(classes, kinds)]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+
+    def lift(g: Perm) -> Perm:
+        image = [0] * n
+        for points, t in zip(classes, g):
+            for i, j in zip(points, classes[t]):
+                image[i] = j
+        return tuple(image)
+
+    swaps = [(points[k], _transposition(n, points[k], points[k + 1]))
+             for points in classes for k in range(len(points) - 1)]
+    try:
+        if len(rank) == 1 and all(2 * q.dim <= m for q in quotients):
+            quotient = aut_binary(*quotients, budget=budget, progress=progress)
+        else:
+            quotient = _aut(quotients, tuple(rank[key] for key in keys), budget, progress)
+    except BudgetExceeded as err:
+        gens = [s for _, s in swaps] + [lift(g) for g in err.partial.generators]
+        err.partial = PermGroup(n, gens)
+        raise
+    lifted = {g: lift(g) for g in quotient.strong_generators}
+    base = [classes[b][0] for b in quotient.base]
+    levels = [[lifted[g] for g in quotient.level_generators(l)] for l in range(len(base))]
+    in_base = set(base)
+    base += [i for points in classes for i in points[:-1] if i not in in_base]
+    position = {i: l for l, i in enumerate(base)}
+    level_gens = [(levels[l] if l < len(levels) else [])
+                  + [s for low, s in swaps if position[low] >= l]
+                  for l in range(len(base))]
+    return PermGroup.from_bsgs(n, base, level_gens)
 
 
 # -- code equivalence -----------------------------------------------------------

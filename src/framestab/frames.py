@@ -131,14 +131,6 @@ def pointwise_order(sc: StructureCodes) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _columns(checks: BinaryCode) -> list[int]:
-    """The columns of the check matrix whose rows are the basis of checks,
-    the dual of a code c: one int per coordinate, bit k from row k. A word
-    lies in c exactly when the columns over its support add to zero."""
-    return [sum((h >> i & 1) << k for k, h in enumerate(checks.basis))
-            for i in range(checks.length)]
-
-
 def enumerate_h_lattice(sc: StructureCodes):
     """Subcodes of C isomorphic to d(Z2^n): their count, and None.
 
@@ -151,7 +143,7 @@ def enumerate_h_lattice(sc: StructureCodes):
     """
     if sc.variant != "lattice":
         raise VariantError("enumerate_h_lattice needs the lattice variant")
-    sizes = Counter(_columns(sc.checks)).values()
+    sizes = Counter(gf2.columns(sc.checks)).values()
     return prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes), None
 
 
@@ -168,7 +160,7 @@ def _period_matchings(c0: BinaryCode):
     the column set (columns ^ s = columns), each a tuple of pair masks in
     the order of their first points.
     """
-    cols = _columns(gf2.dual(c0))
+    cols = gf2.columns(gf2.dual(c0))
     index = {col: i for i, col in enumerate(cols)}
     out = []
     for j in range(1, len(cols)):

@@ -178,6 +178,17 @@ def consistent(n: int, rows) -> bool:
     return True
 
 
+def columns(c: BinaryCode) -> list[int]:
+    """The columns of the matrix whose rows are the basis of c: one int per
+    coordinate, bit k from row k. They are read off the rows' binary
+    strings, last row first, so that int() puts row 0 in bit 0."""
+    if not c.basis:
+        return [0] * c.length
+    fmt = f"0{c.length}b"
+    rows = [format(b, fmt)[::-1] for b in reversed(c.basis)]
+    return [int("".join(column), 2) for column in zip(*rows)]
+
+
 def from_text(text: str) -> BinaryCode:
     n, rows = parse_binary_matrix(text)
     return span(n, rows)

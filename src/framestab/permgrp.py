@@ -9,7 +9,7 @@ Schreier generator, so strong generation is verified rather than sampled;
 orders are exact products of fundamental orbit lengths. The one exception is
 PermGroup.from_bsgs, which takes a base and strong generating set that the
 caller has already proved (the partition search proves one as it goes) and
-only computes the basic orbits.
+only computes the basic orbits; their transversals wait for first use.
 """
 
 from __future__ import annotations
@@ -75,6 +75,20 @@ def apply_code(p: Perm, code):
     from . import gf2
 
     return gf2.span(code.length, [apply_word(p, b) for b in code.basis])
+
+
+def orbit(point: int, gens) -> set[int]:
+    """The orbit of point under the group the permutations gens generate."""
+    out = {point}
+    queue = [point]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = g[x]
+            if y not in out:
+                out.add(y)
+                queue.append(y)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,9 +223,11 @@ class PermGroup:
 
         level_gens[l] must generate the pointwise stabilizer of base[:l] in
         the group, and only the identity may fix the whole base. This is
-        taken on trust, not verified: only the basic orbits and their
-        transversals are computed. The strong generators are the distinct
-        generators of all levels, in order of first appearance.
+        taken on trust, not verified: only the basic orbits are computed, as
+        point sets, and a level's transversal is built when membership or a
+        subgroup search first asks for it; the order needs none. The strong
+        generators are the distinct generators of all levels, in order of
+        first appearance.
         """
         base = list(base)
         if len(level_gens) != len(base):
@@ -222,9 +238,8 @@ class PermGroup:
         group._strong = list(group.generators)
         group._base = base
         group._level_gens = [list(gens) for gens in level_gens]
-        group._transversals = [
-            group._orbit_transversal(b, gens) for b, gens in zip(base, level_gens)
-        ]
+        group._orbits = [orbit(b, gens) for b, gens in zip(base, level_gens)]
+        group._transversals = [None] * len(base)
         return group
 
     def _strip(self, g: Perm):
@@ -232,7 +247,7 @@ class PermGroup:
             x = g[self._base[l]]
             if x == self._base[l]:
                 continue
-            u = self._transversals[l].get(x)
+            u = self.transversal(l).get(x)
             if u is None:
                 return g, l
             g = compose(g, inverse(u))
@@ -250,8 +265,8 @@ class PermGroup:
 
     def order(self) -> int:
         out = 1
-        for t in self._transversals:
-            out *= len(t)
+        for l in range(len(self._base)):
+            out *= len(self.basic_orbit(l))
         return out
 
     def contains(self, p: Perm) -> bool:
@@ -263,10 +278,18 @@ class PermGroup:
     def __contains__(self, p) -> bool:
         return self.contains(tuple(p))
 
+    def level_generators(self, l: int) -> list[Perm]:
+        """The strong generators that fix base[:l]: they generate its
+        pointwise stabilizer."""
+        return self._level_gens[l]
+
     def basic_orbit(self, l: int):
-        return self._transversals[l].keys()
+        t = self._transversals[l]
+        return self._orbits[l] if t is None else t.keys()
 
     def transversal(self, l: int) -> dict[int, Perm]:
+        if self._transversals[l] is None:
+            self._transversals[l] = self._orbit_transversal(self._base[l], self._level_gens[l])
         return self._transversals[l]
 
     def extended(self, new_gens) -> "PermGroup":

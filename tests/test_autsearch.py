@@ -229,6 +229,8 @@ def test_verify_prechecks_rows_then_whole_colour_matrix():
 
 
 def test_budget_exceeded_reports_partial():
+    # a finished search is cached whatever its budget, so start from none
+    ats._aut_binary.cache_clear()
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(gf2.golay24(), budget=20)
     assert err.value.partial is not None
@@ -1015,13 +1017,16 @@ def z4_constraint_corpus():
 
 def test_one_constraint_call_matches_direct_search():
     # aut_binary(C0, C1) is the group that a search on both codes at once
-    # finds, with the same generators
+    # finds; where the codes have twins its generators come from the twin
+    # quotient, so the groups are compared, not their generator lists
     ats._aut_binary.cache_clear()
     for code in z4_constraint_corpus():
         tor, res = z4.torsion(code), z4.residue(code)
         direct = ats.automorphism_group(ats.structure_for_codes([tor, res]))
         group = ats.aut_binary(tor, res)
-        assert (group.order(), group.generators) == (direct.order(), direct.generators), code
+        assert group.order() == direct.order(), code
+        assert all(group.contains(g) for g in direct.generators), code
+        assert all(direct.contains(g) for g in group.generators), code
         if z4.is_self_dual(code):
             # C1 = C0^⊥ has C0's small side: a frame report's Aut(C0) is a memo hit
             assert ats.aut_binary(tor) is group
@@ -1128,6 +1133,152 @@ def test_phi2_pseudo_golay_equivalent_to_golay():
         witness = ats.code_isomorphism(residue, g24)
         assert witness is not None
         assert permgrp.apply_code(witness, residue) == g24
+
+
+# -- twin quotient -------------------------------------------------------------
+
+
+def test_memo_keys_on_the_codes_only():
+    # a finished search serves every later budget and progress callback
+    ats._aut_binary.cache_clear()
+    group = ats.aut_binary(gf2.hamming8())
+    assert ats.aut_binary(gf2.hamming8(), budget=10**6) is group
+    for _ in range(2):
+        assert ats.aut_binary(gf2.hamming8(), progress=lambda nodes: None) is group
+    info = ats._aut_binary.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def assert_same_group(group, direct):
+    """Equal orders, each group holds the other's generators, and a
+    Schreier-Sims rebuild from the strong generators has the same order."""
+    assert group.order() == direct.order()
+    assert all(group.contains(g) for g in direct.generators)
+    assert all(direct.contains(g) for g in group.generators)
+    assert permgrp.PermGroup(group.degree, group.strong_generators).order() == group.order()
+
+
+def relabeled_codes(codes, rng):
+    n = codes[0].length
+    perm = tuple(rng.sample(range(n), n))
+    return [permgrp.apply_code(perm, c) for c in codes]
+
+
+def catalog_code_sets():
+    """Every binary catalog code; per Z4 catalog code C0, (C0, C1) and the
+    structure codes C and D of both variants, where their direct search
+    takes well under a second (frames._aut_c_feasible)."""
+    sets = []
+    for code_id in catalog.list_ids():
+        entry = catalog.get(code_id)
+        code = entry.code()
+        if entry.kind == "binary":
+            sets.append([code])
+            continue
+        sets += [[z4.torsion(code)], [z4.torsion(code), z4.residue(code)]]
+        for variant in ("lattice", "orbifold"):
+            try:
+                sc = frames.structure_codes(code, variant)
+            except frames.VariantError:
+                continue
+            sets += [[c] for c in (sc.checks, sc.d_code) if frames._aut_c_feasible(c)]
+    return sets
+
+
+def test_twin_route_matches_direct_search_on_the_catalog():
+    rng = random.Random(41)
+    twin_sets = 0
+    for codes in catalog_code_sets():
+        sides = tuple(dict.fromkeys(map(ats._small_side, codes)))
+        if ats._twin_classes(sides, None) is None:
+            continue
+        twin_sets += 1
+        for trial in (codes, relabeled_codes(codes, rng)):
+            ats._aut_binary.cache_clear()
+            assert_same_group(ats.aut_binary(*trial),
+                              ats.automorphism_group(ats.structure_for_codes(trial)))
+    assert twin_sets >= 20
+
+
+def planted_twins(rng, m):
+    """A seeded code on m quotient points whose point i is blown up into a
+    class of 1-4 points: of equal generator columns (the bit copied) or of
+    equal check columns (the bit on the first point, and every even word of
+    the class added); then 0-2 zero columns, all relabeled."""
+    sizes = [rng.choice((1, 1, 2, 3, 4)) for _ in range(m)]
+    kinds = [rng.randrange(2) for _ in range(m)]
+    starts = [sum(sizes[:i]) for i in range(m)]
+    n = sum(sizes) + rng.randrange(3)
+    rows = []
+    for _ in range(rng.randrange(m + 1)):
+        x = rng.randrange(1 << m)
+        word = 0
+        for i in range(m):
+            if x >> i & 1:
+                word |= ((1 << sizes[i]) - 1 if kinds[i] == 0 else 1) << starts[i]
+        rows.append(word)
+    for i in range(m):
+        if kinds[i]:
+            rows += [1 << starts[i] | 1 << (starts[i] + j) for j in range(1, sizes[i])]
+    return relabeled_codes([gf2.span(n, rows)], rng)[0]
+
+
+def test_twin_route_matches_direct_search_on_planted_twins():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(150):
+        code = planted_twins(rng, rng.randrange(1, 7))
+        codes = [code]
+        if rng.random() < 0.4:
+            # a second code, neither the first nor its dual
+            n = code.length
+            codes.append(gf2.span(n, [b for b in code.basis if rng.random() < 0.5]
+                                  + [rng.randrange(1 << n) for _ in range(rng.randrange(2))]))
+        sides = tuple(dict.fromkeys(map(ats._small_side, codes)))
+        twins = ats._twin_classes(sides, None)
+        if twins is not None:
+            classes, kinds = twins
+            seen.update(("kind", k) for kind in kinds for k in kind)
+            seen.add(("colours", len({(len(c), k) for c, k in zip(classes, kinds)}) > 1))
+            seen.add(("codes", len(sides)))
+            seen.add(("zero column", any(not any(b >> i & 1 for b in code.basis)
+                                         for i in range(code.length))))
+        ats._aut_binary.cache_clear()
+        assert_same_group(ats.aut_binary(*codes),
+                          ats.automorphism_group(ats.structure_for_codes(codes)))
+    assert seen >= {("kind", 0), ("kind", 1), ("colours", True), ("colours", False),
+                    ("codes", 2), ("zero column", True)}
+
+
+def test_twin_classes_of_mixed_sizes_and_a_zero_column():
+    # span{111000, 000110}: Sym(3) x Sym(2), with the zero column fixed
+    code = gf2.span(6, ["111000", "000110"])
+    assert ats._twin_classes((code,), None) == ([[0, 1, 2], [3, 4], [5]], [(0,), (0,), (0,)])
+    assert ats.aut_binary(code).order() == 12
+    # the dual has the same classes; the class of 3 has equal check columns
+    # there (kind 1), and the pair, whose word lies in both codes, stays 0
+    assert ats._twin_classes((gf2.dual(code),), None) == ([[0, 1, 2], [3, 4], [5]],
+                                                          [(1,), (0,), (0,)])
+
+
+@pytest.mark.parametrize("code", [gf2.d_map(gf2.golay24()),
+                                  gf2.span(25, [b | (b & 1) << 24 for b in gf2.golay24().basis])],
+                         ids=["d-golay-one-colour", "golay-point-doubled-two-colours"])
+def test_budget_stop_in_the_quotient_search(code):
+    # the quotient is the Golay code, searched through aut_binary's memo
+    # (one colour) or from its colour cells (two); the stop's partial group
+    # holds every class transposition and lies in the full group
+    ats._aut_binary.cache_clear()
+    classes, _ = ats._twin_classes((ats._small_side(code),), None)
+    with pytest.raises(BudgetExceeded) as err:
+        ats.aut_binary(code, budget=10)
+    partial = err.value.partial
+    full = ats.aut_binary(code)
+    swaps = [ats._transposition(code.length, c[k], c[k + 1])
+             for c in classes for k in range(len(c) - 1)]
+    assert swaps and all(partial.contains(s) for s in swaps)
+    assert all(full.contains(g) for g in partial.generators)
+    assert full.order() % partial.order() == 0 and partial.order() < full.order()
 
 
 # -- subcode stabilizers -------------------------------------------------------

@@ -280,7 +280,7 @@ def test_matching_count_closed_form():
         counts.append(count)
         assert count == len(list_perfect_matchings(sc.r, edges))
         cliques = {}
-        for i, col in enumerate(frames._columns(sc.checks)):
+        for i, col in enumerate(gf2.columns(sc.checks)):
             cliques[col] = cliques.get(col, 0) | 1 << i
         for i in range(sc.r):
             closed = 1 << i
@@ -551,12 +551,22 @@ def test_frame_report_moonshine():
     assert payload["stab_order"] == str(2**27 * 2**12 * 120960)
 
 
-@pytest.mark.parametrize("code_id,variant", [("z4-len8-2", "lattice"),
+def rm14_lift():
+    """The Type II Z4-code of length 16 spanned by the 0/1 rows of RM(1,4)
+    and twice those of RM(2,4): self-dual, with C1 = RM(1,4) ≠ C0 = RM(2,4)
+    and no twin coordinates."""
+    rows = [[w >> i & 1 for i in range(16)] for w in gf2.reed_muller(1, 4).basis]
+    rows += [[2 * (w >> i & 1) for i in range(16)] for w in gf2.reed_muller(2, 4).basis]
+    return z4.z4_span(16, rows)
+
+
+@pytest.mark.parametrize("code_id,variant", [("rm-1-4-lift", "lattice"),
                                              ("z4-leech-standard", "orbifold")])
 def test_frame_report_searches_aut_c0_once(monkeypatch, code_id, variant):
     # the codes are self-dual, so C1 = C0^⊥ and aut_z4's constraint group is
-    # Aut(C0) itself, which the report then reads from the memo
-    code = catalog.get(code_id).code()
+    # Aut(C0) itself, which the report then reads from the memo; they have
+    # no twins, so Aut(C0) is a search on all the coordinates
+    code = rm14_lift() if code_id == "rm-1-4-lift" else catalog.get(code_id).code()
     assert z4.residue(code) == gf2.dual(z4.torsion(code)) != z4.torsion(code)
     sizes = []
     search = autsearch._Search.search
@@ -572,17 +582,18 @@ def test_frame_report_searches_aut_c0_once(monkeypatch, code_id, variant):
 
 
 @pytest.mark.parametrize("code_id, budget", [
-    ("z4-len8-1", 8), ("z4-len8-2", 8), ("z4-len8-3", 8),
-    ("z4-len8-1", 12), ("z4-len8-2", 12), ("z4-len8-3", 12),
-    ("z4-leech-standard", 25), ("z4-leech-standard", 40),
+    ("z4-len8-4", 12), ("z4-len8-4", 20), ("z4-leech-standard", 25), ("z4-leech-standard", 35),
 ])
 def test_budget_stop_in_aut_c_skips_the_cross_check(code_id, budget):
     # these budgets cover the searches of Aut(code) and Aut(C0), not that
-    # of Aut(C): the report stands, without its index-formula route to |H|
+    # of the orbifold Aut(C), which has no twins: the report stands, without
+    # its index-formula route to |H|. A finished search is cached whatever
+    # its budget, so the budgeted report starts from an empty memo
     code = catalog.get(code_id).code()
-    full = frames.frame_report(code, "lattice")
+    full = frames.frame_report(code, "orbifold")
     assert full.aut_c is not None and full.h_count_by_index is not None
-    got = frames.frame_report(code, "lattice", budget=budget)
+    autsearch._aut_binary.cache_clear()
+    got = frames.frame_report(code, "orbifold", budget=budget)
     assert got == replace(full, aut_c=None, h_count_by_index=None)
 
 

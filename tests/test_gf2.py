@@ -70,6 +70,16 @@ def test_consistent_matches_brute_force():
     assert outcomes == {False, True}
 
 
+def test_columns_read_bit_k_from_row_k():
+    rng = random.Random(47)
+    codes = [gf2.span(5, []), gf2.span(1, [1])]
+    codes += [gf2.span(n, [rng.randrange(1 << n) for _ in range(rng.randrange(n + 1))])
+              for n in rng.choices(range(1, 70), k=40)]
+    for c in codes:
+        want = [sum((b >> i & 1) << k for k, b in enumerate(c.basis)) for i in range(c.length)]
+        assert gf2.columns(c) == want
+
+
 def test_dual_zero_code():
     assert gf2.dual(gf2.span(5, [])) == gf2.full_code(5)
 

@@ -51,10 +51,11 @@ def test_per_layer_metrics_read_traced_spans():
     assert set(read) <= spans
 
 
-@pytest.mark.parametrize("code_id, variant", [("z4-len8-1", "lattice"), ("z4-len8-4", "orbifold")])
+@pytest.mark.parametrize("code_id, variant", [("z4-len8-4", "lattice"), ("z4-len8-4", "orbifold")])
 def test_after_hooks_read_what_they_need(monkeypatch, code_id, variant):
     # the tracer's _after hooks read result[0] of both |H| functions, the
-    # generators of each automorphism group and the report's aut_c
+    # generators of each automorphism group and the report's aut_c; C0 of
+    # z4-len8-4 has no twins, so its group comes from automorphism_group
     groups = []
     search = autsearch.automorphism_group
     monkeypatch.setattr(autsearch, "automorphism_group",
