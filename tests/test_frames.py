@@ -582,19 +582,30 @@ def test_frame_report_searches_aut_c0_once(monkeypatch, code_id, variant):
 
 
 @pytest.mark.parametrize("code_id, budget", [
+    ("z4-len8-1", 8), ("z4-len8-2", 8), ("z4-len8-3", 8),
+    ("z4-len8-1", 12), ("z4-len8-2", 12), ("z4-len8-3", 12),
     ("z4-len8-4", 12), ("z4-len8-4", 20), ("z4-leech-standard", 25), ("z4-leech-standard", 35),
 ])
-def test_budget_stop_in_aut_c_skips_the_cross_check(code_id, budget):
-    # these budgets cover the searches of Aut(code) and Aut(C0), not that
-    # of the orbifold Aut(C), which has no twins: the report stands, without
-    # its index-formula route to |H|. A finished search is cached whatever
-    # its budget, so the budgeted report starts from an empty memo
+def test_budget_stop_in_aut_c_skips_the_cross_check(monkeypatch, code_id, budget):
+    # these budgets cover the searches of Aut(code) and Aut(C0), not the
+    # direct search of Aut(C): the report stands, without its index-formula
+    # route to |H|. A finished search is cached whatever its budget, so each
+    # budgeted report starts from an empty memo. The orbifold C of z4-len8-4
+    # and of the Leech code has no twins. The lattice C of z4-len8-1..3 has
+    # twins and its quotient search takes no nodes, so there the budgeted
+    # report is whole, and the stop is made with twin detection switched off
     code = catalog.get(code_id).code()
-    full = frames.frame_report(code, "orbifold")
+    variant = "orbifold" if code_id in ("z4-len8-4", "z4-leech-standard") else "lattice"
+    full = frames.frame_report(code, variant)
     assert full.aut_c is not None and full.h_count_by_index is not None
+    if variant == "lattice":
+        autsearch._aut_binary.cache_clear()
+        assert frames.frame_report(code, variant, budget=budget) == full
+        monkeypatch.setattr(autsearch, "_twin_classes", lambda codes, colours: None)
     autsearch._aut_binary.cache_clear()
-    got = frames.frame_report(code, "orbifold", budget=budget)
+    got = frames.frame_report(code, variant, budget=budget)
     assert got == replace(full, aut_c=None, h_count_by_index=None)
+    autsearch._aut_binary.cache_clear()
 
 
 def test_frame_report_rejects_small_min_weight_orbifold():
