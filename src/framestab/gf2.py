@@ -29,13 +29,16 @@ from .matrixio import parse_binary_matrix
 SPAN_ENUM_CAP = 28
 _COMB_ENUM_CAP = 1 << 26
 
-# Dimension of the packed span (2^16 words, 512 KB a limb).
+# Dimension of the packed span (2^16 words, 256 or 512 KB a limb).
 INNER_BITS = 16
 # Span words the kernel evaluates per call: a span of width w takes
-# max(1, BLOCK // w) cosets at once. On a 2-CPU Xeon host, the median
-# z4._weight_scan of z4-pseudo-golay-1 (4096 cosets of 4096 words) took 71,
-# 55, 46, 46 and 53 ms at BLOCK = 2^14 .. 2^18, and that of
-# z4-leech-standard (256 cosets of 65536) 40, 35, 35, 38 and 42 ms.
+# max(1, BLOCK // w) cosets at once. On a 2-CPU Xeon host, with the 32-bit
+# limbs of length 24, the median z4._weight_scan of z4-pseudo-golay-1 (4096
+# cosets of 4096 words) took 46, 35, 29, 27 and 26 ms at BLOCK = 2^14 ..
+# 2^18, and that of z4-leech-standard (256 cosets of 65536) 23, 23, 23, 21
+# and 21 ms (21 alternating runs each). The 2-3 ms that 2^17 would save
+# there does not set the value alone: the span kernel of the frame reports
+# runs at the same BLOCK.
 BLOCK = 1 << 16
 # Up to this dimension weight counts walk codewords() in Python: the span
 # kernel's fixed cost of about ten numpy calls outweighs 2^dim words. On the
@@ -47,8 +50,6 @@ BLOCK = 1 << 16
 # 0.0201 s (+2.7%) and op_p50_s 0.00372 -> 0.00384 s (+3.0%), medians of 8
 # alternating pairs of 5 s runs (seeds 1-8), lower in only 2 of 8.
 SMALL_DIM = 6
-
-_LIMB_MASK = (1 << 64) - 1
 
 
 def weight(word: int) -> int:
@@ -213,35 +214,51 @@ def dual(c: BinaryCode) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # Span kernel
 # ---------------------------------------------------------------------------
-# Words longer than 64 are split into little-endian 64-bit limbs. The span
-# of up to INNER_BITS words is built once as a limbs x 2^k uint64 array, and
-# a block of its cosets (the span XOR one offset word per row) is counted at
-# once with np.bitwise_count, into buffers allocated once per enumeration.
-# The offsets of all cosets are built up front as one limb array.
+# A word is split into little-endian limbs whose width follows its length
+# (limb_layout): one uint32 limb up to length 32, else 64-bit limbs, so
+# that short codes move half the bytes through the XOR and AND. The span of
+# up to INNER_BITS words is built once as a limbs x 2^k array of that
+# width, and a block of its cosets (the span XOR one offset word per row) is
+# counted at once with np.bitwise_count, into buffers allocated once per
+# enumeration. The offsets of all cosets are built up front as one limb
+# array.
 
 
-def limb_array(words, count: int) -> np.ndarray:
-    """words (Python ints, possibly negative) as a len(words) x count uint64
-    array, one row of little-endian 64-bit limbs each."""
-    return np.array([[v >> (64 * l) & _LIMB_MASK for l in range(count)] for v in words],
-                    dtype=np.uint64).reshape(-1, count)
+def limb_layout(length: int) -> tuple[int, np.dtype]:
+    """Limb count and dtype of the span kernel's words of this length: one
+    uint32 limb up to length 32, else as many uint64 limbs as it takes."""
+    if length <= 32:
+        return 1, np.dtype(np.uint32)
+    return -(-length // 64), np.dtype(np.uint64)
+
+
+def limb_array(words, count: int, dtype=np.uint64) -> np.ndarray:
+    """words (Python ints, possibly negative) as a len(words) x count array
+    of dtype, one row of little-endian limbs of that width each."""
+    bits = 8 * np.dtype(dtype).itemsize
+    mask = (1 << bits) - 1
+    return np.array([[v >> (bits * l) & mask for l in range(count)] for v in words],
+                    dtype=dtype).reshape(-1, count)
 
 
 def limb_ints(rows: np.ndarray) -> list[int]:
     """The rows of a limb array as Python ints; inverse of limb_array."""
+    bits = 8 * rows.itemsize
     found = rows[:, 0].tolist()
     for l in range(1, rows.shape[1]):
-        found = [f | p << (64 * l) for f, p in zip(found, rows[:, l].tolist())]
+        found = [f | p << (bits * l) for f, p in zip(found, rows[:, l].tolist())]
     return found
 
 
-def packed_span(words, count: int) -> np.ndarray:
-    """The span of words as a count x 2^len(words) uint64 limb array.
+def packed_span(words, length: int) -> np.ndarray:
+    """The span of words of this length as a count x 2^len(words) limb
+    array, with the count and dtype of limb_layout(length).
 
     Column j holds the sum of the words[i] for the set bits i of j.
     """
-    span = np.zeros((count, 1 << len(words)), dtype=np.uint64)
-    parts = limb_array(words, count).reshape(-1, count, 1)
+    count, dtype = limb_layout(length)
+    span = np.zeros((count, 1 << len(words)), dtype=dtype)
+    parts = limb_array(words, count, dtype).reshape(-1, count, 1)
     for i, part in enumerate(parts):
         span[:, 1 << i:2 << i] = span[:, :1 << i] ^ part
     return span
@@ -250,10 +267,10 @@ def packed_span(words, count: int) -> np.ndarray:
 def span_buffers(span: np.ndarray, cosets: int):
     """Scratch for span_weights: the number of cosets it evaluates per call,
     max(1, BLOCK // width) but no more than cosets, and a rows x width
-    uint64 block with the weight arrays of that shape."""
+    block of the span's dtype with the weight arrays of that shape."""
     count, width = span.shape
     rows = min(cosets, max(1, BLOCK // width))
-    x = np.empty((rows, width), dtype=np.uint64)
+    x = np.empty((rows, width), dtype=span.dtype)
     t = np.empty((rows, width), dtype=np.uint8 if count == 1 else np.uint16)
     c = np.empty((rows, width), dtype=np.uint8) if count > 1 else None
     return rows, (x, c, t)
@@ -262,7 +279,8 @@ def span_buffers(span: np.ndarray, cosets: int):
 def span_weights(span: np.ndarray, offsets: np.ndarray, masks: np.ndarray | None = None,
                  *, out) -> np.ndarray:
     """Hamming weights of (span ^ offsets[r]) & masks[r]: one row per row r of
-    the limb arrays offsets and masks, one column per span column.
+    the limb arrays offsets and masks, of the span's dtype, and one column
+    per span column.
 
     out is span_buffers(span, ...)[1]; the result is a view of its weight
     array, valid until the next call.
@@ -282,7 +300,7 @@ def span_weights(span: np.ndarray, offsets: np.ndarray, masks: np.ndarray | None
 
 def span_words(span: np.ndarray, offsets: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """The words at the flat indices hits of a span_weights block, as a
-    len(hits) x count limb array."""
+    len(hits) x count limb array of the span's dtype."""
     rows, cols = np.divmod(hits, span.shape[1])
     return span.T[cols] ^ offsets[rows]
 
@@ -296,9 +314,8 @@ def _span_blocks(c: BinaryCode):
     """
     if c.dim > SPAN_ENUM_CAP:
         raise EnumerationLimit(f"dim {c.dim} above span enumeration cap {SPAN_ENUM_CAP}")
-    count = max(1, -(-c.length // 64))
-    span = packed_span(c.basis[:INNER_BITS], count)
-    offsets = packed_span(c.basis[INNER_BITS:], count).T
+    span = packed_span(c.basis[:INNER_BITS], c.length)
+    offsets = packed_span(c.basis[INNER_BITS:], c.length).T
     rows, out = span_buffers(span, len(offsets))
     for s in range(0, len(offsets), rows):
         block = offsets[s:s + rows]

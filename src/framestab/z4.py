@@ -238,8 +238,9 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 # first INNER_BITS, in binary-reflected Gray order: it builds every coset
 # representative up front as limb arrays, and evaluates the cosets a block
 # at a time over the span of the first INNER_BITS torsion vectors with the
-# span kernel of gf2. Minimum-weight words are kept as rows of limbs, the lo
-# limbs then the hi limbs, in scan order: cosets in Gray order, then span
+# span kernel of gf2, at the limb width that gf2.limb_layout gives the
+# code's length. Minimum-weight words are kept as rows of uint64 limbs, the
+# lo limbs then the hi limbs, in scan order: cosets in Gray order, then span
 # column.
 
 # Number of minimum-weight words a scan keeps; the count stays exact beyond it.
@@ -275,13 +276,13 @@ def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(lifts, key=lambda g: g[0] & -g[0]))
 
 
-def _gray_sums(steps, limbs: int):
+def _gray_sums(steps, limbs: int, dtype):
     """Packed sums g_S of the words steps[j] over the sets S = s ^ (s >> 1),
     for s = 0, 1, ..., 2^len(steps) - 1: their lo and hi bitplanes as limb
-    arrays with one row per s."""
-    lo = np.zeros((1 << len(steps), limbs), dtype=np.uint64)
+    arrays of dtype with one row per s."""
+    lo = np.zeros((1 << len(steps), limbs), dtype=dtype)
     hi = np.zeros_like(lo)
-    parts = gf2.limb_array([w for step in steps for w in step], limbs)
+    parts = gf2.limb_array([w for step in steps for w in step], limbs, dtype)
     for j in range(len(steps)):
         glo, ghi = parts[2 * j], parts[2 * j + 1]
         a, b = 1 << j, 2 << j
@@ -299,20 +300,22 @@ def _weight_scan(c: Z4Code):
 
     The words form a read-only uint64 array with one row per word: its lo
     bitplane as little-endian 64-bit limbs, then its hi bitplane
-    (gf2.limb_array's layout). They come in scan order, cosets in Gray order
-    and then span column, and stop after _WORD_LIMIT rows.
+    (gf2.limb_array's layout), whatever limb width the scan itself ran at.
+    They come in scan order, cosets in Gray order and then span column, and
+    stop after _WORD_LIMIT rows.
     """
     if c.size() > ENUM_CAP:
         raise EnumerationLimit(f"|C| = {c.size()} above enumeration cap {ENUM_CAP}")
     if c.size() == 1:
         raise ValueError("the zero code has no nonzero codeword")
-    limbs = -(-c.length // 64)
     tors = torsion(c).basis
     inner, extra = tors[:INNER_BITS], tors[INNER_BITS:]
-    span = gf2.packed_span(inner, limbs)
-    width = span.shape[1]
-    # one step per residue lift and one per torsion vector beyond the inner span
-    los, his = _gray_sums(list(residue_lifts(c)) + [(0, v) for v in extra], limbs)
+    span = gf2.packed_span(inner, c.length)
+    limbs, width = span.shape
+    # one step per residue lift and one per torsion vector beyond the inner
+    # span, at the span's limb width
+    los, his = _gray_sums(list(residue_lifts(c)) + [(0, v) for v in extra],
+                          limbs, span.dtype)
     masks = ~los
     residue_weights = np.bitwise_count(los).sum(axis=1, dtype=np.int64)
     rows, out = gf2.span_buffers(span, len(los))
@@ -347,7 +350,8 @@ def _weight_scan(c: Z4Code):
         found.append(idx[hits // width] * width + hits % width)
         kept += len(hits)
     found = np.concatenate(found)
-    words = np.hstack([los[found // width], gf2.span_words(span, his, found)])
+    words = np.hstack([los[found // width], gf2.span_words(span, his, found)],
+                      dtype=np.uint64)
     words.flags.writeable = False
     return best, count, words
 

@@ -255,9 +255,9 @@ def test_min_weight_of_golay_pair():
 
 
 def span_kernel_corpus():
-    """Seeded codes for the numpy span kernel: two and three 64-bit limbs,
-    and dimensions 17-20, whose spans take a Gray walk beyond the first 16
-    basis words."""
+    """Seeded codes for the numpy span kernel: one 32-bit limb, one, two
+    and three 64-bit limbs, and dimensions 17-20, whose spans take a Gray
+    walk beyond the first 16 basis words."""
     rng = random.Random(29)
     out = [random_code(rng, n, rng.randrange(3, 9)) for n in (65, 100, 128, 129, 130)]
     for n, k in ((70, 17), (130, 20), (40, 17), (57, 20)):
@@ -265,6 +265,11 @@ def span_kernel_corpus():
     # a sparse basis, so low weights occur
     out.append(gf2.span(100, [(0b1011 << rng.randrange(96)) ^ (1 << rng.randrange(100))
                               for _ in range(18)]))
+    # either side of the limb-width boundary at length 32, each with a word
+    # through the last coordinate, the top bit of a 32-bit limb at n = 32
+    for n, k in ((31, 17), (32, 20), (33, 17)):
+        out.append(gf2.span(n, [rng.randrange(1 << n) for _ in range(k - 1)]
+                            + [rng.randrange(1 << n) | 1 << (n - 1)]))
     return out
 
 
@@ -272,6 +277,11 @@ def test_span_kernel_matches_codewords_oracle():
     corpus = span_kernel_corpus()
     assert {(c.length + 63) // 64 for c in corpus} == {1, 2, 3}
     assert {c.dim for c in corpus} >= {17, 20}
+    # both limb widths, either side of length 32, on codes that span beyond
+    # the first 16 words and have a word through their last coordinate
+    boundary = [c for c in corpus if c.length in (31, 32, 33)]
+    assert [gf2.limb_layout(c.length)[1].itemsize for c in boundary] == [4, 4, 8]
+    assert all(c.dim >= 17 and any(b >> (c.length - 1) for b in c.basis) for c in boundary)
     for c in corpus:
         by_weight = {}
         for w in c.codewords():
@@ -286,7 +296,8 @@ def test_span_kernel_matches_codewords_oracle():
 
 def test_span_kernel_blocks_of_several_cosets(monkeypatch):
     # three cosets of the 2^16-column span share a block, and the last block
-    # of the 2^(dim - 16) cosets is partial
+    # of the 2^(dim - 16) cosets is partial, at both limb widths (the
+    # length-32 code has 16 cosets)
     monkeypatch.setattr(gf2, "BLOCK", 3 << 16)
     test_span_kernel_matches_codewords_oracle()
 

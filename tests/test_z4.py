@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -269,7 +270,8 @@ def test_weight_scan_matches_codeword_scan():
         n = rng.randrange(2, 12)
         gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 5))]
         codes.append(z4.z4_span(n, gens))
-    for n in (64, 65, 130):
+    # 64-bit limbs, then 32-bit limbs up to length 32 and 64-bit ones at 33
+    for n in (64, 65, 130, 31, 32, 33):
         # the last generator leads with a 2 and has an odd tail, like (2, 1)
         gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(3)]
         gens.append((2,) + tuple(2 * rng.randrange(2) for _ in range(n - 2)) + (1,))
@@ -302,7 +304,7 @@ def test_weight_scan_beyond_inner_span_leech():
 
 def _scan_blocks(c):
     """Cosets of _weight_scan and the number of them it evaluates per block."""
-    span = gf2.packed_span(z4.torsion(c).basis[:z4.INNER_BITS], -(-c.length // 64))
+    span = gf2.packed_span(z4.torsion(c).basis[:z4.INNER_BITS], c.length)
     cosets = 1 << (z4.residue(c).dim + max(0, z4.torsion(c).dim - z4.INNER_BITS))
     return cosets, gf2.span_buffers(span, cosets)[0]
 
@@ -372,6 +374,31 @@ def test_weight_scan_truncated_word_list(monkeypatch, code_id, limit):
             z4.min_weight_words(c)
     finally:
         z4._weight_scan.cache_clear()
+
+
+def _octacode_at_end(n):
+    """The octacode on coordinates n-8..n-1, plus the weight-24 word of 2s
+    on coordinates 0-5: 128 words of weight 8, the last through coordinate
+    n-1."""
+    gens = [(0,) * (n - 8) + row for row in len8(4).basis]
+    return z4.z4_span(n, gens + [(2,) * 6 + (0,) * (n - 6)])
+
+
+@pytest.mark.parametrize("code, count, digest", [
+    (lambda: _octacode_at_end(32), 128, "5127e868b009b4dd"),
+    (lambda: _octacode_at_end(33), 128, "6960bde517023c0d"),
+    (lambda: catalog.get("z4-pseudo-golay-1").code(), 98256, "d65fb9c933e6a7f3"),
+    (lambda: catalog.get("z4-leech-standard").code(), 95610, "fe8f46c2d6e4284c"),
+], ids=["octacode-32", "octacode-33", "pseudo-golay-1", "leech"])
+def test_weight_scan_words_contract(code, count, digest):
+    # whatever limb width the scan runs at, its words are uint64 limb rows,
+    # lo then hi, in the order of the 64-bit scan: the digests are of that
+    # scan's little-endian bytes
+    words = z4.min_weight_words(code())
+    assert words.dtype == np.uint64
+    assert words.shape == (count, 2)
+    assert not words.flags.writeable
+    assert hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()[:16] == digest
 
 
 def test_weight_scan_words_read_only():
