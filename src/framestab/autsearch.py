@@ -80,8 +80,11 @@ taken to find them. Twins form classes, and the group is (Π Sym(class)) ⋊ A:
 A permutes the classes, and its lifts send the k-th point of a class to the
 k-th point of its image. A is the automorphism group of the quotient codes
 on one point per class, each class giving a representative's bit or its
-parity, with the class sizes and kinds as point colours that the search
-starts from and verify keeps. The group is built from A's base and strong
+parity, and, where the classes differ in size or kinds, of one
+1-dimensional code per (size, kinds) key, spanned by the indicator word of
+its quotient points: a colouring that every automorphism keeps is a set of
+subsets that every automorphism keeps (McKay & Piperno 2014), so the search
+sees codes and nothing else. The group is built from A's base and strong
 generators, lifted, and the adjacent transpositions of each class, again
 without Schreier-Sims. A code without twins is searched directly.
 
@@ -132,8 +135,7 @@ FILTER_BLOCK_BYTES = 120_000
 
 @dataclass
 class Structure:
-    """What the search must preserve: codes, word systems, pair and point
-    colours."""
+    """What the search must preserve: codes, word systems and pair colours."""
 
     n: int
     codes: tuple[BinaryCode, ...]
@@ -141,13 +143,8 @@ class Structure:
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
     # callable(Perm) -> bool, or None; True only where the colours are kept
     leaf_test: object = None
-    # per point, an int colour that every automorphism keeps, or None
-    colours: tuple[int, ...] | None = None
 
     def verify(self, p: Perm) -> bool:
-        if self.colours is not None and any(
-                self.colours[x] != c for x, c in zip(p, self.colours)):
-            return False
         for c in self.codes:
             for b in c.basis:
                 if not c.contains(permgrp.apply_word(p, b)):
@@ -278,14 +275,8 @@ def _structure(sides) -> Structure:
 
 
 def _initial_partition(struct: Structure):
-    """One cell holding every point, or with point colours one cell per
-    colour, in increasing colour, each in point order."""
-    if struct.colours is None:
-        return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
-    colours = np.array(struct.colours)
-    lab = np.argsort(colours, kind="stable")
-    ordered = colours[lab]
-    return _Partition(lab, np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]))
+    """One cell holding every point."""
+    return _Partition(np.arange(struct.n), np.zeros(1, dtype=np.int64))
 
 
 class _Partition:
@@ -789,9 +780,10 @@ def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> 
     Memoized on the codes' distinct small sides (_small_side) alone, which
     fix the group: a code and its dual share one entry, and so do aut_z4's
     constraint group Aut(C0) ∩ Aut(C1) and a frame report's Aut(C0)
-    wherever C1 is C0 or its dual (every self-dual code). A search that
-    finishes is cached whatever its budget and progress callback; one that
-    stops caches nothing. Callers must not mutate the group.
+    wherever C1 is C0 or its dual (every self-dual code). The quotient
+    searches go through the same memo. A search that finishes is cached
+    whatever its budget and progress callback; one that stops caches
+    nothing. Callers must not mutate the group.
     """
     sides = tuple(dict.fromkeys(map(_small_side, codes)))
     return _aut_binary(_Request(sides, budget, progress))
@@ -799,29 +791,23 @@ def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> 
 
 @dataclass(frozen=True)
 class _Request:
-    """The distinct small sides of an aut_binary call, with the search
-    limits that ride along; compared and hashed on the sides only."""
+    """Distinct codes of one length, taken as they are, with the search
+    limits that ride along; compared and hashed on the codes only."""
 
-    sides: tuple[BinaryCode, ...]
+    codes: tuple[BinaryCode, ...]
     budget: int | None = field(compare=False)
     progress: object = field(compare=False)
 
 
 @lru_cache(maxsize=8)
 def _aut_binary(request: _Request) -> PermGroup:
-    return _aut(request.sides, None, request.budget, request.progress)
-
-
-def _aut(codes, colours, budget, progress) -> PermGroup:
-    """The permutations that keep every code, taken as it is, and the point
-    colours (a tuple, or None): through the twin quotient where there are
-    twins, by the direct search otherwise."""
-    twins = _twin_classes(codes, colours)
+    """The permutations that keep every code of the request: through the
+    twin quotient where there are twins, by the direct search otherwise."""
+    codes, budget, progress = request.codes, request.budget, request.progress
+    twins = _twin_classes(codes)
     if twins is None:
-        struct = _structure(codes)
-        struct.colours = colours
-        return automorphism_group(struct, budget=budget, progress=progress)
-    return _twin_quotient(codes, colours, *twins, budget, progress)
+        return automorphism_group(_structure(codes), budget=budget, progress=progress)
+    return _twin_quotient(codes, *twins, budget, progress)
 
 
 # -- twin quotient ----------------------------------------------------------------
@@ -862,22 +848,21 @@ def _weight_two_classes(code: BinaryCode) -> list[int]:
     return classes
 
 
-def _twin_classes(codes, colours):
+def _twin_classes(codes):
     """The twin classes of the codes (None if every class is one point), as
     point lists in order of their lowest point, and per class its kind in
     each code: 0 where the class has equal generator columns (every word is
     constant on it), 1 where it has equal check columns (the code holds
     every even word on it).
 
-    Points i and j are twins when (i j) keeps every code and the colours, so
-    for each code e_i + e_j lies in it or in its dual. The transpositions in
-    a group join into cliques, so the classes are those of one code,
-    intersected over the codes and split by colour. For a code, the dual's
-    weight-2 words are the equal columns of its basis (_equal_columns), and
-    its own come from the RREF basis (_weight_two_classes); no dual is
-    taken. A class of 3 or more points has one kind only (e_i + e_j in the
-    code and e_j + e_k in its dual would pair to 1); a pair of both kinds,
-    and a lone point, count as kind 0.
+    Points i and j are twins when (i j) keeps every code, so for each code
+    e_i + e_j lies in it or in its dual. The transpositions in a group join
+    into cliques, so the classes are those of one code, intersected over the
+    codes. For a code, the dual's weight-2 words are the equal columns of its
+    basis (_equal_columns), and its own come from the RREF basis
+    (_weight_two_classes); no dual is taken. A class of 3 or more points
+    has one kind only (e_i + e_j in the code and e_j + e_k in its dual would
+    pair to 1); a pair of both kinds, and a lone point, count as kind 0.
     """
     n = codes[0].length
     parts = None
@@ -887,11 +872,6 @@ def _twin_classes(codes, colours):
         check = [c for c in _weight_two_classes(code) if c not in gen]
         checked.append(sum(check))
         parts = gen + check if parts is None else _meets(parts, gen + check)
-    if parts and colours is not None:
-        by_colour: dict[int, int] = {}
-        for i, c in enumerate(colours):
-            by_colour[c] = by_colour.get(c, 0) | 1 << i
-        parts = _meets(parts, list(by_colour.values()))
     if not parts:
         return None
     lone = (1 << n) - 1
@@ -924,20 +904,21 @@ def _transposition(n: int, i: int, j: int) -> Perm:
     return tuple(p)
 
 
-def _twin_quotient(codes, colours, classes, kinds, budget, progress) -> PermGroup:
+def _twin_quotient(codes, classes, kinds, budget, progress) -> PermGroup:
     """Aut of the codes as (Π Sym(class)) ⋊ A, from a search of A alone.
 
     A class of kind 0 contributes its first point's bit to a quotient word,
     and one of kind 1 its parity. Every code is the set of words constant on
     its kind-0 classes whose quotient lies in its quotient code, so the
     order-preserving lift of a class permutation keeps the code exactly when
-    the permutation keeps the quotient code and each class's colour: its
-    points' colour, its size and its kinds. A is the group of those
-    permutations. When every class has one colour and every quotient code is
-    its own small side, A is aut_binary of the quotient codes, and shares
-    its memo. Otherwise A is searched on the quotient codes as they are,
-    from their colour cells (_aut), and a quotient with twins of its own is
-    quotiented again; this takes no dual.
+    the permutation keeps the quotient code and each class's key, its size
+    and its kinds. A is the group of those permutations: where the classes
+    have more than one key, the automorphism group of the quotient codes and
+    of one 1-dimensional code per key, spanned by the indicator word of the
+    quotient points with that key. It is searched through _aut_binary's memo
+    on those codes as they are, taking no dual, so a quotient with twins of
+    its own is quotiented again. With one key and quotient codes that are
+    their own small sides, the memo entry is aut_binary's of the quotients.
 
     The base is the first points of the classes of A's base, with the
     lifted generators of A's levels, then each class's points but its last,
@@ -955,10 +936,11 @@ def _twin_quotient(codes, colours, classes, kinds, budget, progress) -> PermGrou
                 q |= (bit & 1) << t
             rows.append(q)
         quotients.append(gf2.span(m, rows))
+    keys = [(len(points), *kind) for points, kind in zip(classes, kinds)]
+    if len(set(keys)) > 1:
+        quotients += [gf2.span(m, [sum(1 << t for t, k in enumerate(keys) if k == key)])
+                      for key in sorted(set(keys))]
     quotients = tuple(dict.fromkeys(quotients))
-    keys = [(0 if colours is None else colours[points[0]], len(points), *kind)
-            for points, kind in zip(classes, kinds)]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
 
     def lift(g: Perm) -> Perm:
         image = [0] * n
@@ -970,10 +952,7 @@ def _twin_quotient(codes, colours, classes, kinds, budget, progress) -> PermGrou
     swaps = [(points[k], _transposition(n, points[k], points[k + 1]))
              for points in classes for k in range(len(points) - 1)]
     try:
-        if len(rank) == 1 and all(2 * q.dim <= m for q in quotients):
-            quotient = aut_binary(*quotients, budget=budget, progress=progress)
-        else:
-            quotient = _aut(quotients, tuple(rank[key] for key in keys), budget, progress)
+        quotient = _aut_binary(_Request(quotients, budget, progress))
     except BudgetExceeded as err:
         gens = [s for _, s in swaps] + [lift(g) for g in err.partial.generators]
         err.partial = PermGroup(n, gens)

@@ -8,8 +8,9 @@ The Schreier-Sims construction is deterministic and processes every
 Schreier generator, so strong generation is verified rather than sampled;
 orders are exact products of fundamental orbit lengths. The one exception is
 PermGroup.from_bsgs, which takes a base and strong generating set that the
-caller has already proved (the partition search proves one as it goes) and
-only computes the basic orbits; their transversals wait for first use.
+caller has already proved (the partition search and subgroup_search prove
+one as they go) and only computes the basic orbits; their transversals wait
+for first use.
 """
 
 from __future__ import annotations
@@ -302,10 +303,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def trivial_group(degree: int, base=()) -> PermGroup:
-    return PermGroup(degree, [], base=base)
-
-
 # ---------------------------------------------------------------------------
 # Subgroup backtrack search
 # ---------------------------------------------------------------------------
@@ -320,14 +317,18 @@ def subgroup_search(
     """All elements of ``group`` satisfying ``test`` (must form a subgroup).
 
     Classic base-image backtracking, processed bottom-up along the stabilizer
-    chain: at level l we look for one witness per new coset of the part of
-    the subgroup already known, so the found group grows monotonically and
-    prunes its own search.
+    chain: at level l we look for one witness per base image not yet in the
+    orbit of the witnesses found so far, so they prune their own search.
+    Every witness found at level l or deeper fixes the base points before
+    it, so once level l is done they generate the subgroup's stabilizer of
+    those points: a strong generating set on the group's base, taken
+    without Schreier-Sims (PermGroup.from_bsgs).
     """
     base = group.base
     k = len(base)
     degree = group.degree
-    found = trivial_group(degree, base=base)
+    found: list[Perm] = []
+    level_gens: list[list[Perm]] = [[] for _ in base]
     nodes = 0
     node_cap = budget if budget is not None else DEFAULT_BUDGET
 
@@ -338,7 +339,7 @@ def subgroup_search(
             progress(nodes)
         if nodes > node_cap:
             raise BudgetExceeded(
-                f"subgroup search exceeded {node_cap} nodes", partial=found
+                f"subgroup search exceeded {node_cap} nodes", partial=PermGroup(degree, found)
             )
 
     def extend(depth: int, partial: Perm):
@@ -354,15 +355,13 @@ def subgroup_search(
         return None
 
     for l in range(k - 1, -1, -1):
-        beta = base[l]
+        reached = orbit(base[l], found)
         for c in sorted(group.basic_orbit(l)):
-            if c == beta:
+            if c in reached:
                 continue
-            # already covered by the known subgroup?
-            if l < len(found.base) and c in found.transversal(l):
-                continue
-            u = group.transversal(l)[c]
-            got = extend(l + 1, u)
+            got = extend(l + 1, group.transversal(l)[c])
             if got is not None:
-                found = found.extended([got])
-    return found
+                found.append(got)
+                reached = orbit(base[l], found)
+        level_gens[l] = list(found)
+    return PermGroup.from_bsgs(degree, base, level_gens)

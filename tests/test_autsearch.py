@@ -1190,7 +1190,7 @@ def test_twin_route_matches_direct_search_on_the_catalog():
     twin_sets = 0
     for codes in catalog_code_sets():
         sides = tuple(dict.fromkeys(map(ats._small_side, codes)))
-        if ats._twin_classes(sides, None) is None:
+        if ats._twin_classes(sides) is None:
             continue
         twin_sets += 1
         for trial in (codes, relabeled_codes(codes, rng)):
@@ -1223,10 +1223,9 @@ def planted_twins(rng, m):
     return relabeled_codes([gf2.span(n, rows)], rng)[0]
 
 
-def test_twin_route_matches_direct_search_on_planted_twins():
-    rng = random.Random(43)
-    seen = set()
-    for _ in range(150):
+def planted_code_sets(rng, count):
+    """count seeded sets of planted_twins codes, some with a second code."""
+    for _ in range(count):
         code = planted_twins(rng, rng.randrange(1, 7))
         codes = [code]
         if rng.random() < 0.4:
@@ -1234,42 +1233,73 @@ def test_twin_route_matches_direct_search_on_planted_twins():
             n = code.length
             codes.append(gf2.span(n, [b for b in code.basis if rng.random() < 0.5]
                                   + [rng.randrange(1 << n) for _ in range(rng.randrange(2))]))
+        yield codes
+
+
+def test_twin_route_matches_direct_search_on_planted_twins(monkeypatch):
+    seen = set()
+    # per open _twin_quotient call, whether its classes have more than one
+    # key, so that its quotient search takes indicator codes
+    many_keys = []
+    twin_quotient = ats._twin_quotient
+
+    def traced(codes, classes, kinds, *limits):
+        if many_keys and many_keys[-1]:
+            seen.add("nested quotient with indicator codes")
+        many_keys.append(len({(len(c), *k) for c, k in zip(classes, kinds)}) > 1)
+        try:
+            return twin_quotient(codes, classes, kinds, *limits)
+        finally:
+            many_keys.pop()
+
+    monkeypatch.setattr(ats, "_twin_quotient", traced)
+    fixed = [
+        # the Golay code with coordinate 1 doubled: two class keys
+        [gf2.span(25, [b | (b & 1) << 24 for b in gf2.golay24().basis])],
+        # classes of sizes 3, 2 and 1: three keys
+        [gf2.span(6, ["111000", "000110"])],
+        # classes {0, 1}, {2, 3}, {4}, {5}: the quotient span{1100, 1010}
+        # holds every even word on its first three points, and with the
+        # indicator codes 1100 and 0011 the first two are twins
+        [gf2.span(6, ["111100", "110010"])],
+    ]
+    for codes in [*fixed, *planted_code_sets(random.Random(43), 150)]:
         sides = tuple(dict.fromkeys(map(ats._small_side, codes)))
-        twins = ats._twin_classes(sides, None)
+        twins = ats._twin_classes(sides)
         if twins is not None:
             classes, kinds = twins
             seen.update(("kind", k) for kind in kinds for k in kind)
-            seen.add(("colours", len({(len(c), k) for c, k in zip(classes, kinds)}) > 1))
+            seen.add(("keys", len({(len(c), k) for c, k in zip(classes, kinds)}) > 1))
             seen.add(("codes", len(sides)))
-            seen.add(("zero column", any(not any(b >> i & 1 for b in code.basis)
-                                         for i in range(code.length))))
+            seen.add(("zero column", any(not any(b >> i & 1 for b in codes[0].basis)
+                                         for i in range(codes[0].length))))
         ats._aut_binary.cache_clear()
         assert_same_group(ats.aut_binary(*codes),
                           ats.automorphism_group(ats.structure_for_codes(codes)))
-    assert seen >= {("kind", 0), ("kind", 1), ("colours", True), ("colours", False),
-                    ("codes", 2), ("zero column", True)}
+    assert seen >= {("kind", 0), ("kind", 1), ("keys", True), ("keys", False),
+                    ("codes", 2), ("zero column", True), "nested quotient with indicator codes"}
 
 
 def test_twin_classes_of_mixed_sizes_and_a_zero_column():
     # span{111000, 000110}: Sym(3) x Sym(2), with the zero column fixed
     code = gf2.span(6, ["111000", "000110"])
-    assert ats._twin_classes((code,), None) == ([[0, 1, 2], [3, 4], [5]], [(0,), (0,), (0,)])
+    assert ats._twin_classes((code,)) == ([[0, 1, 2], [3, 4], [5]], [(0,), (0,), (0,)])
     assert ats.aut_binary(code).order() == 12
     # the dual has the same classes; the class of 3 has equal check columns
     # there (kind 1), and the pair, whose word lies in both codes, stays 0
-    assert ats._twin_classes((gf2.dual(code),), None) == ([[0, 1, 2], [3, 4], [5]],
-                                                          [(1,), (0,), (0,)])
+    assert ats._twin_classes((gf2.dual(code),)) == ([[0, 1, 2], [3, 4], [5]],
+                                                    [(1,), (0,), (0,)])
 
 
 @pytest.mark.parametrize("code", [gf2.d_map(gf2.golay24()),
                                   gf2.span(25, [b | (b & 1) << 24 for b in gf2.golay24().basis])],
                          ids=["d-golay-one-colour", "golay-point-doubled-two-colours"])
 def test_budget_stop_in_the_quotient_search(code):
-    # the quotient is the Golay code, searched through aut_binary's memo
-    # (one colour) or from its colour cells (two); the stop's partial group
-    # holds every class transposition and lies in the full group
+    # the quotient is the Golay code, searched alone (one class key) or with
+    # the indicator codes of the two keys; the stop's partial group holds
+    # every class transposition and lies in the full group
     ats._aut_binary.cache_clear()
-    classes, _ = ats._twin_classes((ats._small_side(code),), None)
+    classes, _ = ats._twin_classes((ats._small_side(code),))
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(code, budget=10)
     partial = err.value.partial

@@ -601,7 +601,7 @@ def test_budget_stop_in_aut_c_skips_the_cross_check(monkeypatch, code_id, budget
     if variant == "lattice":
         autsearch._aut_binary.cache_clear()
         assert frames.frame_report(code, variant, budget=budget) == full
-        monkeypatch.setattr(autsearch, "_twin_classes", lambda codes, colours: None)
+        monkeypatch.setattr(autsearch, "_twin_classes", lambda codes: None)
     autsearch._aut_binary.cache_clear()
     got = frames.frame_report(code, variant, budget=budget)
     assert got == replace(full, aut_c=None, h_count_by_index=None)
