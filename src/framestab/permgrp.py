@@ -4,13 +4,15 @@ Permutations are tuples of images on 0-indexed points; composition is left
 to right, compose(p, q)[x] = q[p[x]]. All I/O (cycle strings, JSON image
 lists) is 1-indexed to match the coordinate convention elsewhere.
 
-The Schreier-Sims construction is deterministic and processes every
-Schreier generator, so strong generation is verified rather than sampled;
-orders are exact products of fundamental orbit lengths. The one exception is
-PermGroup.from_bsgs, which takes a base and strong generating set that the
-caller has already proved (the partition search and subgroup_search prove
-one as they go) and only computes the basic orbits; their transversals wait
-for first use.
+A PermGroup is one stabilizer chain: a base, the strong generators of each
+level, the basic orbits as point sets, and transversals built on first use.
+Orders are exact products of the basic orbit lengths. The constructor fills
+the chain by sift-and-insert Schreier-Sims (Sims 1970; Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, section 4.4), deterministic
+and sifting every Schreier generator, so strong generation is verified
+rather than sampled. PermGroup.from_bsgs takes a chain that the caller has
+already proved (the partition search and subgroup_search prove one as they
+go) and only computes its basic orbits.
 """
 
 from __future__ import annotations
@@ -113,8 +115,11 @@ class SignedPerm:
 class PermGroup:
     """A permutation group with a base and strong generating set.
 
-    The constructor verifies strong generation by Schreier-Sims; from_bsgs
-    takes it from a caller that proved it.
+    Every group keeps one stabilizer chain: the base, and for each level l
+    the strong generators that fix base[:l], the basic orbit of base[l] as a
+    point set and a transversal built on first use. The constructor fills
+    the chain by Schreier-Sims; from_bsgs takes it from a caller that proved
+    it.
     """
 
     def __init__(self, degree: int, generators, base=()):
@@ -124,99 +129,54 @@ class PermGroup:
             if sorted(g) != list(range(degree)):
                 raise ValueError("generator is not a permutation of the right degree")
         self.generators = tuple(gens)
-        self._base: list[int] = []
-        self._level_gens: list[list[Perm]] = []
-        self._transversals: list[dict[int, Perm]] = []
         self._build(list(base))
 
     # -- construction -----------------------------------------------------
 
-    def _orbit_transversal(self, beta: int, gens) -> dict[int, Perm]:
-        trans = {beta: identity(self.degree)}
-        queue = [beta]
-        while queue:
-            pt = queue.pop()
-            u = trans[pt]
-            for g in gens:
-                img = g[pt]
-                if img not in trans:
-                    trans[img] = compose(u, g)
-                    queue.append(img)
-        return trans
-
-    def _greedy_base_point(self, gens) -> int:
-        moved = set()
-        for g in gens:
-            moved.update(i for i in range(self.degree) if g[i] != i)
-        best = None
-        for pt in sorted(moved):
-            size = len(self._orbit_transversal(pt, gens))
-            if best is None or size > best[0]:
-                best = (size, pt)
-        return best[1]
-
-    def _rebuild_level(self, l: int):
-        gens = [g for g in self._strong if all(g[b] == b for b in self._base[:l])]
-        self._level_gens[l] = gens
-        self._transversals[l] = self._orbit_transversal(self._base[l], gens)
-
     def _build(self, base_hint: list[int]):
-        self._strong: list[Perm] = list(self.generators)
-        self._base = []
-        self._level_gens = []
-        self._transversals = []
-        for b in base_hint:
-            self._base.append(b)
-            self._level_gens.append([])
-            self._transversals.append({})
-        # extend the hint with greedily chosen points until no generator
-        # fixes the whole base
-        def base_complete():
-            return all(
-                any(g[b] != b for b in self._base) for g in self._strong
-            ) or not self._strong
+        """Sift-and-insert Schreier-Sims on the chain seeded by base_hint.
 
-        while not base_complete():
-            fixing = [g for g in self._strong if all(g[b] == b for b in self._base)]
-            self._base.append(self._greedy_base_point(fixing))
-            self._level_gens.append([])
-            self._transversals.append({})
-        for l in range(len(self._base)):
-            self._rebuild_level(l)
-        # deterministic closure over Schreier generators
+        Each generator is sifted and its residue inserted. Then, for l = 0,
+        1, ..., level l is done once every Schreier generator
+        u.s.u(s(pt))^-1 of it sifts to the identity: they generate the
+        stabilizer of base[l] in <S_l>, so that stabilizer is <S_(l+1)>. A
+        residue found there lies in <S_l> and fixes base[:l+1]. It joins the
+        generators of levels 0..l without changing their groups, so those
+        levels stay done, and the Schreier generators of level l need not
+        take it in.
+        """
+        self._base, self._level_gens, self._orbits, self._transversals = [], [], [], []
+        for b in base_hint:
+            self._add_level(b)
+        for g in self.generators:
+            self._insert(*self._strip(g))
         l = 0
         while l < len(self._base):
-            beta = self._base[l]
-            trans = self._transversals[l]
-            gens = self._level_gens[l]
-            dirty = False
-            for pt in list(trans):
-                u = trans[pt]
-                for s in gens:
-                    target = trans[s[pt]]
-                    sg = compose(compose(u, s), inverse(target))
-                    if is_identity(sg):
-                        continue
-                    residue, lev = self._strip(sg)
-                    if is_identity(residue):
-                        continue
-                    if lev == len(self._base):
-                        self._base.append(
-                            min(i for i in range(self.degree) if residue[i] != i)
-                        )
-                        self._level_gens.append([])
-                        self._transversals.append({})
-                    self._strong.append(residue)
-                    for j in range(lev + 1):
-                        self._rebuild_level(j)
-                    dirty = True
-                    break
-                if dirty:
-                    break
-            if dirty:
-                l = min(l, lev)
-                continue
+            trans = self.transversal(l)
+            for s in list(self._level_gens[l]):
+                for pt, u in trans.items():
+                    self._insert(*self._strip(compose(compose(u, s), inverse(trans[s[pt]]))))
             l += 1
+        self.strong_generators = tuple(dict.fromkeys(g for gens in self._level_gens for g in gens))
+
+    def _add_level(self, b: int):
+        self._base.append(b)
+        self._level_gens.append([])
+        self._orbits.append({b})
+        self._transversals.append(None)
+
+    def _insert(self, residue: Perm, stop: int):
+        """Add a sifted residue that stopped at level stop to the levels
+        whose base prefix it fixes, growing the base if it fixes all of it."""
+        if is_identity(residue):
+            return
+        if stop == len(self._base):
+            self._add_level(next(i for i in range(self.degree) if residue[i] != i))
+        for l in range(stop + 1):
+            self._level_gens[l].append(residue)
+            if any(residue[x] not in self._orbits[l] for x in self._orbits[l]):
+                self._orbits[l] = orbit(self._base[l], self._level_gens[l])
+                self._transversals[l] = None
 
     @classmethod
     def from_bsgs(cls, degree: int, base, level_gens) -> "PermGroup":
@@ -224,23 +184,21 @@ class PermGroup:
 
         level_gens[l] must generate the pointwise stabilizer of base[:l] in
         the group, and only the identity may fix the whole base. This is
-        taken on trust, not verified: only the basic orbits are computed, as
-        point sets, and a level's transversal is built when membership or a
-        subgroup search first asks for it; the order needs none. The strong
-        generators are the distinct generators of all levels, in order of
-        first appearance.
+        taken on trust, not verified: only the basic orbits are computed.
+        The generators, which are also the strong generators, are the
+        distinct generators of all levels, in order of first appearance.
         """
         base = list(base)
         if len(level_gens) != len(base):
             raise ValueError("need one generator list per base point")
         group = cls.__new__(cls)
         group.degree = degree
-        group.generators = tuple(dict.fromkeys(g for gens in level_gens for g in gens))
-        group._strong = list(group.generators)
         group._base = base
         group._level_gens = [list(gens) for gens in level_gens]
         group._orbits = [orbit(b, gens) for b, gens in zip(base, level_gens)]
         group._transversals = [None] * len(base)
+        group.generators = group.strong_generators = tuple(
+            dict.fromkeys(g for gens in level_gens for g in gens))
         return group
 
     def _strip(self, g: Perm):
@@ -260,14 +218,10 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(self._base)
 
-    @property
-    def strong_generators(self) -> tuple[Perm, ...]:
-        return tuple(self._strong)
-
     def order(self) -> int:
         out = 1
-        for l in range(len(self._base)):
-            out *= len(self.basic_orbit(l))
+        for orb in self._orbits:
+            out *= len(orb)
         return out
 
     def contains(self, p: Perm) -> bool:
@@ -284,19 +238,31 @@ class PermGroup:
         pointwise stabilizer."""
         return self._level_gens[l]
 
-    def basic_orbit(self, l: int):
-        t = self._transversals[l]
-        return self._orbits[l] if t is None else t.keys()
+    def basic_orbit(self, l: int) -> set[int]:
+        return self._orbits[l]
 
     def transversal(self, l: int) -> dict[int, Perm]:
+        """For each point x of the basic orbit of base[l], an element of
+        the stabilizer of base[:l] that maps base[l] to x."""
         if self._transversals[l] is None:
-            self._transversals[l] = self._orbit_transversal(self._base[l], self._level_gens[l])
+            trans = {self._base[l]: identity(self.degree)}
+            queue = [self._base[l]]
+            while queue:
+                pt = queue.pop()
+                u = trans[pt]
+                for g in self._level_gens[l]:
+                    img = g[pt]
+                    if img not in trans:
+                        trans[img] = compose(u, g)
+                        queue.append(img)
+            self._transversals[l] = trans
         return self._transversals[l]
 
     def extended(self, new_gens) -> "PermGroup":
         """Group generated by this group and new_gens, keeping the base prefix."""
         return PermGroup(
-            self.degree, list(self._strong) + [tuple(g) for g in new_gens], base=self._base
+            self.degree, list(self.strong_generators) + [tuple(g) for g in new_gens],
+            base=self._base,
         )
 
     def __repr__(self):
@@ -329,6 +295,7 @@ def subgroup_search(
     degree = group.degree
     found: list[Perm] = []
     level_gens: list[list[Perm]] = [[] for _ in base]
+    orbits = [sorted(group.basic_orbit(l)) for l in range(k)]
     nodes = 0
     node_cap = budget if budget is not None else DEFAULT_BUDGET
 
@@ -347,7 +314,7 @@ def subgroup_search(
         tick()
         if depth == k:
             return partial if test(partial) else None
-        for x in sorted(group.basic_orbit(depth)):
+        for x in orbits[depth]:
             u = group.transversal(depth)[x]
             got = extend(depth + 1, compose(u, partial))
             if got is not None:
@@ -356,7 +323,7 @@ def subgroup_search(
 
     for l in range(k - 1, -1, -1):
         reached = orbit(base[l], found)
-        for c in sorted(group.basic_orbit(l)):
+        for c in orbits[l]:
             if c in reached:
                 continue
             got = extend(l + 1, group.transversal(l)[c])

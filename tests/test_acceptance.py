@@ -11,6 +11,7 @@ decisions ledger for the analysis.
 import random
 import time
 from itertools import permutations
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -147,6 +148,36 @@ def test_criterion_5_case4_consistent_value():
     assert kernel * image.order() == 2688
     report(5, "fourth code: kernel 2 (global negation), image 1344 = |AGL(3,2)|, "
               "total 2688 (consistent value; stated 1344 is xfail-documented)", t)
+
+
+def type_ii_residue_count(n, k):
+    """N(n, k), the number of doubly-even binary codes of length n and
+    dimension k containing the all-ones word that the mass formula weights:
+    prod_(i<k-1) (2^(m-i) - 1)(2^(m-i-1) + 1)/(2^(i+1) - 1), m = (n - 2)/2."""
+    m = (n - 2) // 2
+    out = Fraction(1)
+    for i in range(k - 1):
+        out *= Fraction((2**(m - i) - 1) * (2**(m - i - 1) + 1), 2**(i + 1) - 1)
+    return out
+
+
+def test_criterion_5_length8_mass_formula():
+    # a second route to all four |Aut| totals (the xfail's 2688 among them):
+    # the Type II Z4-codes of length 8 whose residue has dimension k have
+    # mass sum 2^n n!/|Aut| = N(8, k) 2^(1 + k(k-1)/2), and the catalog holds
+    # one code of each class
+    t = time.time()
+    n = 8
+    assert [type_ii_residue_count(n, k) for k in range(1, 5)] == [1, 35, 105, 30]
+    mass = dict.fromkeys(range(1, 5), Fraction(0))
+    for case in range(1, 5):
+        code = len8(case)
+        kernel, image = autsearch.aut_z4(code)
+        mass[z4.residue(code).dim] += Fraction(2**n * factorial(n), kernel * image.order())
+    assert mass == {k: type_ii_residue_count(n, k) * 2**(1 + k * (k - 1) // 2)
+                    for k in range(1, 5)}
+    assert list(mass.values()) == [2, 140, 1680, 3840]
+    report(5, "length-8 mass formula: 2, 140, 1680, 3840 for residue dimension 1-4", t)
 
 
 @pytest.mark.slow

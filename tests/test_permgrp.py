@@ -113,3 +113,82 @@ def test_subgroup_search_budget():
     with pytest.raises(pg.BudgetExceeded) as err:
         pg.subgroup_search(g, lambda p: False, budget=50)
     assert err.value.partial is not None
+
+
+def chain_corpus():
+    """Seeded generator sets of degree <= 9 with base hints, from groups that
+    random full permutations (nearly always Sym(n) or Alt(n)) miss: sparse,
+    intransitive and imprimitive ones."""
+    def perm(n, *cycles):
+        return oracles.perm_from_cycles(n, [list(c) for c in cycles])
+
+    cases = [
+        (8, agl32_generators(), (3, 5)),
+        # Sym(3) x Sym(3) x Sym(3), intransitive
+        (9, [perm(9, (1, 2)), perm(9, (1, 2, 3)), perm(9, (4, 5)), perm(9, (4, 5, 6)),
+             perm(9, (7, 8)), perm(9, (7, 8, 9))], (8,)),
+        # Sym(4) x C5, intransitive
+        (9, [perm(9, (1, 2)), perm(9, (1, 2, 3, 4)), perm(9, (5, 6, 7, 8, 9))], (6, 0)),
+        # Sym(3) wr Sym(3), imprimitive on the blocks {1,2,3}, {4,5,6}, {7,8,9}
+        (9, [perm(9, (1, 2)), perm(9, (1, 2, 3)), perm(9, (1, 4, 7), (2, 5, 8), (3, 6, 9)),
+             perm(9, (1, 4), (2, 5), (3, 6))], (4,)),
+        # the dihedral group of the octagon, imprimitive on antipodal pairs
+        (8, [perm(8, (1, 2, 3, 4, 5, 6, 7, 8)), perm(8, (2, 8), (3, 7), (4, 6))], (2,)),
+        # a redundant generator and a hint point that the group fixes
+        (6, [perm(6, (1, 2, 3)), perm(6, (1, 3, 2)), perm(6, (4, 5))], (5, 3)),
+    ]
+    rng = random.Random(34)
+    for _ in range(40):
+        n = rng.randrange(4, 10)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            p = list(range(n))
+            for _ in range(rng.randrange(1, 3)):
+                a, b = rng.sample(range(n), 2)
+                p[a], p[b] = p[b], p[a]
+            gens.append(tuple(p))
+        cases.append((n, gens, tuple(rng.sample(range(n), rng.randrange(1, 3)))))
+    return cases
+
+
+def closure(n, gens):
+    """Every product of gens, found breadth first: the group's elements,
+    without a stabilizer chain."""
+    out = {pg.identity(n)}
+    queue = [pg.identity(n)]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = pg.compose(p, g)
+            if q not in out:
+                out.add(q)
+                queue.append(q)
+    return out
+
+
+def test_schreier_sims_chain_on_sparse_and_imprimitive_groups():
+    rng = random.Random(35)
+    for n, gens, hint in chain_corpus():
+        g = pg.PermGroup(n, gens, base=hint)
+        els = closure(n, gens)
+        assert g.order() == len(els)
+        assert set(oracles.elements(g)) == els
+        assert g.base[:len(hint)] == hint
+        levels = [g.level_generators(l) for l in range(len(g.base))]
+        for l, level in enumerate(levels):
+            assert all(s[b] == b for s in level for b in g.base[:l])
+            assert g.basic_orbit(l) == pg.orbit(g.base[l], level)
+            for x, u in g.transversal(l).items():
+                assert u[g.base[l]] == x and all(u[b] == b for b in g.base[:l])
+        known = pg.PermGroup.from_bsgs(n, g.base, levels)
+        assert known.order() == g.order()
+        assert [known.basic_orbit(l) for l in range(len(levels))] == \
+            [g.basic_orbit(l) for l in range(len(levels))]
+        for i in range(20):
+            if i % 2:
+                p = tuple(rng.sample(range(n), n))
+            else:
+                p = pg.identity(n)
+                for _ in range(rng.randrange(1, 6)):
+                    p = pg.compose(p, rng.choice(gens))
+            assert g.contains(p) == (p in els) == known.contains(p)
