@@ -31,6 +31,9 @@ The points individualized along the first path form a base, and the
 generators found at depth d or deeper generate the stabilizer of its first
 d points, so the found generators are a strong generating set for it and
 the group is built from them without Schreier-Sims (PermGroup.from_bsgs).
+That level loop is permgrp.bottom_up, shared with subgroup_search, and
+every node ticks an errors.NodeCounter. A budget stop carries the
+generators found so far; no group is built from them here.
 
 Every refinement on the first path records a trace: the point and word cell
 boundaries (start offsets) after each splitter and each batch step, then
@@ -111,7 +114,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import gf2, permgrp, z4
-from .errors import DEFAULT_BUDGET, PROGRESS_INTERVAL, BudgetExceeded
+from .errors import BudgetExceeded, NodeCounter
 from .gf2 import BinaryCode
 from .permgrp import PermGroup, Perm
 
@@ -581,18 +584,7 @@ def _target_cell(points: _Partition):
 class _Search:
     def __init__(self, struct: Structure, budget: int | None = None, progress=None):
         self.struct = struct
-        self.budget = budget if budget is not None else DEFAULT_BUDGET
-        self.progress = progress
-        self.nodes = 0
-        self.found_gens: list[Perm] = []
-
-    def tick(self):
-        self.nodes += 1
-        if self.progress and self.nodes % PROGRESS_INTERVAL == 0:
-            self.progress(self.nodes)
-        if self.nodes > self.budget:
-            # the caller knows what group the found generators stand for
-            raise BudgetExceeded(f"search exceeded {self.budget} nodes")
+        self.nodes = NodeCounter(budget, progress)
 
     def first_path(self, points):
         """Descend, always individualizing the first point of the target cell.
@@ -616,40 +608,32 @@ class _Search:
 
     def search(self) -> tuple[tuple[int, ...], list[list[Perm]]]:
         """The first path's base and, per base point, the generators found at
-        its level or deeper: they generate the pointwise stabilizer of the
-        base points before it, so together a strong generating set."""
+        its level or deeper (permgrp.bottom_up): together a strong generating
+        set. The siblings of the first path's point at each level are the
+        candidates."""
         struct = self.struct
         path = self.first_path(_initial_partition(struct))
         base = tuple(p for _, _, _, p in path)
-        level_gens: list[list[Perm]] = [[] for _ in path]
+        siblings = [points.members(s)[1:].tolist() for points, _, s, _ in path]
         lockstep = (not struct.systems and struct.pair_colors is not None
                     and struct.colour_powers is not None)
-        for depth in range(len(path) - 1, -1, -1):
+        kept = {}  # per level, the siblings the filter keeps once one has failed
+
+        def find(depth, v, reached):
             points, words, s, beta = path[depth]
-            # every generator found so far was found at depth >= `depth`, so
-            # fixes base[:depth]; once this level is done they generate its
-            # whole stabilizer
-            reached = permgrp.orbit(beta, self.found_gens)
-            siblings = points.members(s)[1:].tolist()
-            kept = None
-            for k, v in enumerate(siblings):
-                if v in reached:
-                    continue
-                if kept is not None and v not in kept:
-                    # its refinement leaves beta's, as a pruned trace would
-                    self.tick()
-                    continue
-                # one verified automorphism whose leaf sits under v, or None
-                g = self.find_leaf(points.individualize(s, v), s, words, depth + 1,
-                                   struct.verify)
-                if g is not None:
-                    self.found_gens.append(g)
-                    reached = permgrp.orbit(beta, self.found_gens)
-                elif kept is None and lockstep:
-                    rest = [u for u in siblings[k + 1:] if u not in reached]
-                    kept = set(_sibling_filter(struct, points, s, beta, rest))
-            level_gens[depth] = list(self.found_gens)
-        return base, level_gens
+            if depth in kept and v not in kept[depth]:
+                # its refinement leaves beta's, as a pruned trace would
+                self.nodes.tick()
+                return None
+            # one verified automorphism whose leaf sits under v, or None
+            g = self.find_leaf(points.individualize(s, v), s, words, depth + 1, struct.verify)
+            if g is None and lockstep and depth not in kept:
+                rest = siblings[depth][siblings[depth].index(v) + 1:]
+                kept[depth] = set(_sibling_filter(struct, points, s, beta,
+                                                  [u for u in rest if u not in reached]))
+            return g
+
+        return base, permgrp.bottom_up(base, siblings, find)
 
     def find_leaf(self, points, active, words, depth, accept):
         """The first node below points whose map from the first path's node
@@ -664,7 +648,7 @@ class _Search:
         the first path's singletons to the node's own; if accept rejects it,
         the children are searched. At a leaf it is the only candidate.
         """
-        self.tick()
+        self.nodes.tick()
         refined = _refine(self.struct, points, active, words, _Trace(self.traces[depth]))
         if refined is None:
             return None
@@ -756,13 +740,7 @@ def _sibling_filter(struct: Structure, points: _Partition, s, beta, siblings):
 
 
 def automorphism_group(struct: Structure, *, budget: int | None = None, progress=None) -> PermGroup:
-    search = _Search(struct, budget, progress)
-    try:
-        base, level_gens = search.search()
-    except BudgetExceeded as err:
-        err.partial = PermGroup(struct.n, search.found_gens)
-        raise
-    return PermGroup.from_bsgs(struct.n, base, level_gens)
+    return PermGroup.from_bsgs(struct.n, *_Search(struct, budget, progress).search())
 
 
 def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> PermGroup:
@@ -774,7 +752,7 @@ def aut_binary(*codes: BinaryCode, budget: int | None = None, progress=None) -> 
     permutations whose order-preserving lifts keep every code, is searched,
     as the automorphism group of the quotient codes on one point per class
     (_twin_quotient); the Sym factors are taken in closed form. A budget
-    stop there raises BudgetExceeded whose partial group holds the class
+    stop there raises BudgetExceeded whose partial holds the class
     transpositions and the lifts of the generators found so far.
 
     Memoized on the codes' distinct small sides (_small_side) alone, which
@@ -954,8 +932,7 @@ def _twin_quotient(codes, classes, kinds, budget, progress) -> PermGroup:
     try:
         quotient = _aut_binary(_Request(quotients, budget, progress))
     except BudgetExceeded as err:
-        gens = [s for _, s in swaps] + [lift(g) for g in err.partial.generators]
-        err.partial = PermGroup(n, gens)
+        err.partial = [s for _, s in swaps] + [lift(g) for g in err.partial]
         raise
     lifted = {g: lift(g) for g in quotient.strong_generators}
     base = [classes[b][0] for b in quotient.base]
@@ -1179,7 +1156,7 @@ class _WordGraph:
             # only the accepted leaves matter, not the group on the words
             _Search(struct, budget, progress).search()
         except BudgetExceeded as err:
-            err.partial = PermGroup(self.n, list(found.values()))
+            err.partial = [found[gamma] for gamma in err.partial]
             raise
         return PermGroup(self.n, list(found.values()))
 
@@ -1201,8 +1178,9 @@ def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tupl
     graph sees the lift data itself. Degenerate classes, and codes with C1
     outside C0^⊥ (where the pairing bits are not invariant), fall back to
     subgroup backtracking in the constraint group with sign tests at the
-    leaves. A search that runs out of budget raises BudgetExceeded with part
-    of the image as its partial group and the full kernel order.
+    leaves. A search that runs out of budget raises BudgetExceeded with the
+    image generators found so far as its partial and the full kernel
+    order.
     """
     system = _SignSystem(code)
     kernel = system.kernel_order()
@@ -1218,10 +1196,10 @@ def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
     try:
         constraint = aut_binary(system.tor, system.res, budget=budget, progress=progress)
     except BudgetExceeded as err:
-        # the partial group preserves C0 and C1; only its sign-compatible
-        # generators are known to lie in the image
-        gens = [g for g in err.partial.generators if system.compatible(g)]
-        raise BudgetExceeded(str(err), partial=PermGroup(n, gens)) from None
+        # the partial generators preserve C0 and C1; only the sign-compatible
+        # ones are known to lie in the image
+        err.partial = [g for g in err.partial if system.compatible(g)]
+        raise
     if all(system.compatible(g) for g in constraint.strong_generators):
         return constraint
     # the word graph's colours are invariant only for C1 ⊆ C0^⊥, read from

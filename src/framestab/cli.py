@@ -26,8 +26,10 @@ def _progress(label):
 
 
 def _budget_error(err: BudgetExceeded) -> click.ClickException:
-    """A budget stop, with the order found so far as a lower bound."""
-    partial = err.partial.order() if err.partial is not None else 1
+    """A budget stop, with the order of the group that the generators found
+    so far generate as a lower bound."""
+    gens = err.partial
+    partial = permgrp.PermGroup(len(gens[0]), gens).order() if gens else 1
     if err.kernel_order is None:
         found = f"partial group order {partial}"
     else:

@@ -30,13 +30,29 @@ PROGRESS_INTERVAL = 100_000
 class BudgetExceeded(FramestabError):
     """A backtracking search ran out of its node budget.
 
-    ``partial`` holds whatever group was generated by the automorphisms found
-    before the budget ran out; it is a lower bound only, never the full group.
-    For a Z4-code, ``partial`` is part of the permutation image and
-    ``kernel_order`` the order of the sign kernel, known in full.
+    ``partial`` holds the generators found before the budget ran out; the
+    group they generate is a lower bound only, never the full group. For a
+    Z4-code they lie in the permutation image, and ``kernel_order`` is the
+    order of the sign kernel, known in full. The searches that the stop
+    passes through set both.
     """
 
-    def __init__(self, message: str, partial=None, kernel_order: int | None = None):
-        super().__init__(message)
-        self.partial = partial
-        self.kernel_order = kernel_order
+    partial: list | None = None
+    kernel_order: int | None = None
+
+
+class NodeCounter:
+    """The nodes of one search: tick counts one, reports progress every
+    PROGRESS_INTERVAL nodes and raises BudgetExceeded past the budget."""
+
+    def __init__(self, budget: int | None = None, progress=None):
+        self.budget = budget if budget is not None else DEFAULT_BUDGET
+        self.progress = progress
+        self.count = 0
+
+    def tick(self):
+        self.count += 1
+        if self.progress and self.count % PROGRESS_INTERVAL == 0:
+            self.progress(self.count)
+        if self.count > self.budget:
+            raise BudgetExceeded(f"search exceeded {self.budget} nodes")

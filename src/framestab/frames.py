@@ -147,28 +147,22 @@ def enumerate_h_lattice(sc: StructureCodes):
     return prod(0 if m % 2 else prod(range(m - 1, 0, -2)) for m in sizes), None
 
 
-def _period_matchings(c0: BinaryCode):
-    """Perfect matchings of the n coordinates with every pairwise sum of
-    pairs a codeword of c0, which must have min weight at least 4. Pairwise
-    sums are sums of consecutive chain sums, so this is exactly the chain
-    condition of the subcode families.
+def _period_matchings(c0: BinaryCode) -> int:
+    """The number of perfect matchings of the n coordinates with every
+    pairwise sum of pairs a codeword of c0, which must have min weight at
+    least 4. Pairwise sums are sums of consecutive chain sums, so this is
+    exactly the chain condition of the subcode families.
 
     The columns of a check matrix of c0 are then distinct and nonzero, and
     two disjoint pairs sum into c0 exactly when their column sums agree. So
     the pairs of a matching share one column sum s, each column has at most
     one partner at sum s, and the matchings are one per period s != 0 of
-    the column set (columns ^ s = columns), each a tuple of pair masks in
-    the order of their first points.
+    the column set (columns ^ s = columns): this counts the periods.
     """
     cols = gf2.columns(gf2.dual(c0))
-    index = {col: i for i, col in enumerate(cols)}
-    out = []
-    for j in range(1, len(cols)):
-        s = cols[0] ^ cols[j]
-        partner = [index.get(col ^ s) for col in cols]
-        if None not in partner:
-            out.append(tuple((1 << i) | (1 << p) for i, p in enumerate(partner) if i < p))
-    return out
+    present = set(cols)
+    periods = (cols[0] ^ col for col in cols[1:])
+    return sum(all(col ^ s in present for col in cols) for s in periods)
 
 
 def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode):
@@ -205,7 +199,7 @@ def enumerate_h_orbifold(sc: StructureCodes, c0: BinaryCode):
     gens = gf2.d_map(gf2.even_code(n)).basis + gf2.e_map(c0).basis
     if not all(sc.c_code.contains(g) for g in gens):
         raise FramestabError("a subcode of the d(E_n) family does not lie in C")
-    return 1 + 2 * len(_period_matchings(c0)), None
+    return 1 + 2 * _period_matchings(c0), None
 
 
 # ---------------------------------------------------------------------------

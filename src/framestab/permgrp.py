@@ -11,15 +11,16 @@ the chain by sift-and-insert Schreier-Sims (Sims 1970; Holt, Eick & O'Brien,
 Handbook of Computational Group Theory, 2005, section 4.4), deterministic
 and sifting every Schreier generator, so strong generation is verified
 rather than sampled. PermGroup.from_bsgs takes a chain that the caller has
-already proved (the partition search and subgroup_search prove one as they
-go) and only computes its basic orbits.
+already proved and only computes its basic orbits: bottom_up, the level
+loop of the partition search and of subgroup_search, proves one as it goes.
+A budget stop in either carries the generators found so far, not a group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, PROGRESS_INTERVAL, BudgetExceeded
+from .errors import BudgetExceeded, NodeCounter
 
 Perm = tuple[int, ...]
 
@@ -270,65 +271,62 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Subgroup backtrack search
+# Backtrack searches
 # ---------------------------------------------------------------------------
 
-def subgroup_search(
-    group: PermGroup,
-    test,
-    *,
-    budget: int | None = None,
-    progress=None,
-) -> PermGroup:
+def bottom_up(base, candidates, find) -> list[list[Perm]]:
+    """Per base point, the generators found at its level or deeper.
+
+    Levels run from the last base point to the first. At level l,
+    find(l, c, reached) looks for one element that fixes base[:l] and maps
+    base[l] to c, for each c of candidates[l] outside reached, the orbit of
+    base[l] under the generators found so far. Where candidates[l] holds
+    the basic orbit, once level l is done they generate the stabilizer of
+    base[:l]: a strong generating set, taken without Schreier-Sims
+    (PermGroup.from_bsgs). A budget stop carries them as its partial.
+    """
+    found: list[Perm] = []
+    level_gens: list[list[Perm]] = [[] for _ in base]
+    try:
+        for l in range(len(base) - 1, -1, -1):
+            reached = orbit(base[l], found)
+            for c in candidates[l]:
+                if c in reached:
+                    continue
+                g = find(l, c, reached)
+                if g is not None:
+                    found.append(g)
+                    reached = orbit(base[l], found)
+            level_gens[l] = list(found)
+    except BudgetExceeded as err:
+        err.partial = found
+        raise
+    return level_gens
+
+
+def subgroup_search(group: PermGroup, test, *, budget: int | None = None, progress=None) -> PermGroup:
     """All elements of ``group`` satisfying ``test`` (must form a subgroup).
 
-    Classic base-image backtracking, processed bottom-up along the stabilizer
-    chain: at level l we look for one witness per base image not yet in the
-    orbit of the witnesses found so far, so they prune their own search.
-    Every witness found at level l or deeper fixes the base points before
-    it, so once level l is done they generate the subgroup's stabilizer of
-    those points: a strong generating set on the group's base, taken
-    without Schreier-Sims (PermGroup.from_bsgs).
+    Classic base-image backtracking on the group's stabilizer chain, driven
+    bottom-up (bottom_up): a witness for base image c at level l is the
+    first test-passing element below the transversal element that maps
+    base[l] to c.
     """
     base = group.base
     k = len(base)
-    degree = group.degree
-    found: list[Perm] = []
-    level_gens: list[list[Perm]] = [[] for _ in base]
     orbits = [sorted(group.basic_orbit(l)) for l in range(k)]
-    nodes = 0
-    node_cap = budget if budget is not None else DEFAULT_BUDGET
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if progress and nodes % PROGRESS_INTERVAL == 0:
-            progress(nodes)
-        if nodes > node_cap:
-            raise BudgetExceeded(
-                f"subgroup search exceeded {node_cap} nodes", partial=PermGroup(degree, found)
-            )
+    nodes = NodeCounter(budget, progress)
 
     def extend(depth: int, partial: Perm):
         """Find one test-passing element below the given coset representative."""
-        tick()
+        nodes.tick()
         if depth == k:
             return partial if test(partial) else None
         for x in orbits[depth]:
-            u = group.transversal(depth)[x]
-            got = extend(depth + 1, compose(u, partial))
+            got = extend(depth + 1, compose(group.transversal(depth)[x], partial))
             if got is not None:
                 return got
         return None
 
-    for l in range(k - 1, -1, -1):
-        reached = orbit(base[l], found)
-        for c in orbits[l]:
-            if c in reached:
-                continue
-            got = extend(l + 1, group.transversal(l)[c])
-            if got is not None:
-                found.append(got)
-                reached = orbit(base[l], found)
-        level_gens[l] = list(found)
-    return PermGroup.from_bsgs(degree, base, level_gens)
+    level_gens = bottom_up(base, orbits, lambda l, c, _: extend(l + 1, group.transversal(l)[c]))
+    return PermGroup.from_bsgs(group.degree, base, level_gens)

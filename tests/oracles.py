@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from framestab import frames, gf2, permgrp, z4
+from framestab import gf2, permgrp, z4
 from framestab.errors import EnumerationLimit
 
 # ---------------------------------------------------------------------------
@@ -132,12 +132,27 @@ def family_two(n: int, matching) -> gf2.BinaryCode:
     return gf2.span(2 * n, gens)
 
 
+def period_matchings(c0: gf2.BinaryCode) -> list[tuple[int, ...]]:
+    """The period matchings that frames._period_matchings counts: per period
+    s != 0 of the check-matrix columns of c0, the pairs of columns that sum
+    to s, as pair masks in the order of their first points."""
+    cols = gf2.columns(gf2.dual(c0))
+    index = {col: i for i, col in enumerate(cols)}
+    out = []
+    for j in range(1, len(cols)):
+        s = cols[0] ^ cols[j]
+        partner = [index.get(col ^ s) for col in cols]
+        if None not in partner:
+            out.append(tuple((1 << i) | (1 << p) for i, p in enumerate(partner) if i < p))
+    return out
+
+
 def orbifold_members(n: int, c0: gf2.BinaryCode) -> list[gf2.BinaryCode]:
     """The distinct subcodes d(E_n), family_one and family_two of every
-    period matching of c0 (frames._period_matchings), d(E_n) first."""
+    period matching of c0 (period_matchings), d(E_n) first."""
     d_en = gf2.d_map(gf2.even_code(n))
     found = {d_en.basis: d_en}
-    for matching in frames._period_matchings(c0):
+    for matching in period_matchings(c0):
         for e in (family_one(n, matching), family_two(n, matching)):
             found[e.basis] = e
     return list(found.values())
@@ -174,6 +189,26 @@ def elements(group: permgrp.PermGroup):
             yield from rec(l + 1, permgrp.compose(u, current))
 
     yield from rec(0, permgrp.identity(group.degree))
+
+
+def closure(n: int, gens) -> set[permgrp.Perm]:
+    """Every product of gens, found breadth first: the group's elements,
+    without a stabilizer chain."""
+    out = {permgrp.identity(n)}
+    queue = [permgrp.identity(n)]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = permgrp.compose(p, g)
+            if q not in out:
+                out.add(q)
+                queue.append(q)
+    return out
+
+
+def partial_group(err, degree: int) -> permgrp.PermGroup:
+    """The group that the generators of a budget stop generate."""
+    return permgrp.PermGroup(degree, err.partial)
 
 
 # ---------------------------------------------------------------------------

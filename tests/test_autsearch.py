@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from framestab import autsearch as ats
-from framestab import catalog, frames, gf2, permgrp, z4
+from framestab import catalog, errors, frames, gf2, permgrp, z4
 from framestab.errors import BudgetExceeded
 
 
@@ -60,8 +60,9 @@ def test_aut_hamming_and_reed_muller():
 
 
 def test_aut_order_matches_element_enumeration():
+    # the closure of the generators, not the group's own transversals
     group = ats.aut_binary(gf2.hamming8())
-    elements = set(oracles.elements(group))
+    elements = oracles.closure(8, group.generators)
     assert len(elements) == group.order() == 1344
 
 
@@ -233,18 +234,18 @@ def test_budget_exceeded_reports_partial():
     ats._aut_binary.cache_clear()
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(gf2.golay24(), budget=20)
-    assert err.value.partial is not None
+    assert err.value.partial and all(len(g) == 24 for g in err.value.partial)
 
 
 def test_both_searches_report_progress_every_interval(monkeypatch):
-    # the partition search and permgrp.subgroup_search share one interval
-    for module in (ats, permgrp):
-        monkeypatch.setattr(module, "PROGRESS_INTERVAL", 3)
+    # the partition search and permgrp.subgroup_search count nodes on one
+    # counter class, with one interval
+    monkeypatch.setattr(errors, "PROGRESS_INTERVAL", 3)
     seen = []
     search = ats._Search(ats.structure_for_codes([gf2.hamming8()]), None, seen.append)
     search.search()
-    assert search.nodes >= 6
-    assert seen == list(range(3, search.nodes + 1, 3))
+    assert search.nodes.count >= 6
+    assert seen == list(range(3, search.nodes.count + 1, 3))
 
     seen.clear()
     sym10 = permgrp.PermGroup(10, [oracles.perm_from_cycles(10, [[1, 2]]),
@@ -790,7 +791,7 @@ def aut_z4_runs(monkeypatch, code_ids):
         try:
             return search(self)
         finally:
-            nodes.append(self.nodes)
+            nodes.append(self.nodes.count)
 
     monkeypatch.setattr(ats._Search, "search", counted)
     runs = []
@@ -824,7 +825,7 @@ def test_sibling_filter_keeps_budget_stops(monkeypatch):
             try:
                 kernel, image = ats.aut_z4(code, budget=budget)
             except BudgetExceeded as err:
-                out.append((str(err), err.kernel_order, err.partial.order()))
+                out.append((str(err), err.kernel_order, oracles.partial_group(err, 24).order()))
             else:
                 out.append((kernel, image.order()))
         return out
@@ -974,15 +975,15 @@ def test_even_parts_match_per_word_lift():
 def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
     # the search on the 759-word graph only collects accepted leaves; every
     # group built is on the 24 coordinates
-    degrees = []
+    built = []
     from_bsgs, build = ats.PermGroup.from_bsgs.__func__, ats.PermGroup._build
 
     def recorded_from_bsgs(cls, degree, base, level_gens):
-        degrees.append(degree)
+        built.append(("from_bsgs", degree))
         return from_bsgs(cls, degree, base, level_gens)
 
     def recorded_build(self, base_hint):
-        degrees.append(self.degree)
+        built.append(("_build", self.degree))
         return build(self, base_hint)
 
     monkeypatch.setattr(ats.PermGroup, "from_bsgs", classmethod(recorded_from_bsgs))
@@ -990,14 +991,16 @@ def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
     ats._aut_binary.cache_clear()
     kernel, image = ats.aut_z4(catalog.get("z4-pseudo-golay-1").code())
     assert (kernel, image.order()) == (2, 6072)
-    assert degrees and set(degrees) == {24}
-    # nor does a budget stop inside the word search (the search of Aut(C0)
-    # takes 30 nodes, the word graph of pseudo-golay-2 787)
-    degrees.clear()
+    assert built and {degree for _, degree in built} == {24}
+    # a budget stop inside the word search builds no group at all: only the
+    # constraint group, whose search takes 30 nodes, is built (the word graph
+    # of pseudo-golay-2 takes 787), and the stop carries the generators
+    # found, none below 756 nodes
+    built.clear()
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_z4(catalog.get("z4-pseudo-golay-2").code(), budget=200)
-    assert err.value.partial.degree == 24
-    assert set(degrees) == {24}
+    assert err.value.partial == []
+    assert built == [("from_bsgs", 24)]
 
 
 def z4_constraint_corpus():
@@ -1302,7 +1305,7 @@ def test_budget_stop_in_the_quotient_search(code):
     classes, _ = ats._twin_classes((ats._small_side(code),))
     with pytest.raises(BudgetExceeded) as err:
         ats.aut_binary(code, budget=10)
-    partial = err.value.partial
+    partial = oracles.partial_group(err.value, code.length)
     full = ats.aut_binary(code)
     swaps = [ats._transposition(code.length, c[k], c[k + 1])
              for c in classes for k in range(len(c) - 1)]
@@ -1485,7 +1488,7 @@ def test_aut_z4_budget_partial_lies_in_the_image():
         with pytest.raises(BudgetExceeded) as err:
             ats.aut_z4(code, budget=budget)
         assert err.value.kernel_order == 2
-        partial = err.value.partial
+        partial = oracles.partial_group(err.value, 24)
         assert all(system.compatible(g) for g in partial.generators)
         assert 3 % partial.order() == 0
 
@@ -1545,3 +1548,47 @@ def test_aut_z4_residue_above_half_length_brute(monkeypatch):
     got_kernel, got_image = ats.aut_z4(code)
     assert (got_kernel, got_image.order()) == (kernel, image)
     assert searches == [1]
+
+
+# Budget stops on the three engines: the partition search (Golay, RM(2,4)),
+# the twin quotient (d(Golay)) and aut_z4, through its constraint search
+# (Leech, the octacode z4-len8-4) or the subgroup_search fallback
+# (span{(2, 0, 1, 1, 1)}, the 9-column code). Per budget, the order of the
+# group the partial generators generate; for a Z4-code, the sign kernel and
+# the budget and image order of a search that finishes.
+BUDGET_STOPS = {
+    "golay": (gf2.golay24, None, {3: 12, 5: 48, 10: 960, 20: 443520}, None),
+    "rm-2-4": (lambda: catalog.get("bin-rm-2-4").code(), None,
+               {3: 8, 5: 16, 10: 96, 20: 20160}, None),
+    "d-golay": (lambda: gf2.d_map(gf2.golay24()), None,
+                {3: 201326592, 5: 805306368, 10: 16106127360, 20: 7441030840320}, None),
+    "two-one": (lambda: z4.z4_span(5, [(2, 0, 1, 1, 1)]), 8,
+                {1: 2, 3: 6, 5: 6, 10: 6, 12: 6}, (20, 6)),
+    "nine-columns": (lambda: z4.from_text(NINE_COLUMNS), 2,
+                     {5: 1, 10: 1, 20: 1, 30: 1, 60: 1}, (120, 2)),
+    "z4-leech-standard": (lambda: catalog.get("z4-leech-standard").code(), 512,
+                          {1: 2, 3: 4, 5: 24, 10: 168, 12: 1344, 20: 21504}, None),
+    "z4-len8-4": (lambda: catalog.get("z4-len8-4").code(), 2,
+                  {1: 2, 3: 4, 5: 24, 10: 168}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_STOPS))
+def test_budget_stop_partial_orders(case):
+    make, kernel, stops, complete = BUDGET_STOPS[case]
+    code = make()
+    for budget, order in stops.items():
+        ats._aut_binary.cache_clear()
+        with pytest.raises(BudgetExceeded) as err:
+            if kernel is None:
+                ats.aut_binary(code, budget=budget)
+            else:
+                ats.aut_z4(code, budget=budget)
+        assert str(err.value) == f"search exceeded {budget} nodes"
+        assert err.value.kernel_order == kernel
+        assert oracles.partial_group(err.value, code.length).order() == order
+    if complete is not None:
+        budget, order = complete
+        ats._aut_binary.cache_clear()
+        got_kernel, image = ats.aut_z4(code, budget=budget)
+        assert (got_kernel, image.order()) == (kernel, order)

@@ -233,6 +233,21 @@ def test_aut_budget_z4_message_gives_kernel_and_image(runner):
     )
 
 
+def test_aut_budget_stop_in_the_subgroup_search(runner, tmp_path):
+    # span{(2, 0, 1, 1, 1)} takes aut_z4's subgroup_search fallback, whose
+    # first 5 nodes find generators of the whole image, of order 6; the code
+    # has no frame, so frame cannot stop there
+    path = tmp_path / "two-one.txt"
+    path.write_text("2 0 1 1 1\n")
+    autsearch._aut_binary.cache_clear()
+    result = runner.invoke(main, ["aut", "--input", str(path), "--aut-budget", "5"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: search budget exceeded; sign kernel 8 times partial image order 6 "
+        "= 48 is a lower bound only\n"
+    )
+
+
 def test_frame_budget_message_matches_aut(runner):
     # frame stops in the same aut_z4 search as aut, and says so the same way;
     # a finished search is cached whatever its budget, so each starts from an

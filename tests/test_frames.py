@@ -360,8 +360,8 @@ def test_enumerate_h_orbifold_w_choices_collapse():
     # all four w choices per chain position give the same subcode
     sc = frames.structure_codes_orbifold(len8(4))
     c0 = z4.torsion(len8(4))
-    matchings = frames._period_matchings(c0)
-    assert len(matchings) == 7
+    matchings = oracles.period_matchings(c0)
+    assert len(matchings) == frames._period_matchings(c0) == 7
     n = 8
     count, _ = frames.enumerate_h_orbifold(sc, c0)
     assert count == len(oracles.orbifold_members(n, c0))
@@ -407,8 +407,9 @@ def test_period_matchings_equal_backtracking():
     for code, want in period_matching_codes():
         if code.dim == 0:
             continue
-        got = frames._period_matchings(code)
+        got = oracles.period_matchings(code)
         assert sorted(got) == sorted(compatible_matchings(code))
+        assert frames._period_matchings(code) == len(got)
         if want is not None:
             assert len(got) == want
 
@@ -428,7 +429,7 @@ def test_enumerate_h_orbifold_closed_form_counts_oracle_members():
     for sc, c0 in cases:
         count, _ = frames.enumerate_h_orbifold(sc, c0)
         members = oracles.orbifold_members(sc.r // 2, c0)
-        assert count == len(members) == 1 + 2 * len(frames._period_matchings(c0))
+        assert count == len(members) == 1 + 2 * frames._period_matchings(c0)
         for m in members:
             assert all(sc.c_code.contains(b) for b in m.basis)
 

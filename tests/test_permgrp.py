@@ -74,13 +74,15 @@ def test_contains_and_membership():
 
 
 def test_elements_enumeration_matches_order():
+    # the closure of the generators needs no stabilizer chain, so it sees a
+    # chain that misses part of the group
     rng = random.Random(7)
     for _ in range(10):
         gens = [tuple(rng.sample(range(6), 6)) for _ in range(2)]
         g = pg.PermGroup(6, gens)
-        els = set(oracles.elements(g))
+        els = oracles.closure(6, g.generators)
         assert len(els) == g.order()
-        assert all(pg.compose(a, b) in els for a in list(els)[:5] for b in list(els)[:5])
+        assert set(oracles.elements(g)) == els
 
 
 def test_signed_perm_action():
@@ -112,7 +114,7 @@ def test_subgroup_search_budget():
     g = sym(10)
     with pytest.raises(pg.BudgetExceeded) as err:
         pg.subgroup_search(g, lambda p: False, budget=50)
-    assert err.value.partial is not None
+    assert err.value.partial == []
 
 
 def chain_corpus():
@@ -151,26 +153,11 @@ def chain_corpus():
     return cases
 
 
-def closure(n, gens):
-    """Every product of gens, found breadth first: the group's elements,
-    without a stabilizer chain."""
-    out = {pg.identity(n)}
-    queue = [pg.identity(n)]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = pg.compose(p, g)
-            if q not in out:
-                out.add(q)
-                queue.append(q)
-    return out
-
-
 def test_schreier_sims_chain_on_sparse_and_imprimitive_groups():
     rng = random.Random(35)
     for n, gens, hint in chain_corpus():
         g = pg.PermGroup(n, gens, base=hint)
-        els = closure(n, gens)
+        els = oracles.closure(n, gens)
         assert g.order() == len(els)
         assert set(oracles.elements(g)) == els
         assert g.base[:len(hint)] == hint
