@@ -54,11 +54,12 @@ the automorphism a descent would look for; if not, the node's children are
 searched as before, and at a leaf it is the only candidate. On a code whose
 group is the whole Sym(n) the first sibling's map verifies at every level,
 so the search visits one node per base point. A failed map must stay cheap:
-verify compares the pair-colour rows of the first few moved points before
-the whole matrix. Equivalence of two codes uses the same descent on the
-second code's tree, pruned by the first code's traces, looking for one
-node whose map from the first code's node at its level carries one code
-onto the other.
+a leaf test is the whole check (the word graph's is one pencil lookup per
+point), and otherwise verify compares the pair-colour rows of the first few
+moved points before the whole matrix. Equivalence of two codes uses the
+same descent on the second code's tree, pruned by the first code's traces,
+looking for one node whose map from the first code's node at its level
+carries one code onto the other.
 
 Siblings whose traces leave the first path's after a few splitters still
 cost one refinement each. On a structure with pair colours alone (no word
@@ -98,8 +99,8 @@ GF(2), read from the pairings of the permuted code with its Z4 dual (the
 right-hand side in bit n), is solvable under gf2.consistent. Where some
 constraint generator fails that test and C1 ⊆ C0^⊥, the search runs on the
 word graph of the lightest weight class of C1, if those words separate the
-coordinates; otherwise subgroup_search walks the constraint group with a
-sign test at each leaf.
+coordinates (_WordGraph.separates); otherwise subgroup_search walks the
+constraint group with a sign test at each leaf.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ from .permgrp import PermGroup, Perm
 # increasing weight while their words fit this budget.
 MAX_CLASS_WORDS = 1600
 # Pair-colour rows of moved points that Structure.verify compares before the
-# whole matrix.
+# whole matrix, on structures without a leaf test.
 PRECHECK_ROWS = 8
 # Splitters of the first path's refinement that _sibling_filter runs a
 # level's remaining siblings through.
@@ -144,10 +145,15 @@ class Structure:
     codes: tuple[BinaryCode, ...]
     systems: list[list[int]]  # non-empty lists of word supports
     pair_colors: object = None  # n x n int matrix (numpy) of interned colors
-    # callable(Perm) -> bool, or None; True only where the colours are kept
+    # callable(Perm) -> bool, or None; True only where codes and colours are kept
     leaf_test: object = None
 
     def verify(self, p: Perm) -> bool:
+        # a leaf test accepts only maps that keep the codes and the colours
+        # (the word graph's recovers a Z4 automorphism, whose colours are
+        # invariant since C1 ⊆ C0^⊥), so its answer is the whole test
+        if self.leaf_test is not None:
+            return self.leaf_test(p)
         for c in self.codes:
             for b in c.basis:
                 if not c.contains(permgrp.apply_word(p, b)):
@@ -160,13 +166,7 @@ class Structure:
             rows = np.flatnonzero(q != np.arange(len(q)))[:PRECHECK_ROWS]
             if not np.array_equal(colors[np.ix_(q[rows], q)], colors[rows]):
                 return False
-            # a leaf test accepts only maps that keep the colours (the word
-            # graph's recovers a Z4 automorphism, whose colours are invariant
-            # since C1 ⊆ C0^⊥), so the whole matrix is compared only without one
-            if self.leaf_test is None and not np.array_equal(colors[np.ix_(q, q)], colors):
-                return False
-        if self.leaf_test is not None and not self.leaf_test(p):
-            return False
+            return np.array_equal(colors[np.ix_(q, q)], colors)
         return True
 
     @cached_property
@@ -1092,52 +1092,46 @@ class _WordGraph:
     disjoint ones, ranked in sorted order. The m_c come from one bitwise
     lift of all words, and the colours from popcounts of packed words
     (_word_pair_colours). The automorphism image of the Z4-code acts on this
-    colored graph, and coordinate permutations are recovered from word
-    pencils at the leaves of the search, which builds no group on the words.
+    colored graph. At a leaf of the search, which builds no group on the
+    words, the coordinate permutation is read off the pencils (the words
+    through each point) by one lookup per point.
     """
 
     def __init__(self, system: _SignSystem, words: list[int]):
         self.system = system
         self.words = words
         self.n = system.n
-        # pencils: for each coordinate, the words through it
-        incidence = _bit_matrix(words, self.n)
-        self.pencils = [np.flatnonzero(incidence[:, i]).tolist() for i in range(self.n)]
-        self.word_index = {c: a for a, c in enumerate(words)}
+        # pencils: row i marks the words through coordinate i
+        self.pencils = np.ascontiguousarray(_bit_matrix(words, self.n).T, dtype=np.uint8)
+        self.coordinate = {row.tobytes(): i for i, row in enumerate(self.pencils)}
 
     @cached_property
     def pair_colors(self):
         packed = gf2.limb_array(self.words, max(1, -(-self.n // 64)))
         return _word_pair_colours(packed, _even_parts(self.system, packed))
 
+    @cached_property
+    def separates(self) -> bool:
+        """Whether the words through each coordinate meet in it alone: every
+        coordinate lies in some word and no other pencil contains its own.
+        Recovery needs only distinct pencils; the stronger rule keeps aut_z4
+        off word graphs that are slow to search."""
+        common = self.pencils.astype(np.int64) @ self.pencils.T
+        own = common.diagonal()
+        return bool(own.all() and np.count_nonzero(common == own[:, None]) == self.n)
+
     def coordinate_perm(self, gamma) -> Perm | None:
-        """The point permutation inducing the word permutation gamma, if any;
-        for the identity, None exactly when the words do not separate the
-        coordinates."""
-        p = [None] * self.n
-        seen = set()
-        for i in range(self.n):
-            mask = -1
-            for a in self.pencils[i]:
-                mask &= self.words[gamma[a]]
-                if mask == 0:
-                    return None
-                if mask & (mask - 1) == 0:
-                    break
-            if mask <= 0 or mask & (mask - 1):
-                return None
-            j = mask.bit_length() - 1
-            if j in seen:
-                return None
-            seen.add(j)
-            p[i] = j
-        q = tuple(p)
-        # gamma must be exactly the action of q on the word list
-        for a, c in enumerate(self.words):
-            img = self.word_index.get(permgrp.apply_word(q, c))
-            if img != gamma[a]:
-                return None
-        return q
+        """The point permutation inducing the word permutation gamma, if the
+        words separate the coordinates and there is one: point i goes to the
+        point whose pencil is i's with columns permuted by gamma. Pencils are
+        distinct, and equal pencils prove that it carries each word a onto
+        word gamma[a]."""
+        if not self.separates:
+            return None
+        rows = np.empty_like(self.pencils)
+        rows[:, gamma] = self.pencils
+        q = tuple(self.coordinate.get(row.tobytes()) for row in rows)
+        return None if None in q else q
 
     def search(self, budget, progress):
         found: dict = {}
@@ -1210,7 +1204,7 @@ def _aut_z4_image(system: _SignSystem, budget, progress) -> PermGroup:
         words = classes[0] if classes else []
         if n <= len(words) <= 1200:
             graph = _WordGraph(system, words)
-            if graph.coordinate_perm(range(len(words))) is not None:
+            if graph.separates:
                 return graph.search(budget, progress)
     return permgrp.subgroup_search(
         constraint, system.compatible, budget=budget, progress=progress

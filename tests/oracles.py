@@ -90,8 +90,9 @@ def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> z4.Z4Code:
 
 def pencils_separate(n: int, words: list[int]) -> bool:
     """Whether each coordinate is the exact intersection of the words through
-    it; required for recovering coordinate permutations from word
-    permutations."""
+    it. Recovering coordinate permutations from word permutations needs only
+    distinct pencils; this stronger rule is the word-graph route's
+    performance gate."""
     for i in range(n):
         mask = -1
         for w in words:
@@ -100,6 +101,13 @@ def pencils_separate(n: int, words: list[int]) -> bool:
         if mask != 1 << i:
             return False
     return True
+
+
+def word_perm(q: permgrp.Perm, words: list[int]) -> tuple:
+    """The permutation the point permutation q induces on a list of words,
+    one word at a time (None where an image is not in the list)."""
+    index = {w: a for a, w in enumerate(words)}
+    return tuple(index.get(permgrp.apply_word(q, w)) for w in words)
 
 
 # ---------------------------------------------------------------------------

@@ -1067,6 +1067,86 @@ def test_identity_coordinate_perm_is_the_pencil_rule():
     assert outcomes[0] and any(outcomes[1:]) and not all(outcomes)
 
 
+def random_element(group, rng):
+    """A uniform element of the group: one transversal element per level."""
+    p = permgrp.identity(group.degree)
+    for level in range(len(group.base)):
+        p = permgrp.compose(rng.choice(list(group.transversal(level).values())), p)
+    return p
+
+
+def test_coordinate_perm_recovers_exactly_the_inducing_permutation():
+    # completeness: the word permutation of a coordinate permutation that
+    # keeps the list gives it back (20 seeded elements of the automorphism
+    # group of the words' span, those that keep the list); soundness: a
+    # returned permutation induces the word permutation, checked word by
+    # word. Half the word permutations are uniform, half an induced one with
+    # two images swapped
+    rng = random.Random(37)
+    lists = moved = returned = 0
+    for n, words in word_list_corpus():
+        graph = ats._WordGraph(ats._SignSystem(z4.z4_span(n, [])), words)
+        if not graph.separates:
+            continue
+        lists += 1
+        group = ats.aut_binary(gf2.span(n, words))
+        induced = [tuple(range(len(words)))]
+        for _ in range(20):
+            pi = random_element(group, rng)
+            gamma = oracles.word_perm(pi, words)
+            if None not in gamma:
+                assert graph.coordinate_perm(gamma) == pi, (n, words, pi)
+                induced.append(gamma)
+                moved += not permgrp.is_identity(pi)
+        for k in range(20):
+            if k % 2:
+                gamma = list(rng.choice(induced))
+                a, b = rng.sample(range(len(words)), 2)
+                gamma[a], gamma[b] = gamma[b], gamma[a]
+            else:
+                gamma = rng.sample(range(len(words)), len(words))
+            q = graph.coordinate_perm(tuple(gamma))
+            if q is not None:
+                returned += 1
+                assert oracles.word_perm(q, words) == tuple(gamma), (n, words, gamma)
+    assert lists > 10 and moved > 50 and returned > 0
+
+
+def test_distinct_pencils_that_do_not_separate_take_subgroup_search(monkeypatch):
+    # distinct pencils would be enough to recover coordinates, but on these
+    # 24 seeded codes (length 9, 14 lightest C1 words, some pencil inside
+    # another) four word-graph searches took over 10 s, against milliseconds
+    # in subgroup_search: the meet rule is the route's performance gate
+    rng = random.Random(5)
+    codes = []
+    for _ in range(400):
+        n = rng.randrange(4, 11)
+        codes.append(oracles.random_self_orthogonal(n, rng.randrange(1, n), rng))
+    gated = {}
+    for index, code in enumerate(codes):
+        n, tor, res = code.length, z4.torsion(code), z4.residue(code)
+        if any((a & b).bit_count() & 1 for a in res.basis for b in tor.basis):
+            continue
+        classes = ats.weight_class_systems(res)
+        words = classes[0] if classes else []
+        pencils = {frozenset(a for a, w in enumerate(words) if w >> i & 1) for i in range(n)}
+        if n <= len(words) <= 1200 and len(pencils) == n and not oracles.pencils_separate(n, words):
+            gated[index] = words
+    assert len(gated) == 24 and {25, 246, 283, 361} <= gated.keys()
+    searched = []
+    subgroup_search = permgrp.subgroup_search
+    monkeypatch.setattr(permgrp, "subgroup_search",
+                        lambda *args, **kw: searched.append(args) or subgroup_search(*args, **kw))
+    monkeypatch.setattr(ats._WordGraph, "search", None)
+    for index, words in gated.items():
+        code = codes[index]
+        assert (code.length, len(words)) == (9, 14)
+        assert not ats._WordGraph(ats._SignSystem(code), words).separates
+        searched.clear()
+        ats.aut_z4(code)
+        assert len(searched) == 1, index
+
+
 # -- code equivalence ---------------------------------------------------------
 
 

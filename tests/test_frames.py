@@ -682,6 +682,21 @@ def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
     assert_report_invariant(code_id, variant, 1)
 
 
+@pytest.mark.parametrize("code_id,image_order", [("z4-pseudo-golay-1", 6072),
+                                                  ("z4-pseudo-golay-2", 3)])
+def test_aut_z4_of_a_relabeled_pseudo_golay_code(code_id, image_order):
+    # the word-graph route on a relabeled code: each generator is a
+    # coordinate permutation recovered from a leaf's word permutation
+    code = monomial_relabeling(catalog.get(code_id).code(), random.Random(code_id))
+    kernel, image = autsearch.aut_z4(code)
+    assert (kernel, image.order()) == (2, image_order)
+    system = autsearch._SignSystem(code)
+    tor, res = z4.torsion(code), z4.residue(code)
+    for g in image.generators:
+        assert system.compatible(g)
+        assert all(c.contains(permgrp.apply_word(g, b)) for c in (tor, res) for b in c.basis)
+
+
 @pytest.mark.parametrize("k,variant", [(1, "lattice"), (2, "lattice"), (3, "lattice"),
                                        (4, "lattice"), (4, "orbifold")])
 def test_e8_report_duals(monkeypatch, k, variant):
