@@ -68,8 +68,13 @@ automorphism, the level's remaining unreached siblings first run together
 through the first FILTER_SPLITTERS splitters of the first path's own
 refinement at that level, one numpy row per sibling (_sibling_filter). A
 row holds the cell start of every point, and is dropped once its values
-cell_start * top + key (top above the first path's keys), sorted, differ
-from the first path's. An automorphism carrying the first path's node onto
+cell_start * top + key, sorted, differ from the first path's. Keys read the
+colour counts in radix the largest replayed splitter's size + 1, from a
+power table built once per call, so top is that radix to the number of
+colours above 0, and keys are int32 wherever top allows. Rows come in
+blocks of BLOCK_BYTES; the point rides in the low bits of its value, so one
+sort per row and splitter both tests the row and orders its points into
+the new cells. An automorphism carrying the first path's node onto
 a sibling's carries every splitter cell and every key with it, so a
 dropped sibling holds none; it counts one node, as a sibling pruned by its
 trace does, and a kept one is searched as before. Waiting for a failure
@@ -128,11 +133,13 @@ PRECHECK_ROWS = 8
 # Splitters of the first path's refinement that _sibling_filter runs a
 # level's remaining siblings through.
 FILTER_SPLITTERS = 4
-# Bytes of one block of its rows (siblings x points, int64): below glibc's
-# default mmap threshold of 128 KiB. Where that threshold is fixed (setting
+# Bytes of one block of rows: the siblings x points rows of _sibling_filter,
+# the members' rows that _pair_keys sums, the rows of a colour-power matrix
+# as it is built and the word rows of _word_pair_colours. Below glibc's
+# default mmap threshold of 128 KiB: where that threshold is fixed (setting
 # any MALLOC_*_THRESHOLD_ turns its adjustment off), every larger temporary
 # is mapped and faulted in afresh.
-FILTER_BLOCK_BYTES = 120_000
+BLOCK_BYTES = 120_000
 
 # -- invariant structure -----------------------------------------------------
 
@@ -157,6 +164,12 @@ class Structure:
         for c in self.codes:
             for b in c.basis:
                 if not c.contains(permgrp.apply_word(p, b)):
+                    return False
+        # systems drawn from codes are kept with them; others are checked
+        if not self.codes:
+            for system in self.systems:
+                words = set(system)
+                if any(permgrp.apply_word(p, w) not in words for w in system):
                     return False
         if self.pair_colors is not None:
             colors = self.pair_colors
@@ -195,9 +208,22 @@ class Structure:
         radix = self.n + 1
         if radix ** (self.ncolors - 1) >= 1 << 63:
             return None
-        table = np.zeros(self.ncolors, dtype=np.int64)
-        table[1:] = radix ** np.arange(self.ncolors - 1, dtype=np.int64)
-        return np.ascontiguousarray(table[self.pair_colors.T])
+        return _colour_powers(self.pair_colors, self.ncolors, radix, np.int64)
+
+
+def _colour_powers(colours, ncolors, radix, dtype):
+    """P[j, i] = radix ** (colours[i, j] - 1), 0 for colour 0, in dtype and
+    C order, built a block of rows at a time (no temporary above
+    BLOCK_BYTES)."""
+    table = np.zeros(ncolors, dtype=dtype)
+    table[1:] = radix ** np.arange(ncolors - 1, dtype=dtype)
+    out = np.empty(colours.shape, dtype=dtype)
+    rows = max(1, BLOCK_BYTES // out[0].nbytes)
+    for lo in range(0, len(out), rows):
+        # every colour indexes table, so clip never acts; unlike the default
+        # mode it writes to out unbuffered
+        np.take(table, colours[:, lo:lo + rows].T, out=out[lo:lo + rows], mode="clip")
+    return out
 
 
 def _bit_matrix(words, n):
@@ -405,19 +431,30 @@ def _pair_keys(struct: Structure, members):
     members' rows of the precomputed Structure.colour_powers. Keys thus
     order as the count vectors do read from the last colour down (the
     count of colour 0 is fixed by the others, as each sums to |members|).
-    When that radix overflows int64 the reversed count vectors are keyed by
-    _row_keys instead.
+    The rows are gathered and summed a block at a time. When that radix
+    overflows int64 the reversed count vectors are keyed by _row_keys
+    instead.
     """
     powers = struct.colour_powers
     if powers is not None:
-        return np.add.reduce(powers[members], axis=0)
+        return _power_sums(powers, members)
     if len(members) == 1:
         return struct.pair_colors[:, members[0]]
     n, ncolors = struct.n, struct.ncolors
-    block = struct.pair_colors[:, members]
+    block = struct.pair_colors[:, members].astype(np.int64, copy=False)
     block += np.arange(0, n * ncolors, ncolors)[:, None]
     counts = np.bincount(block.ravel(), minlength=n * ncolors).reshape(n, ncolors)
     return _row_keys(counts[:, ::-1])
+
+
+def _power_sums(powers, members):
+    """The sum of the rows of powers at members, gathered a block of rows at
+    a time."""
+    rows = max(1, BLOCK_BYTES // powers[0].nbytes)
+    keys = np.add.reduce(powers[members[:rows]], axis=0)
+    for lo in range(rows, len(members), rows):
+        keys += np.add.reduce(powers[members[lo:lo + rows]], axis=0)
+    return keys
 
 
 def _word_cell_keys(struct: Structure, points: _Partition, words: _Partition):
@@ -669,10 +706,12 @@ class _Search:
 
 
 def _cell_starts(points: _Partition):
-    """Per point, the start of its cell."""
-    out = np.empty(len(points.lab), dtype=np.int64)
-    out[points.lab] = np.repeat(points.starts, points.length[points.starts])
-    return out
+    """The start of the cell at each position of the label array, and of
+    each point's cell."""
+    at = np.repeat(points.starts, points.length[points.starts])
+    of = np.empty_like(at)
+    of[points.lab] = at
+    return at, of
 
 
 def _sibling_filter(struct: Structure, points: _Partition, s, beta, siblings):
@@ -682,59 +721,66 @@ def _sibling_filter(struct: Structure, points: _Partition, s, beta, siblings):
 
     For pair-colour structures without word systems whose colour powers fit
     int64. beta's refinement is replayed once, recording per splitter its
-    start, its size, the key bound top, the sorted values cell_start * top
-    + key over the points and the start of the cell at each position after
-    the split. The siblings then run through the same splitters together,
-    in blocks of FILTER_BLOCK_BYTES, one row each of the cell start of every
-    point and one of the points in cell order. A row keeps in step while its
-    values (keys below top) sort to beta's; the sort then orders its points
-    into the new cells.
+    start, its members and the cell starts by position and by point before
+    it. A colour count toward a splitter is below radix, the largest
+    replayed splitter's size + 1, so keys read in that radix, from powers
+    built once per call, lie below top = radix ** (ncolors - 1): int32 where
+    top allows, int64 otherwise. The siblings then run through the same
+    splitters together, in blocks of BLOCK_BYTES, one row each of the
+    points in cell order; every row in step has beta's cells at each
+    position. Per row, cell_start * top + key at each position, with the
+    point in the low bits, is one int64 sort: a row keeps in step while the
+    sorted values are beta's, and the low bits of a row that keeps are its
+    points in the new cell order (not read after the last splitter).
     """
-    powers = struct.colour_powers
+    digits = struct.ncolors - 1
+    shift = struct.n.bit_length()
     first = points.individualize(s, beta)
     first.push(s, 1)
-    cells = _cell_starts(first)
-    steps = []
-    while len(steps) < FILTER_SPLITTERS and not first.discrete():
+    replayed = []
+    radix = 1
+    while len(replayed) < FILTER_SPLITTERS and not first.discrete():
         members = first.pop()
         if members is None:
             break
-        keys = _pair_keys(struct, members)
-        top = int(keys.max()) + 1
-        if struct.n * top >= 1 << 63:
+        wider = max(radix, len(members) + 1)
+        if struct.n * wider ** digits << shift > 1 << 63:
             break
-        start, values = int(cells[members[0]]), np.sort(cells * top + keys)
-        first.split(keys)
-        cells = _cell_starts(first)
-        steps.append((start, len(members), top, values,
-                      np.repeat(first.starts, first.length[first.starts])))
-    parent = _cell_starts(points)
-    parent[points.members(s)] = s + 1
+        radix = wider
+        at, of = _cell_starts(first)
+        replayed.append((int(of[members[0]]), members, at, of))
+        first.split(_pair_keys(struct, members))
+    if not replayed:
+        return siblings
+    top = radix ** digits
+    powers = _colour_powers(struct.pair_colors, struct.ncolors, radix,
+                            np.int32 if top <= 1 << 31 else np.int64)
+    steps = [(start, len(members), at * top, np.sort(of * top + _power_sums(powers, members)))
+             for start, members, at, of in replayed]
     position = np.argsort(points.lab)
+    # the widest rows are int64 (labels and sort values)
+    rows = max(1, BLOCK_BYTES // points.lab.nbytes)
+    flat, mask = np.arange(rows)[:, None] * struct.n, (1 << shift) - 1
     kept = []
-    rows = max(1, FILTER_BLOCK_BYTES // (8 * struct.n))
     for lo in range(0, len(siblings), rows):
         block = np.array(siblings[lo:lo + rows])
-        here = np.arange(len(block))
-        cells = np.tile(parent, (len(block), 1))
-        cells[here, block] = s
         # points.lab with each sibling swapped to the front of the cell at s
         lab = np.tile(points.lab, (len(block), 1))
-        lab[here, position[block]] = lab[:, s]
+        lab[np.arange(len(block)), position[block]] = lab[:, s]
         lab[:, s] = block
-        for start, size, top, values, new_starts in steps:
+        for k, (start, size, base, values) in enumerate(steps):
             keys = powers[lab[:, start]]
-            for k in range(start + 1, start + size):
-                keys += powers[lab[:, k]]
-            combined = cells * top + keys
-            order = np.argsort(combined, axis=1)
-            ok = ((keys.max(axis=1) < top)
-                  & (np.take_along_axis(combined, order, 1) == values).all(axis=1))
-            block, lab = block[ok], order[ok]
-            if not len(block):
+            for j in range(start + 1, start + size):
+                keys += powers[lab[:, j]]
+            packed = base + np.take(keys, lab + flat[:len(lab)])
+            packed <<= shift
+            packed |= lab
+            packed.sort(axis=1)
+            ok = (packed >> shift == values).all(axis=1)
+            block = block[ok]
+            if not len(block) or k == len(steps) - 1:
                 break
-            cells = np.empty_like(lab)
-            np.put_along_axis(cells, lab, new_starts, 1)
+            lab = packed[ok] & mask
         kept += block.tolist()
     return kept
 
@@ -1059,24 +1105,32 @@ def _word_pair_colours(words: np.ndarray, evens: np.ndarray) -> np.ndarray:
     """The interned pair colours of _WordGraph from packed words and their
     even parts (both words x limbs uint64).
 
-    Intersection sizes and iota bits are popcounts of the ANDed limbs; the
-    colour tuples are coded as small ints in their sorted order and ranked
-    through a lookup table.
+    Both are unpacked to 0/1 float32 rows over the points some word holds.
+    Per block of word rows, two matmuls give the intersection sizes and the
+    iota bits (exact: every sum is an integer below 2^24). The colour
+    tuples are coded as small ints in their sorted order, 0 on the
+    diagonal, 1 + 2y + z for (0, y, z) and 4 + x for (x, 2, 2), and ranked
+    through a lookup table, all in the narrowest unsigned dtype that holds
+    4 + the number of those points.
     """
     size = len(words)
-    inter = np.zeros((size, size), dtype=np.int32)
-    iota = np.zeros((size, size), dtype=np.uint8)  # iota[a, b] = <words[b], m_(words[a])>
-    for limb in range(words.shape[1]):
-        w = words[:, limb]
-        inter += np.bitwise_count(w[:, None] & w)
-        iota ^= np.bitwise_count(evens[:, limb, None] & w)
-    iota &= 1
-    # each colour tuple (x, y, z), y and z below 3, as (x + 1) * 9 + 3y + z
-    key = np.where(inter > 0, inter * 9 + 17, 9 + 3 * iota + iota.T)
+    words, evens = (np.unpackbits(a.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+                    for a in (words, evens))
+    held = words.any(axis=0)
+    words, evens = words[:, held].astype(np.float32), evens[:, held].astype(np.float32)
+    dtype = np.min_scalar_type(4 + words.shape[1])
+    both = np.concatenate([words, evens]).T
+    key = np.empty((size, size), dtype=dtype)
+    rows = max(1, BLOCK_BYTES // both[0].nbytes)
+    for lo in range(0, size, rows):
+        # |c ∩ h| and iota(h, c) = <c, m_h> for the block's words c, and iota(c, h)
+        inter, iota_hc = np.hsplit((words[lo:lo + rows] @ both).astype(dtype), 2)
+        iota_ch = (evens[lo:lo + rows] @ words.T).astype(dtype)
+        key[lo:lo + rows] = np.where(inter > 0, inter + 4, 1 + 2 * (iota_ch & 1) + (iota_hc & 1))
     np.fill_diagonal(key, 0)
     used = np.zeros(int(key.max()) + 1, dtype=bool)
     used[key] = True
-    rank = np.cumsum(used) - 1
+    rank = (np.cumsum(used) - 1).astype(dtype)
     return rank[key]
 
 
@@ -1090,11 +1144,12 @@ class _WordGraph:
     size plus the two iota bits where defined: (-1, 0, 0) on the diagonal,
     (|c ∩ h|, 2, 2) for meeting words and (0, iota(c, h), iota(h, c)) for
     disjoint ones, ranked in sorted order. The m_c come from one bitwise
-    lift of all words, and the colours from popcounts of packed words
-    (_word_pair_colours). The automorphism image of the Z4-code acts on this
-    colored graph. At a leaf of the search, which builds no group on the
-    words, the coordinate permutation is read off the pencils (the words
-    through each point) by one lookup per point.
+    lift of all words, and the colours from matmuls of their 0/1 rows, one
+    block of words at a time, interned in the narrowest unsigned dtype the
+    points allow (_word_pair_colours). The automorphism image of the
+    Z4-code acts on this colored graph. At a leaf of the search, which
+    builds no group on the words, the coordinate permutation is read off the
+    pencils (the words through each point) by one lookup per point.
     """
 
     def __init__(self, system: _SignSystem, words: list[int]):

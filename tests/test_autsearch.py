@@ -299,7 +299,7 @@ def refine_oracle(struct, cells):
             cellidx = np.empty(n, dtype=np.int64)
             for k, cell in enumerate(cells):
                 cellidx[cell] = k
-            key = pc * len(cells) + cellidx[None, :]
+            key = pc.astype(np.int64) * len(cells) + cellidx[None, :]
             width = ncolors * len(cells)
             for i in sig:
                 hist = np.bincount(key[i], minlength=width)
@@ -448,14 +448,15 @@ def test_pair_keys_order_as_colour_counts():
 def test_colour_power_keys_order_as_count_vectors():
     # on every pair-coloured structure of the corpus, the keys sort the
     # vertices as their colour count vectors do, read from the last colour
-    # down, and change where those vectors change
+    # down, and change where those vectors change; the whole point set of
+    # the 759-word graph sums its members' rows over several blocks
     rng = random.Random(21)
     structs = [s for s in refinement_corpus() if s.pair_colors is not None]
     assert sorted((s.n, s.ncolors) for s in structs) == [(30, 3), (30, 40), (759, 5)]
     for struct in structs:
         n, ncolors = struct.n, struct.ncolors
         assert (struct.colour_powers is None) == (ncolors == 40)
-        for size in sorted({1, 2, 9, 30, 64, n // 2}):
+        for size in sorted({1, 2, 9, 30, 64, n // 2, n}):
             if size > n:
                 continue
             members = np.array(sorted(rng.sample(range(n), size)))
@@ -717,11 +718,14 @@ def keep_every_sibling(struct, points, s, beta, siblings):
     return siblings
 
 
-def circulant_pair(rng, p, ncolors):
+def circulant_pair(rng, p, ncolors, first=None):
     """Two circulant colourings of Z_p side by side, with the same colour
     counts; colour ncolors joins the two. A point of one has an image in the
-    other only where the colourings are isomorphic."""
-    first = [rng.randrange(1, ncolors) for _ in range((p - 1) // 2)]
+    other only where the colourings are isomorphic. first lists the colours
+    of distances 1, ..., (p - 1) / 2 in the first (random if None); the
+    second shuffles them."""
+    if first is None:
+        first = [rng.randrange(1, ncolors) for _ in range((p - 1) // 2)]
     second = first[:]
     rng.shuffle(second)
     colors = np.full((2 * p, 2 * p), ncolors)
@@ -736,16 +740,31 @@ def filter_corpus():
     """The structures _sibling_filter serves: pair colours that fit the
     colour powers and no word systems."""
     rng = random.Random(2)
-    structs = [s for s in refinement_corpus()
-               if not s.systems and s.pair_colors is not None and s.colour_powers is not None]
-    return structs + [circulant_pair(rng, p, c) for p, c in [(11, 3), (17, 4), (19, 3), (23, 5)]]
+    structs = refinement_corpus()
+    structs += [circulant_pair(rng, p, c) for p, c in [(11, 3), (17, 4), (19, 3), (23, 5)]]
+    # ten colours, and a splitter of 16 points after the first: radix 17,
+    # so the filter's keys reach 17 ** 9 > 2 ** 31 and take 64 bits
+    structs.append(circulant_pair(rng, 31, 9, [1] * 8 + list(range(2, 9))))
+    return [s for s in structs
+            if not s.systems and s.pair_colors is not None and s.colour_powers is not None]
 
 
-def test_sibling_filter_drops_only_siblings_without_automorphism():
+def test_sibling_filter_drops_only_siblings_without_automorphism(monkeypatch):
     # at every level of every first path, each sibling the filter drops
-    # holds no automorphism: find_leaf finds none below it
+    # holds no automorphism: find_leaf finds none below it. The corpus
+    # reaches both key widths of the filter (its structures' own colour
+    # powers are built before the widths are recorded)
+    corpus = filter_corpus()
+    widths = set()
+    colour_powers = ats._colour_powers
+
+    def recorded(colours, ncolors, radix, dtype):
+        widths.add(np.dtype(dtype).itemsize)
+        return colour_powers(colours, ncolors, radix, dtype)
+
+    monkeypatch.setattr(ats, "_colour_powers", recorded)
     dropped = 0
-    for struct in filter_corpus():
+    for struct in corpus:
         search = ats._Search(struct, None)
         path = search.first_path(ats._initial_partition(struct))
         for depth, (points, words, s, beta) in enumerate(path):
@@ -760,6 +779,7 @@ def test_sibling_filter_drops_only_siblings_without_automorphism():
                                         struct.verify) is None
                 dropped += 1
     assert dropped > 756
+    assert widths == {4, 8}
 
 
 def test_sibling_filter_commutes_with_relabeling():
@@ -854,6 +874,16 @@ def test_sibling_filter_runs_once_on_pseudo_golay_2(monkeypatch):
     assert calls == [757]
 
 
+def test_word_systems_are_verified_without_codes():
+    # a structure of the 759 octads alone, with no code to check: every
+    # generator keeps the octads, and they generate M24
+    octads = gf2.weight_classes(gf2.golay24(), [8])[0]
+    group = ats.automorphism_group(ats.Structure(24, (), [octads]))
+    for g in group.generators:
+        assert {permgrp.apply_word(g, w) for w in octads} == set(octads)
+    assert group.order() == 244823040
+
+
 @pytest.mark.parametrize("traces", [True, False])
 def test_leaves_are_verified_against_pair_colours(monkeypatch, traces):
     # two colourings of the circulant graph on Z_11 with equal colour counts
@@ -931,17 +961,30 @@ def test_word_graph_pair_colours_match_tuple_loop():
 
 
 def test_word_pair_colours_multi_limb():
-    # n = 70: every popcount runs over two limbs, and words meet in either
+    # n = 70: every popcount runs over two limbs, and sparse words meet in
+    # either. Dense words of length 70 meet in more than 26 points, past
+    # where 9 |c ∩ h| + 17 would fit uint8; those of length 300 meet in more
+    # than 251, past where the colour codes 4 + |c ∩ h| do, so their
+    # colours take uint16
     rng = random.Random(70)
-    n = 70
-    words = sorted({rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
-                    for _ in range(40)} - {0})
-    mtab = {c: rng.getrandbits(n) for c in words}
-    got = ats._word_pair_colours(gf2.limb_array(words, 2),
-                                 gf2.limb_array([mtab[c] for c in words], 2))
-    want = tuple_loop_colours(words, mtab)
-    assert np.array_equal(got, want)
-    assert len({int(x) for x in want.ravel()}) > 5
+
+    def sparse(n):
+        return rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+
+    def dense(n):
+        return rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
+
+    for n, word, meet, width in [(70, sparse, 0, 1), (70, dense, 26, 1), (300, dense, 251, 2)]:
+        words = sorted({word(n) for _ in range(40)} - {0})
+        mtab = {c: rng.getrandbits(n) for c in words}
+        limbs = -(-n // 64)
+        got = ats._word_pair_colours(gf2.limb_array(words, limbs),
+                                     gf2.limb_array([mtab[c] for c in words], limbs))
+        want = tuple_loop_colours(words, mtab)
+        assert np.array_equal(got, want)
+        assert got.dtype.itemsize == width
+        assert len({int(x) for x in want.ravel()}) > 5
+        assert max((c & h).bit_count() for c in words for h in words if c != h) > meet
 
 
 def test_even_parts_match_per_word_lift():
