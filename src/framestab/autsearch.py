@@ -134,11 +134,11 @@ PRECHECK_ROWS = 8
 # level's remaining siblings through.
 FILTER_SPLITTERS = 4
 # Bytes of one block of rows: the siblings x points rows of _sibling_filter,
-# the members' rows that _pair_keys sums, the rows of a colour-power matrix
-# as it is built and the word rows of _word_pair_colours. Below glibc's
-# default mmap threshold of 128 KiB: where that threshold is fixed (setting
-# any MALLOC_*_THRESHOLD_ turns its adjustment off), every larger temporary
-# is mapped and faulted in afresh.
+# the members' rows that _pair_keys sums, the rows that _take_rows looks up
+# and the word rows of _word_pair_colours. Below glibc's default mmap
+# threshold of 128 KiB: where that threshold is fixed (setting any
+# MALLOC_*_THRESHOLD_ turns its adjustment off), every larger temporary is
+# mapped and faulted in afresh.
 BLOCK_BYTES = 120_000
 
 # -- invariant structure -----------------------------------------------------
@@ -188,7 +188,7 @@ class Structure:
         row where each system starts."""
         words = [w for system in self.systems for w in system]
         sizes = [len(system) for system in self.systems]
-        return _bit_matrix(words, self.n), np.cumsum([0, *sizes[:-1]])
+        return _bit_matrix(words, self.n).astype(np.int64), np.cumsum([0, *sizes[:-1]])
 
     @cached_property
     def incidence_pairs(self):
@@ -213,25 +213,29 @@ class Structure:
 
 def _colour_powers(colours, ncolors, radix, dtype):
     """P[j, i] = radix ** (colours[i, j] - 1), 0 for colour 0, in dtype and
-    C order, built a block of rows at a time (no temporary above
-    BLOCK_BYTES)."""
+    C order (_take_rows)."""
     table = np.zeros(ncolors, dtype=dtype)
     table[1:] = radix ** np.arange(ncolors - 1, dtype=dtype)
-    out = np.empty(colours.shape, dtype=dtype)
-    rows = max(1, BLOCK_BYTES // out[0].nbytes)
+    return _take_rows(table, colours.T, np.empty(colours.shape, dtype=dtype))
+
+
+def _take_rows(table, index, out):
+    """out = table[index], a block of rows at a time, so that np.take's intp
+    copy of each block of index stays within BLOCK_BYTES. Every entry must
+    index table: clip mode then never acts, and unlike raise it writes to
+    out unbuffered."""
+    rows = max(1, BLOCK_BYTES // (8 * index.shape[1]))
     for lo in range(0, len(out), rows):
-        # every colour indexes table, so clip never acts; unlike the default
-        # mode it writes to out unbuffered
-        np.take(table, colours[:, lo:lo + rows].T, out=out[lo:lo + rows], mode="clip")
+        np.take(table, index[lo:lo + rows], out=out[lo:lo + rows], mode="clip")
     return out
 
 
 def _bit_matrix(words, n):
-    """Words (bit masks over n points) as a words x points 0/1 int64 matrix."""
+    """Words (bit masks over n points) as a words x points 0/1 uint8 matrix."""
     width = (n + 7) // 8
     raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")
-    return bits[:, :n].astype(np.int64)
+    return bits[:, :n]
 
 
 def _small_side(code: BinaryCode) -> BinaryCode:
@@ -1078,60 +1082,54 @@ class _SignSystem:
 
 
 def _even_parts(system: _SignSystem, words: np.ndarray) -> np.ndarray:
-    """For each residue word c (rows of limbs), the even part m of its lift
-    c~ = c + 2m, as limbs. Well-defined modulo the torsion code.
+    """For each residue word c (a 0/1 row), the even part m of its lift
+    c~ = c + 2m, as 0/1 rows. Well-defined modulo the torsion code.
 
-    The lift is a sum of residue lifts, computed for all words at once in
-    bits: the lift so far is kept as its two bit planes, and each residue
-    lift is added, with carry, to the words whose remainder has the lowest
-    bit of its residue set. m is the high plane.
+    The lift is a sum of residue lifts, computed for all words at once: the
+    lift so far is kept as its two bit planes, and each residue lift is
+    added (z4.packed_add) to the words whose remainder holds the lowest bit
+    of its residue. m is the high plane.
     """
-    count = words.shape[1]
     low, high = np.zeros_like(words), np.zeros_like(words)
     for lift in system.lifts:
         pivot = (lift[0] & -lift[0]).bit_length() - 1
-        limb, bit = divmod(pivot, 64)
-        on = ((words[:, limb] ^ low[:, limb]) >> np.uint64(bit)) & np.uint64(1)
-        mask = (-on.astype(np.int64)).view(np.uint64)[:, None]
-        row_low, row_high = gf2.limb_array(lift, count)[:, None] & mask
-        high ^= row_high ^ (low & row_low)
-        low ^= row_low
+        on = (words[:, pivot] ^ low[:, pivot])[:, None]
+        low, high = z4.packed_add((low, high), _bit_matrix(lift, system.n)[:, None] & on)
     if not np.array_equal(low, words):
         raise ValueError("a word is not in the residue code")
     return high
 
 
 def _word_pair_colours(words: np.ndarray, evens: np.ndarray) -> np.ndarray:
-    """The interned pair colours of _WordGraph from packed words and their
-    even parts (both words x limbs uint64).
+    """The interned pair colours of _WordGraph from the words and their even
+    parts, both as words x points 0/1 rows.
 
-    Both are unpacked to 0/1 float32 rows over the points some word holds.
-    Per block of word rows, two matmuls give the intersection sizes and the
-    iota bits (exact: every sum is an integer below 2^24). The colour
-    tuples are coded as small ints in their sorted order, 0 on the
-    diagonal, 1 + 2y + z for (0, y, z) and 4 + x for (x, 2, 2), and ranked
-    through a lookup table, all in the narrowest unsigned dtype that holds
-    4 + the number of those points.
+    Per block of word rows, two matmuls of float32 rows give the
+    intersection sizes and the iota bits (exact: every sum is an integer
+    below 2^24). The colour tuples are coded as small ints in their sorted
+    order, 0 on the diagonal, 1 + 2y + z for (0, y, z) and 4 + x for
+    (x, 2, 2), and ranked through a lookup table of the codes in use, all in
+    the narrowest unsigned dtype that holds 4 + the number of points.
     """
-    size = len(words)
-    words, evens = (np.unpackbits(a.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-                    for a in (words, evens))
-    held = words.any(axis=0)
-    words, evens = words[:, held].astype(np.float32), evens[:, held].astype(np.float32)
-    dtype = np.min_scalar_type(4 + words.shape[1])
+    size, n = words.shape
+    dtype = np.min_scalar_type(4 + n)
+    # F order: 5.8 ms on the 759 octads, against 8.0 ms in C order (2-CPU Xeon host)
+    words, evens = (np.asfortranarray(a, dtype=np.float32) for a in (words, evens))
     both = np.concatenate([words, evens]).T
     key = np.empty((size, size), dtype=dtype)
+    used = np.zeros(5 + n, dtype=bool)
     rows = max(1, BLOCK_BYTES // both[0].nbytes)
     for lo in range(0, size, rows):
         # |c ∩ h| and iota(h, c) = <c, m_h> for the block's words c, and iota(c, h)
         inter, iota_hc = np.hsplit((words[lo:lo + rows] @ both).astype(dtype), 2)
         iota_ch = (evens[lo:lo + rows] @ words.T).astype(dtype)
-        key[lo:lo + rows] = np.where(inter > 0, inter + 4, 1 + 2 * (iota_ch & 1) + (iota_hc & 1))
-    np.fill_diagonal(key, 0)
-    used = np.zeros(int(key.max()) + 1, dtype=bool)
-    used[key] = True
-    rank = (np.cumsum(used) - 1).astype(dtype)
-    return rank[key]
+        block = key[lo:lo + rows]
+        block[...] = np.where(inter > 0, inter + 4, 1 + 2 * (iota_ch & 1) + (iota_hc & 1))
+        # the diagonal's code 4 + |c| is no colour of a pair
+        np.fill_diagonal(block[:, lo:], 0)
+        # an intp index is faster than a narrow one, and its copy fits BLOCK_BYTES
+        used[block.astype(np.intp)] = True
+    return _take_rows((np.cumsum(used) - 1).astype(dtype), key, key)
 
 
 class _WordGraph:
@@ -1143,27 +1141,24 @@ class _WordGraph:
     dual, which must contain C1). Word pairs are colored by intersection
     size plus the two iota bits where defined: (-1, 0, 0) on the diagonal,
     (|c ∩ h|, 2, 2) for meeting words and (0, iota(c, h), iota(h, c)) for
-    disjoint ones, ranked in sorted order. The m_c come from one bitwise
-    lift of all words, and the colours from matmuls of their 0/1 rows, one
-    block of words at a time, interned in the narrowest unsigned dtype the
-    points allow (_word_pair_colours). The automorphism image of the
-    Z4-code acts on this colored graph. At a leaf of the search, which
-    builds no group on the words, the coordinate permutation is read off the
-    pencils (the words through each point) by one lookup per point.
+    disjoint ones, ranked in sorted order. The words are kept once, as the
+    pencils (the words through each point, 0/1 rows); from their transpose,
+    one lift of all words gives the m_c (_even_parts) and block matmuls the
+    colours (_word_pair_colours). The automorphism image of the Z4-code acts
+    on this colored graph. At a leaf of the search, which builds no group on
+    the words, the coordinate permutation is read off the pencils by one
+    lookup per point.
     """
 
     def __init__(self, system: _SignSystem, words: list[int]):
         self.system = system
-        self.words = words
-        self.n = system.n
         # pencils: row i marks the words through coordinate i
-        self.pencils = np.ascontiguousarray(_bit_matrix(words, self.n).T, dtype=np.uint8)
+        self.pencils = np.ascontiguousarray(_bit_matrix(words, system.n).T)
         self.coordinate = {row.tobytes(): i for i, row in enumerate(self.pencils)}
 
     @cached_property
     def pair_colors(self):
-        packed = gf2.limb_array(self.words, max(1, -(-self.n // 64)))
-        return _word_pair_colours(packed, _even_parts(self.system, packed))
+        return _word_pair_colours(self.pencils.T, _even_parts(self.system, self.pencils.T))
 
     @cached_property
     def separates(self) -> bool:
@@ -1173,7 +1168,7 @@ class _WordGraph:
         off word graphs that are slow to search."""
         common = self.pencils.astype(np.int64) @ self.pencils.T
         own = common.diagonal()
-        return bool(own.all() and np.count_nonzero(common == own[:, None]) == self.n)
+        return bool(own.all() and np.count_nonzero(common == own[:, None]) == len(own))
 
     def coordinate_perm(self, gamma) -> Perm | None:
         """The point permutation inducing the word permutation gamma, if the
@@ -1200,14 +1195,15 @@ class _WordGraph:
             found[gamma] = q
             return True
 
-        struct = Structure(len(self.words), (), [], pair_colors=self.pair_colors, leaf_test=leaf)
+        struct = Structure(self.pencils.shape[1], (), [], pair_colors=self.pair_colors,
+                           leaf_test=leaf)
         try:
             # only the accepted leaves matter, not the group on the words
             _Search(struct, budget, progress).search()
         except BudgetExceeded as err:
             err.partial = [found[gamma] for gamma in err.partial]
             raise
-        return PermGroup(self.n, list(found.values()))
+        return PermGroup(self.system.n, list(found.values()))
 
 
 def aut_z4(code: z4.Z4Code, *, budget: int | None = None, progress=None) -> tuple[int, PermGroup]:

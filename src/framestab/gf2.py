@@ -6,7 +6,7 @@ i-1, so the printed string '1100' is the word with coordinates 1 and 2 set.
 
 Codes are stored in reduced row echelon form with strictly increasing pivot
 columns, which makes code equality literal equality of basis tuples. That
-canonical form is what lets subcode enumeration deduplicate by hashing.
+canonical form lets codes serve as hash keys, as in aut_binary's memo.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ def limb_layout(length: int) -> tuple[int, np.dtype]:
 
 
 def limb_array(words, count: int, dtype=np.uint64) -> np.ndarray:
-    """words (Python ints, possibly negative) as a len(words) x count array
-    of dtype, one row of little-endian limbs of that width each."""
+    """words (non-negative Python ints) as a len(words) x count array of
+    dtype, one row of little-endian limbs of that width each."""
     bits = 8 * np.dtype(dtype).itemsize
     mask = (1 << bits) - 1
     return np.array([[v >> (bits * l) & mask for l in range(count)] for v in words],

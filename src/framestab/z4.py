@@ -256,21 +256,26 @@ def pack(word):
     return lo, hi
 
 
+def packed_add(word, other):
+    """The sum of packed Z4 words (lo, hi), on Python ints or numpy arrays."""
+    (lo, hi), (plo, phi) = word, other
+    return lo ^ plo, hi ^ phi ^ (lo & plo)
+
+
 def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
     """Packed codewords (lo, hi) whose residues are an echelon basis of C1.
 
-    Each Howell row is reduced, by packed addition (lo ^ plo, hi ^ phi ^
-    (lo & plo)), against the lifts kept so far whose lowest residue bit it
-    holds, and kept if its residue stays nonzero; a 2-pivot row such as
-    (2, 1) can be one. The lifts come sorted by the lowest bit of their
-    residue, and these bits are distinct.
+    Each Howell row is reduced, by packed_add, against the lifts kept so far
+    whose lowest residue bit it holds, and kept if its residue stays
+    nonzero; a 2-pivot row such as (2, 1) can be one. The lifts come sorted
+    by the lowest bit of their residue, and these bits are distinct.
     """
     lifts = []
     for row in c.basis:
         lo, hi = pack(row)
         for plo, phi in lifts:
             if lo & plo & -plo:
-                lo, hi = lo ^ plo, hi ^ phi ^ (lo & plo)
+                lo, hi = packed_add((lo, hi), (plo, phi))
         if lo:
             lifts.append((lo, hi))
     return tuple(sorted(lifts, key=lambda g: g[0] & -g[0]))
@@ -284,10 +289,8 @@ def _gray_sums(steps, limbs: int, dtype):
     hi = np.zeros_like(lo)
     parts = gf2.limb_array([w for step in steps for w in step], limbs, dtype)
     for j in range(len(steps)):
-        glo, ghi = parts[2 * j], parts[2 * j + 1]
         a, b = 1 << j, 2 << j
-        hi[a:b] = hi[:a] ^ ghi ^ (lo[:a] & glo)
-        lo[a:b] = lo[:a] ^ glo
+        lo[a:b], hi[a:b] = packed_add((lo[:a], hi[:a]), parts[2 * j:2 * j + 2])
     s = np.arange(len(lo))
     gray = s ^ s >> 1
     return lo[gray], hi[gray]

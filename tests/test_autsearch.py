@@ -367,7 +367,7 @@ def pseudo_golay_2_pair_structure():
     """The 759-word pair-colour graph aut_z4 searches for pseudo-golay-2."""
     system = ats._SignSystem(catalog.get("z4-pseudo-golay-2").code())
     graph = ats._WordGraph(system, ats.weight_class_systems(system.res)[0])
-    return ats.Structure(len(graph.words), (), [], pair_colors=graph.pair_colors)
+    return ats.Structure(graph.pencils.shape[1], (), [], pair_colors=graph.pair_colors)
 
 
 def refinement_corpus():
@@ -960,12 +960,17 @@ def test_word_graph_pair_colours_match_tuple_loop():
         assert np.array_equal(got, tuple_loop_colours(words, mtab))
 
 
-def test_word_pair_colours_multi_limb():
-    # n = 70: every popcount runs over two limbs, and sparse words meet in
-    # either. Dense words of length 70 meet in more than 26 points, past
-    # where 9 |c ∩ h| + 17 would fit uint8; those of length 300 meet in more
-    # than 251, past where the colour codes 4 + |c ∩ h| do, so their
-    # colours take uint16
+def bit_rows(words, n):
+    """Words (bit masks over n points) as words x points 0/1 uint8 rows."""
+    return np.array([[w >> i & 1 for i in range(n)] for w in words], dtype=np.uint8).reshape(-1, n)
+
+
+def test_word_pair_colours_wide_words():
+    # n = 70: sparse words, two in five of whose pairs are disjoint, so the
+    # iota bits colour those. Dense words of length 70 meet in more than 26
+    # points, past where 9 |c ∩ h| + 17 would fit uint8; those of length 300
+    # meet in more than 251, past where the colour codes 4 + |c ∩ h| do, so
+    # their colours take uint16
     rng = random.Random(70)
 
     def sparse(n):
@@ -977,9 +982,7 @@ def test_word_pair_colours_multi_limb():
     for n, word, meet, width in [(70, sparse, 0, 1), (70, dense, 26, 1), (300, dense, 251, 2)]:
         words = sorted({word(n) for _ in range(40)} - {0})
         mtab = {c: rng.getrandbits(n) for c in words}
-        limbs = -(-n // 64)
-        got = ats._word_pair_colours(gf2.limb_array(words, limbs),
-                                     gf2.limb_array([mtab[c] for c in words], limbs))
+        got = ats._word_pair_colours(bit_rows(words, n), bit_rows([mtab[c] for c in words], n))
         want = tuple_loop_colours(words, mtab)
         assert np.array_equal(got, want)
         assert got.dtype.itemsize == width
@@ -988,9 +991,9 @@ def test_word_pair_colours_multi_limb():
 
 
 def test_even_parts_match_per_word_lift():
-    # the bitwise lift adds the same lifts as the per-word tuple lift, so the
-    # even parts agree bit for bit, on one limb and on two, and every
-    # (c, m) is a codeword
+    # the lift of all words at once adds the same lifts as the per-word
+    # tuple lift, so the even parts agree bit for bit, at lengths below, at
+    # and above 64, and every (c, m) is a codeword
     rng = random.Random(4)
     cases = [catalog.get("z4-pseudo-golay-2").code()]
     cases += [z4.z4_span(n, [tuple(rng.randrange(4) for _ in range(n)) for _ in range(6)])
@@ -1006,13 +1009,27 @@ def test_even_parts_match_per_word_lift():
                 if rng.random() < 0.5:
                     w ^= pb
             words.append(w)
-        count = -(-n // 64)
-        got = ats._even_parts(ats._SignSystem(code), gf2.limb_array(words, count))
-        want = gf2.limb_array([lifted_even_part(lifts, n, c) for c in words], count)
+        got = ats._even_parts(ats._SignSystem(code), bit_rows(words, n))
+        want = bit_rows([lifted_even_part(lifts, n, c) for c in words], n)
         assert np.array_equal(got, want)
-        for c, limbs in zip(words, got):
-            m = sum(int(x) << (64 * l) for l, x in enumerate(limbs))
-            assert oracles.contains(code, tuple((c >> i & 1) + 2 * (m >> i & 1) for i in range(n)))
+        for c, m in zip(bit_rows(words, n), got):
+            assert oracles.contains(code, tuple(int(x) for x in c + 2 * m))
+
+
+def test_word_rows_layout_is_a_speed_choice_only():
+    # the graph feeds F-ordered rows (the pencils' transpose); C-ordered
+    # copies of the same rows give the same even parts and colours
+    system = ats._SignSystem(catalog.get("z4-pseudo-golay-2").code())
+    graph = ats._WordGraph(system, ats.weight_class_systems(system.res)[0])
+    f_rows = graph.pencils.T
+    c_rows = np.ascontiguousarray(f_rows)
+    assert f_rows.flags.f_contiguous and not f_rows.flags.c_contiguous
+    f_evens, c_evens = ats._even_parts(system, f_rows), ats._even_parts(system, c_rows)
+    assert np.array_equal(f_evens, c_evens)
+    for evens in (f_evens, c_evens, np.asfortranarray(c_evens)):
+        got = ats._word_pair_colours(c_rows, evens)
+        assert got.dtype == graph.pair_colors.dtype
+        assert np.array_equal(got, graph.pair_colors)
 
 
 def test_aut_z4_builds_no_group_on_the_words(monkeypatch):
