@@ -133,13 +133,9 @@ def from_text(text: str) -> Z4Code:
     return z4_span(n, rows)
 
 
-@lru_cache(maxsize=8)
 def z4_dual(c: Z4Code) -> Z4Code:
-    """Annihilator of c under <x,y> = sum x_i y_i in Z4.
-
-    Memoized: a frame report asks for the dual of one code several times,
-    through torsion and the self-duality tests.
-    """
+    """Annihilator of c under <x,y> = sum x_i y_i in Z4, by a Howell
+    reduction of an n x (k + n) matrix; no library path takes it."""
     n = c.length
     k = len(c.basis)
     # rows (column_i of the generator matrix | e_i); Howell rows whose left
@@ -154,26 +150,24 @@ def z4_dual(c: Z4Code) -> Z4Code:
     return z4_span(n, gens)
 
 
-@lru_cache(maxsize=8)
 def residue(c: Z4Code) -> gf2.BinaryCode:
-    """The mod-2 image of c (written C1). Memoized, as torsion is."""
+    """The mod-2 image of c (written C1): the span of the basis rows' residues."""
     return gf2.span(
         c.length,
         [sum((d & 1) << i for i, d in enumerate(row)) for row in c.basis],
     )
 
 
-@lru_cache(maxsize=8)
 def torsion(c: Z4Code) -> gf2.BinaryCode:
     """The binary code C0 with 2*C0 = c intersect 2*Z4^n.
 
-    C0 is the binary dual of the residue of the Z4 dual: a Z4-code is the
-    annihilator of its annihilator, so 2u lies in c exactly when
-    <2u, y> = 2(u . y) vanishes mod 4 for every y in dual(c), that is when
-    u . (y mod 2) is even. Memoized: a frame report asks for C0 of one code
-    several times (structure codes, the report, the sign system).
+    C0 is the span of the residues of the lifts and of the halves that
+    residue_lifts gives: c = <lifts> + 2*<halves>, and the lifts' residues
+    are independent, so a word of c inside 2*Z4^n takes each lift an even
+    number of times, and twice a lift is twice its residue.
     """
-    return gf2.dual(residue(z4_dual(c)))
+    lifts, halves = residue_lifts(c)
+    return gf2.span(c.length, [lo for lo, _ in lifts] + list(halves))
 
 
 def group_shape(c: Z4Code) -> str:
@@ -202,16 +196,14 @@ def is_self_orthogonal(c: Z4Code) -> bool:
 
 
 def is_self_dual(c: Z4Code) -> bool:
-    return c == z4_dual(c)
+    """Self-orthogonal of size 2^n, since |c| * |dual(c)| = 4^n."""
+    return c.size() == 2**c.length and is_self_orthogonal(c)
 
 
 def is_type_ii(c: Z4Code) -> bool:
-    """Self-dual with every Euclidean weight divisible by 8.
-
-    A self-dual code is self-orthogonal, so the generator check of
-    all_weights_divisible_by_8 is exact here.
-    """
-    return is_self_dual(c) and all(euclidean_weight(row) % 8 == 0 for row in c.basis)
+    """Self-dual with every Euclidean weight divisible by 8: of size 2^n, and
+    all_weights_divisible_by_8, which implies self-orthogonality."""
+    return c.size() == 2**c.length and all_weights_divisible_by_8(c)
 
 
 def all_weights_divisible_by_8(c: Z4Code) -> bool:
@@ -230,18 +222,18 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
 # ---------------------------------------------------------------------------
 # A word is packed as two bitplanes (lo, hi): digit d = lo_bit + 2*hi_bit.
 # Every codeword is g_S + 2u for a unique subset S of the lifts g_1..g_k1
-# (residue_lifts, whose residues are a basis of C1, so the residue of g_S
-# is a word c of C1) and a unique u in C0 (Hammons, Kumar, Calderbank,
-# Sloane & Sole 1994). With g_S = (c, m) packed, the word is (c, m ^ u) and
-# its Euclidean weight is |c| + 4*wt((m ^ u) & ~c). The scan takes the
-# cosets g_S + 2*C0, together with the torsion basis vectors beyond the
-# first INNER_BITS, in binary-reflected Gray order: it builds every coset
-# representative up front as limb arrays, and evaluates the cosets a block
-# at a time over the span of the first INNER_BITS torsion vectors with the
-# span kernel of gf2, at the limb width that gf2.limb_layout gives the
-# code's length. Minimum-weight words are kept as rows of uint64 limbs, the
-# lo limbs then the hi limbs, in scan order: cosets in Gray order, then span
-# column.
+# (residue_lifts, whose residues are a basis of C1, so the residue of g_S is
+# a word c of C1) and a unique u in C0 (Hammons, Kumar, Calderbank, Sloane &
+# Sole 1994), the span of the lifts' residues and the halves. With
+# g_S = (c, m) packed, the word is (c, m ^ u) and its Euclidean weight is
+# |c| + 4*wt((m ^ u) & ~c). The scan takes the cosets g_S + 2*C0, together
+# with the torsion basis vectors beyond the first INNER_BITS, in
+# binary-reflected Gray order: it builds every coset representative up
+# front as limb arrays, and evaluates the cosets a block at a time over the
+# span of the first INNER_BITS torsion vectors with the span kernel of gf2,
+# at the limb width that gf2.limb_layout gives the code's length.
+# Minimum-weight words are kept as rows of uint64 limbs, the lo limbs then
+# the hi limbs, in scan order: cosets in Gray order, then span column.
 
 # Number of minimum-weight words a scan keeps; the count stays exact beyond it.
 _WORD_LIMIT = 1 << 18
@@ -262,15 +254,17 @@ def packed_add(word, other):
     return lo ^ plo, hi ^ phi ^ (lo & plo)
 
 
-def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
-    """Packed codewords (lo, hi) whose residues are an echelon basis of C1.
+def residue_lifts(c: Z4Code) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(lifts, halves): packed codewords (lo, hi) whose residues are an
+    echelon basis of C1, and words h with c = <lifts> + 2*<halves>.
 
     Each Howell row is reduced, by packed_add, against the lifts kept so far
-    whose lowest residue bit it holds, and kept if its residue stays
-    nonzero; a 2-pivot row such as (2, 1) can be one. The lifts come sorted
-    by the lowest bit of their residue, and these bits are distinct.
+    whose lowest residue bit it holds: it is kept as a lift if its residue
+    stays nonzero (a 2-pivot row such as (2, 1) can be one), and otherwise
+    leaves (0, h), a half. The lifts come sorted by the lowest bit of their
+    residue, and these bits are distinct.
     """
-    lifts = []
+    lifts, halves = [], []
     for row in c.basis:
         lo, hi = pack(row)
         for plo, phi in lifts:
@@ -278,7 +272,9 @@ def residue_lifts(c: Z4Code) -> tuple[tuple[int, int], ...]:
                 lo, hi = packed_add((lo, hi), (plo, phi))
         if lo:
             lifts.append((lo, hi))
-    return tuple(sorted(lifts, key=lambda g: g[0] & -g[0]))
+        else:
+            halves.append(hi)
+    return tuple(sorted(lifts, key=lambda g: g[0] & -g[0])), tuple(halves)
 
 
 def _gray_sums(steps, limbs: int, dtype):
@@ -317,7 +313,7 @@ def _weight_scan(c: Z4Code):
     limbs, width = span.shape
     # one step per residue lift and one per torsion vector beyond the inner
     # span, at the span's limb width
-    los, his = _gray_sums(list(residue_lifts(c)) + [(0, v) for v in extra],
+    los, his = _gray_sums(list(residue_lifts(c)[0]) + [(0, v) for v in extra],
                           limbs, span.dtype)
     masks = ~los
     residue_weights = np.bitwise_count(los).sum(axis=1, dtype=np.int64)

@@ -11,8 +11,10 @@ against. Nothing in framestab uses them.
   the integer vector sqrt(8) * v, and membership is decided by the
   congruence conditions of the standard Golay-code construction.
 - Z4 codeword listing and membership by reduction against the Howell basis,
-  permutation group element listing, permutations from cycles, and random
-  self-orthogonal Z4-codes.
+  permutation group element listing, permutations from cycles, random
+  self-orthogonal Z4-codes and random monomial relabelings.
+- Sign compatibility of a coordinate permutation of a Z4-code from the
+  pairings of the permuted code with its Z4 dual.
 - Whether a word list separates the coordinates, by intersecting the words
   through each coordinate.
 - The members of the orbifold family H, spanned one by one from the period
@@ -86,6 +88,52 @@ def random_self_orthogonal(n: int, rows: int, rng: random.Random) -> z4.Z4Code:
             continue
         gens.append(cand)
     return z4.z4_span(n, gens)
+
+
+def monomial_relabeling(c: z4.Z4Code, rng: random.Random) -> z4.Z4Code:
+    """A random coordinate permutation and sign flip of the code, spanned from
+    its basis rows in shuffled order."""
+    n = c.length
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, 3)) for _ in range(n)]
+    rows = []
+    for row in c.basis:
+        out = [0] * n
+        for i, d in enumerate(row):
+            out[perm[i]] = d * signs[i] % 4
+        rows.append(out)
+    rng.shuffle(rows)
+    return z4.z4_span(n, rows)
+
+
+def pairing_sign_rows(c: z4.Z4Code, perm: permgrp.Perm | None):
+    """The GF(2) rows (mask, right-hand side in bit n) of the sign vectors s
+    compatible with perm, or None if the pairings already rule every s out.
+
+    Flipping the signs s turns a word w = lo + 2hi into w + 2(s & lo). A
+    Z4-code is the annihilator of its Z4 dual, so that word lies in the code
+    exactly when, for every basis row y = ylo + 2yhi of the dual, the pairing
+    <w, y> = |lo & ylo| + 2(|lo & yhi| + |hi & ylo|) is even and
+    s . (lo & ylo) = <w, y>/2 mod 2.
+    """
+    n = c.length
+    dual = [z4.pack(y) for y in z4.z4_dual(c).basis]
+    rows = set()
+    for row in c.basis:
+        lo, hi = z4.pack(row)
+        if perm is not None:
+            lo, hi = permgrp.apply_word(perm, lo), permgrp.apply_word(perm, hi)
+        for ylo, yhi in dual:
+            mask = lo & ylo
+            pairing = mask.bit_count() + 2 * ((lo & yhi).bit_count() + (hi & ylo).bit_count())
+            if pairing & 1:
+                return None
+            if mask:
+                rows.add(mask | (pairing & 2) << (n - 1))
+            elif pairing & 2:
+                return None
+    return rows
 
 
 def pencils_separate(n: int, words: list[int]) -> bool:

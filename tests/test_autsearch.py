@@ -1127,6 +1127,15 @@ def test_identity_coordinate_perm_is_the_pencil_rule():
     assert outcomes[0] and any(outcomes[1:]) and not all(outcomes)
 
 
+def test_empty_word_graph_has_no_colours():
+    # z4-len8-1's residue holds no lightest class: its word graph has a
+    # 0 x 0 colour matrix, and separates no coordinate
+    assert [(n, words) for n, words in word_list_corpus() if not words] == [(8, [])]
+    graph = ats._WordGraph(ats._SignSystem(catalog.get("z4-len8-1").code()), [])
+    assert graph.pair_colors.shape == (0, 0)
+    assert not graph.separates
+
+
 def random_element(group, rng):
     """A uniform element of the group: one transversal element per level."""
     p = permgrp.identity(group.degree)
@@ -1575,6 +1584,41 @@ def test_sign_system_matches_brute_force():
     assert not all(z4.is_self_orthogonal(c) for c in codes)
     assert any(row[col] == 2 and any(d & 1 for d in row)
                for c in codes for (col, _), row in zip(c.pivots, c.basis))
+
+
+def test_sign_system_matches_the_pairing_route():
+    # the rows reduced against the residue lifts and the rows read from the
+    # pairings with the Z4 dual (oracles.pairing_sign_rows) describe one set
+    # of sign vectors: the same answer, and where signs exist the same span.
+    # Seeded codes of length 6-12 and one relabeling of each length-24
+    # catalog code, on the strong generators of Aut(C0) ∩ Aut(C1) and
+    # seeded permutations
+    rng = random.Random(47)
+    codes = [oracles.monomial_relabeling(catalog.get(code_id).code(), rng)
+             for code_id in ("z4-leech-standard", "z4-pseudo-golay-1", "z4-pseudo-golay-2")]
+    for _ in range(60):
+        n = rng.randrange(6, 13)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 2, 3)) for _ in range(n))
+                for _ in range(rng.randrange(1, n))]
+        codes += [z4.z4_span(n, gens), oracles.random_self_orthogonal(n, rng.randrange(1, n), rng)]
+    outcomes = set()
+    for code in codes:
+        n = code.length
+        system = ats._SignSystem(code)
+        kernel_rows = oracles.pairing_sign_rows(code, None)
+        assert system.kernel_order() == 1 << (n - gf2.span(n + 1, kernel_rows).dim)
+        constraint = ats.aut_binary(system.tor, system.res)
+        perms = list(constraint.strong_generators)
+        perms += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        for perm in perms:
+            want = oracles.pairing_sign_rows(code, perm)
+            got = system.rows_for(perm)
+            compatible = want is not None and gf2.consistent(n, want)
+            assert system.compatible(perm) == compatible, (str(code), perm)
+            if compatible:
+                assert gf2.span(n + 1, got) == gf2.span(n + 1, want), (str(code), perm)
+            outcomes.add(compatible)
+    assert outcomes == {False, True}
 
 
 def test_aut_z4_kernel_times_image_small_brute(monkeypatch):

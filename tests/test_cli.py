@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from framestab import autsearch, catalog, frames, gf2, permgrp
+from framestab import autsearch, catalog, frames, gf2, permgrp, z4
 from framestab.cli import main
+from framestab.frames import VariantError
 
 
 @pytest.fixture
@@ -158,6 +159,33 @@ def test_aut_z4_residue_above_half_length(runner, tmp_path):
     payload = json.loads(result.output)
     assert (payload["kernel_order"], payload["image_order"], payload["total_order"]) == (
         "2", "2", "4")
+
+
+def test_no_library_path_takes_a_z4_dual(runner, tmp_path, monkeypatch):
+    # torsion, the self-duality tests and the sign system read the residue
+    # lifts: every frame report whose variant's hypotheses hold, analyze and
+    # aut run on every catalog Z4-code, and on z4-len8-3 without its first
+    # row (not self-dual, with 2-torsion), with z4_dual raising
+    def no_dual(c):
+        raise AssertionError("z4_dual called")
+
+    monkeypatch.setattr(z4, "z4_dual", no_dual)
+    path = tmp_path / "len8-3-rows-2-4.txt"
+    path.write_text("1111 2000\n1320 1100\n2200 0000\n0220 0220\n")
+    refs = [code_id for code_id in catalog.list_ids() if code_id.startswith("z4-")]
+    reports = []
+    for ref in refs + [str(path)]:
+        code = catalog.get(ref).code() if ref in refs else z4.from_text(path.read_text())
+        for variant in ("lattice", "orbifold"):
+            try:
+                frames.frame_report(code, variant)
+            except VariantError:
+                continue
+            reports.append((ref, variant))
+        for command in ("analyze", "aut"):
+            result = runner.invoke(main, [command, "--input", ref, "--json"])
+            assert result.exit_code == 0, (command, ref, result.output, result.exception)
+    assert len(reports) == 12 and (str(path), "orbifold") not in reports
 
 
 def test_aut_binary_file_input(runner, tmp_path):

@@ -638,23 +638,6 @@ def test_frame_report_pseudo_golay_2():
 # -- invariance under relabeling ------------------------------------------------
 
 
-def monomial_relabeling(code, rng):
-    """A random coordinate permutation and sign flip of the code, spanned from
-    its basis rows in shuffled order."""
-    n = code.length
-    perm = list(range(n))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, 3)) for _ in range(n)]
-    rows = []
-    for row in code.basis:
-        out = [0] * n
-        for i, d in enumerate(row):
-            out[perm[i]] = d * signs[i] % 4
-        rows.append(out)
-    rng.shuffle(rows)
-    return z4.z4_span(n, rows)
-
-
 LEN8_FRAMES = [(f"z4-len8-{k}", "lattice") for k in (1, 2, 3, 4)] + [("z4-len8-4", "orbifold")]
 # the Leech rows take about 0.1 s each, the pseudo-Golay rows are slow
 LEN24_FRAMES = [pytest.param(code_id, variant,
@@ -668,7 +651,7 @@ def assert_report_invariant(code_id, variant, relabelings):
     want = asdict(frames.frame_report(code, variant))
     rng = random.Random(f"{code_id}/{variant}")
     for _ in range(relabelings):
-        relabeled = monomial_relabeling(code, rng)
+        relabeled = oracles.monomial_relabeling(code, rng)
         assert asdict(frames.frame_report(relabeled, variant)) == want
 
 
@@ -687,7 +670,7 @@ def test_frame_report_invariant_under_relabeling_len24(code_id, variant):
 def test_aut_z4_of_a_relabeled_pseudo_golay_code(code_id, image_order):
     # the word-graph route on a relabeled code: each generator is a
     # coordinate permutation recovered from a leaf's word permutation
-    code = monomial_relabeling(catalog.get(code_id).code(), random.Random(code_id))
+    code = oracles.monomial_relabeling(catalog.get(code_id).code(), random.Random(code_id))
     kernel, image = autsearch.aut_z4(code)
     assert (kernel, image.order()) == (2, image_order)
     system = autsearch._SignSystem(code)
@@ -712,8 +695,7 @@ def test_e8_report_duals(monkeypatch, k, variant):
     monkeypatch.setattr(frames, "structure_codes",
                         lambda *args: built.append(structure_codes(*args)) or built[-1])
     code = len8(k)
-    for memo in (autsearch._aut_binary, z4.torsion, z4.residue, z4.z4_dual):
-        memo.cache_clear()
+    autsearch._aut_binary.cache_clear()
     frames.frame_report(code, variant)
     assert [c is built[0].c_code for c in calls].count(True) == 1
     assert len(calls) <= 5

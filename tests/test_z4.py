@@ -28,22 +28,6 @@ def unpack_rows(words):
             for row in words.tolist()]
 
 
-def relabel(c, rng):
-    """A random coordinate permutation and sign change, rows shuffled."""
-    n = c.length
-    perm = list(range(n))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, 3)) for _ in range(n)]
-    rows = []
-    for row in c.basis:
-        out = [0] * n
-        for i, d in enumerate(row):
-            out[perm[i]] = d * signs[i] % 4
-        rows.append(out)
-    rng.shuffle(rows)
-    return z4.z4_span(n, rows)
-
-
 def test_span_sizes_and_shapes():
     expected = {1: "4*2^6", 2: "4^2*2^4", 3: "4^3*2^2", 4: "4^4"}
     for k, shape in expected.items():
@@ -204,6 +188,32 @@ def test_self_orthogonal_not_self_dual():
     assert not z4.is_type_ii(c)
 
 
+def test_self_duality_matches_the_dual():
+    # is_self_dual reads |c| = 2^n and self-orthogonality, with no dual;
+    # on seeded spans, self-orthogonal codes, duals, c + dual(c) and
+    # catalog relabelings it agrees with c == dual(c), and is_type_ii with
+    # that test plus the weights of the basis rows
+    rng = random.Random(43)
+    codes = [oracles.monomial_relabeling(catalog.get(code_id).code(), rng)
+             for code_id in catalog.list_ids() if code_id.startswith("z4-")]
+    for _ in range(150):
+        n = rng.randrange(1, 11)
+        c = z4.z4_span(n, [tuple(rng.randrange(4) for _ in range(n))
+                           for _ in range(rng.randrange(n + 1))])
+        dual = z4.z4_dual(c)
+        codes += [c, dual, z4.z4_span(n, c.basis + dual.basis),
+                  oracles.random_self_orthogonal(n, rng.randrange(1, n + 1), rng)]
+    answers = set()
+    for c in codes:
+        self_dual = c == z4.z4_dual(c)
+        assert z4.is_self_dual(c) == self_dual, str(c)
+        assert z4.is_type_ii(c) == (
+            self_dual and all(z4.euclidean_weight(row) % 8 == 0 for row in c.basis)), str(c)
+        if z4.is_self_orthogonal(c):
+            answers.add(self_dual)
+    assert answers == {False, True}
+
+
 def test_type_ii_residue_doubly_even():
     for k in (1, 2, 3, 4):
         c1 = z4.residue(len8(k))
@@ -255,17 +265,19 @@ def test_residue_lifts_are_codewords_over_an_echelon_basis_of_c1():
         gens.append((2,) + tuple(2 * rng.randrange(2) for _ in range(n - 2)) + (1,))
         codes.append(z4.z4_span(n, gens))
     for c in codes:
-        lifts = z4.residue_lifts(c)
+        lifts, halves = z4.residue_lifts(c)
         lows = [lo for lo, _ in lifts]
         assert gf2.span(c.length, lows) == z4.residue(c)
         assert len({lo & -lo for lo in lows}) == len(lows) == z4.residue(c).dim
         assert all(oracles.contains(c, unpack(lo, hi, c.length)) for lo, hi in lifts)
+        # 2h is a codeword for every half h
+        assert all(oracles.contains(c, unpack(0, h, c.length)) for h in halves)
 
 
 def test_weight_scan_matches_codeword_scan():
     rng = random.Random(41)
     codes = [z4.z4_span(2, [(2, 1)]), z4.z4_span(5, [(2, 1, 0, 3, 2), (0, 2, 2, 0, 1)])]
-    codes += [relabel(len8(k), rng) for k in (1, 2, 3, 4)]
+    codes += [oracles.monomial_relabeling(len8(k), rng) for k in (1, 2, 3, 4)]
     for _ in range(30):
         n = rng.randrange(2, 12)
         gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 5))]
@@ -421,7 +433,7 @@ def _scan_order_reference(c):
     torsion vectors at the set bits of j."""
     tors = z4.torsion(c).basis
     inner, extra = tors[:z4.INNER_BITS], tors[z4.INNER_BITS:]
-    steps = list(z4.residue_lifts(c)) + [(0, v) for v in extra]
+    steps = list(z4.residue_lifts(c)[0]) + [(0, v) for v in extra]
     span = [0]
     for v in inner:
         span += [u ^ v for u in span]
@@ -460,7 +472,7 @@ def test_weight_scan_order_matches_coset_walk(monkeypatch):
     # between others of their block; INNER_BITS = 2 puts torsion vectors
     # into the Gray walk
     rng = random.Random(5)
-    codes = [relabel(len8(k), rng) for k in (1, 2, 3, 4)]
+    codes = [oracles.monomial_relabeling(len8(k), rng) for k in (1, 2, 3, 4)]
     for _ in range(25):
         n = rng.randrange(3, 11)
         gens = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
@@ -489,7 +501,7 @@ def test_weight_scan_invariant_under_relabeling():
     for eid, count in expected.items():
         code = catalog.get(eid).code()
         for _ in range(2):
-            c = relabel(code, rng)
+            c = oracles.monomial_relabeling(code, rng)
             # a Howell form with fewer unit pivots than dim C1 (11 + 2 rows)
             split_forms += c.k1 < z4.residue(c).dim
             m, got, _ = z4._weight_scan(c)
