@@ -1038,9 +1038,9 @@ class _SignSystem:
 
     The code is spanned by the lifts and 2h for its halves h. Flipping the
     signs s turns a permuted generator w = lo + 2hi into w + 2(s & lo).
-    Adding (z4.packed_add) in turn each lift whose lowest residue bit w
-    holds leaves 2h, or else a residue outside C1, and no signs exist; the
-    flips turn h into h ^ (s & lo). Each check row c of C0 gives the row
+    Reducing w against the lifts (z4.lift_remainder) leaves 2h, or else a
+    residue outside C1, and no signs exist; the flips turn h into
+    h ^ (s & lo). Each check row c of C0 gives the row
     c & lo with right-hand side |c & h| mod 2 in bit n. gf2.consistent
     decides a permutation's system, stopping at the first row that reduces
     to the lone right-hand side; gf2.span gives the dimension of the kernel's.
@@ -1061,10 +1061,7 @@ class _SignSystem:
         for lo, hi in self.generators:
             if perm is not None:
                 lo, hi = permgrp.apply_word(perm, lo), permgrp.apply_word(perm, hi)
-            rest = lo
-            for lift in self.lifts:
-                if rest & lift[0] & -lift[0]:
-                    rest, hi = z4.packed_add((rest, hi), lift)
+            rest, hi = z4.lift_remainder((lo, hi), self.lifts)
             if rest:
                 return None
             for c in self.checks:

@@ -1,14 +1,16 @@
 """Linear codes over Z4: Howell canonical form, duality, weights, Type II.
 
-Words over Z4 are digit tuples. The canonical basis is the Howell normal
-form; since Z4 has zero divisors, plain row echelon form does not determine
-the row span uniquely, but the Howell form does, so code equality is again
-literal equality of bases. Rows with a unit pivot come with every multiple
-of the pivot column realized; rows with pivot 2 get their double appended
-during reduction so that trailing spans survive.
+A code is parsed and reduced as digit tuples. The canonical basis is the
+Howell normal form; since Z4 has zero divisors, plain row echelon form does
+not determine the row span uniquely, but the Howell form does, so code
+equality is again literal equality of bases. Rows with a unit pivot come
+with every multiple of the pivot column realized; rows with pivot 2 get
+their double appended during reduction so that trailing spans survive.
 
-The Euclidean weight of a word uses representatives {0, +-1, 2}: digits 0,
-1, 2, 3 contribute 0, 1, 4, 1.
+Past the Howell form, words are packed as bit planes (lo, hi), digit
+d = lo_bit + 2*hi_bit (pack). The Euclidean weight uses representatives
+{0, +-1, 2}: digits 0, 1, 2, 3 contribute 0, 1, 4, 1, so (lo, hi) weighs
+|lo| + 4|hi & ~lo|.
 """
 
 from __future__ import annotations
@@ -23,18 +25,8 @@ from .errors import EnumerationLimit
 from .gf2 import INNER_BITS
 from .matrixio import parse_z4_matrix
 
-_EUCLIDEAN = (0, 1, 4, 1)
-
 # Largest code that the minimum-weight scan (_weight_scan) enumerates.
 ENUM_CAP = 1 << 30
-
-
-def euclidean_weight(word) -> int:
-    return sum(_EUCLIDEAN[d] for d in word)
-
-
-def inner_product(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y)) % 4
 
 
 def _howell(rows, n):
@@ -96,18 +88,8 @@ class Z4Code:
             out.append((col, 2 if row[col] == 2 else 1))
         return tuple(out)
 
-    @property
-    def k1(self) -> int:
-        """Number of unit-pivot rows (Z4-free rank)."""
-        return sum(1 for _, t in self.pivots if t == 1)
-
-    @property
-    def k2(self) -> int:
-        """Number of 2-pivot rows."""
-        return sum(1 for _, t in self.pivots if t == 2)
-
     def size(self) -> int:
-        return 4**self.k1 * 2**self.k2
+        return 1 << sum(3 - t for _, t in self.pivots)  # 2 bits per unit pivot, 1 per 2-pivot
 
     def __str__(self):
         rows = ",".join("".join(map(str, r)) for r in self.basis)
@@ -186,13 +168,21 @@ def group_shape(c: Z4Code) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _pairings_vanish(lifts, halves) -> bool:
+    """Whether <lifts> + 2*<halves> is self-orthogonal. <x, y> is
+    |lo & ylo| + 2(|lo & yhi| + |hi & ylo|) mod 4 for any two lifts, a lift
+    with itself included, and <g, 2h> = 2|lo(g) & h|; halves pair to 0."""
+    for i, (lo, hi) in enumerate(lifts):
+        if any((lo & h).bit_count() & 1 for h in halves):
+            return False
+        for ylo, yhi in lifts[i:]:
+            if ((lo & ylo).bit_count() + 2 * ((lo & yhi).bit_count() + (hi & ylo).bit_count())) & 3:
+                return False
+    return True
+
+
 def is_self_orthogonal(c: Z4Code) -> bool:
-    rows = c.basis
-    return all(
-        inner_product(rows[i], rows[j]) == 0
-        for i in range(len(rows))
-        for j in range(i, len(rows))
-    )
+    return _pairings_vanish(*residue_lifts(c))
 
 
 def is_self_dual(c: Z4Code) -> bool:
@@ -212,9 +202,13 @@ def all_weights_divisible_by_8(c: Z4Code) -> bool:
     wt(x+y) = wt(x) + wt(y) + 2<x,y> mod 8. If every weight is divisible by
     8, every pairing vanishes mod 4, so the code is self-orthogonal; for a
     self-orthogonal code the same identity carries divisibility from the
-    generators to every codeword.
+    generators, the residue lifts and twice the halves (2h weighs 4|h|), to
+    every codeword.
     """
-    return is_self_orthogonal(c) and all(euclidean_weight(row) % 8 == 0 for row in c.basis)
+    lifts, halves = residue_lifts(c)
+    return (all((lo.bit_count() + 4 * (hi & ~lo).bit_count()) % 8 == 0 for lo, hi in lifts)
+            and all(h.bit_count() % 2 == 0 for h in halves)
+            and _pairings_vanish(lifts, halves))
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +248,28 @@ def packed_add(word, other):
     return lo ^ plo, hi ^ phi ^ (lo & plo)
 
 
+def lift_remainder(word, lifts):
+    """The packed word (lo, hi) plus, in turn, each of the packed lifts whose
+    lowest residue bit the running sum holds."""
+    for lift in lifts:
+        if word[0] & lift[0] & -lift[0]:
+            word = packed_add(word, lift)
+    return word
+
+
 def residue_lifts(c: Z4Code) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """(lifts, halves): packed codewords (lo, hi) whose residues are an
     echelon basis of C1, and words h with c = <lifts> + 2*<halves>.
 
-    Each Howell row is reduced, by packed_add, against the lifts kept so far
-    whose lowest residue bit it holds: it is kept as a lift if its residue
-    stays nonzero (a 2-pivot row such as (2, 1) can be one), and otherwise
-    leaves (0, h), a half. The lifts come sorted by the lowest bit of their
-    residue, and these bits are distinct.
+    Each Howell row is reduced against the lifts kept so far
+    (lift_remainder): it is kept as a lift if its residue stays nonzero (a
+    2-pivot row such as (2, 1) can be one), and otherwise leaves (0, h), a
+    half. The lifts come sorted by the lowest bit of their residue, and
+    these bits are distinct.
     """
     lifts, halves = [], []
     for row in c.basis:
-        lo, hi = pack(row)
-        for plo, phi in lifts:
-            if lo & plo & -plo:
-                lo, hi = packed_add((lo, hi), (plo, phi))
+        lo, hi = lift_remainder(pack(row), lifts)
         if lo:
             lifts.append((lo, hi))
         else:

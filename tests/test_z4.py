@@ -93,7 +93,7 @@ def test_dual_product_law_random():
         assert z4.z4_dual(d) == c
         for x in c.basis:
             for y in d.basis:
-                assert z4.inner_product(x, y) == 0
+                assert oracles.inner_product(x, y) == 0
 
 
 def test_residue_torsion_examples():
@@ -208,7 +208,7 @@ def test_self_duality_matches_the_dual():
         self_dual = c == z4.z4_dual(c)
         assert z4.is_self_dual(c) == self_dual, str(c)
         assert z4.is_type_ii(c) == (
-            self_dual and all(z4.euclidean_weight(row) % 8 == 0 for row in c.basis)), str(c)
+            self_dual and all(oracles.euclidean_weight(row) % 8 == 0 for row in c.basis)), str(c)
         if z4.is_self_orthogonal(c):
             answers.add(self_dual)
     assert answers == {False, True}
@@ -221,9 +221,9 @@ def test_type_ii_residue_doubly_even():
 
 
 def test_euclidean_weights():
-    assert z4.euclidean_weight((0, 1, 2, 3)) == 0 + 1 + 4 + 1
+    assert oracles.euclidean_weight((0, 1, 2, 3)) == 0 + 1 + 4 + 1
     word = tuple([2] + [0] * 7)
-    assert z4.euclidean_weight(word) == 4
+    assert oracles.euclidean_weight(word) == 4
 
 
 def test_min_euclidean_weight_len8():
@@ -236,8 +236,8 @@ def test_min_euclidean_weight_len8():
 def test_min_weight_words_len8():
     c = len8(1)
     words = unpack_rows(z4.min_weight_words(c))
-    assert all(z4.euclidean_weight(unpack(lo, hi, 8)) == 8 for lo, hi in words)
-    direct = [w for w in oracles.codewords(c) if z4.euclidean_weight(w) == 8]
+    assert all(oracles.euclidean_weight(unpack(lo, hi, 8)) == 8 for lo, hi in words)
+    direct = [w for w in oracles.codewords(c) if oracles.euclidean_weight(w) == 8]
     assert len(words) == len(direct)
 
 
@@ -247,7 +247,7 @@ def _codeword_scan(c):
     for w in oracles.codewords(c):
         if not any(w):
             continue
-        e = z4.euclidean_weight(w)
+        e = oracles.euclidean_weight(w)
         if best is None or e < best:
             best, words = e, set()
         if e == best:
@@ -307,7 +307,7 @@ def test_weight_scan_beyond_inner_span_leech():
     assert len(words) == 95610
     assert len(set(words)) == len(words)
     unpacked = [unpack(lo, hi, 24) for lo, hi in words]
-    assert all(z4.euclidean_weight(w) == 16 for w in unpacked)
+    assert all(oracles.euclidean_weight(w) == 16 for w in unpacked)
     # c is self-dual, so membership is orthogonality to its basis
     assert z4.is_self_dual(c)
     pairings = np.array(unpacked) @ np.array(c.basis).T % 4
@@ -420,7 +420,7 @@ def test_weight_scan_words_read_only():
     with pytest.raises(ValueError):
         words[0, 0] = 0
     assert z4.min_weight_words(c) is words
-    assert z4.euclidean_weight(unpack(*unpack_rows(words)[0], 8)) == 8
+    assert oracles.euclidean_weight(unpack(*unpack_rows(words)[0], 8)) == 8
 
 
 def _scan_order_reference(c):
@@ -503,7 +503,7 @@ def test_weight_scan_invariant_under_relabeling():
         for _ in range(2):
             c = oracles.monomial_relabeling(code, rng)
             # a Howell form with fewer unit pivots than dim C1 (11 + 2 rows)
-            split_forms += c.k1 < z4.residue(c).dim
+            split_forms += sum(t == 1 for _, t in c.pivots) < z4.residue(c).dim
             m, got, _ = z4._weight_scan(c)
             assert (m, got) == (16, count)
     assert split_forms
@@ -533,8 +533,8 @@ def test_type_ii_generator_criterion_matches_enumeration():
         c = oracles.random_self_orthogonal(8, 3, rng)
         if not z4.is_self_dual(c):
             continue
-        full = all(z4.euclidean_weight(w) % 8 == 0 for w in oracles.codewords(c))
-        gens = all(z4.euclidean_weight(row) % 8 == 0 for row in c.basis)
+        full = all(oracles.euclidean_weight(w) % 8 == 0 for w in oracles.codewords(c))
+        gens = all(oracles.euclidean_weight(row) % 8 == 0 for row in c.basis)
         assert full == gens
         seen_both.add(full)
 
@@ -554,10 +554,73 @@ def test_weights_divisible_by_8_needs_self_orthogonality():
         c = z4.z4_span(n, gens)
         if z4.is_self_orthogonal(c):
             continue
-        scan = all(z4.euclidean_weight(w) % 8 == 0 for w in oracles.codewords(c))
+        scan = all(oracles.euclidean_weight(w) % 8 == 0 for w in oracles.codewords(c))
         assert z4.all_weights_divisible_by_8(c) == scan
         checked += 1
     assert checked >= 30
+
+
+def _digit_answers(c):
+    """(self-orthogonal, every Euclidean weight divisible by 8) from the
+    digit definitions: over every codeword, paired with every basis row,
+    where the code has at most 2^12 words, and otherwise over the basis
+    rows, from which bilinearity and wt(x+y) = wt(x) + wt(y) + 2<x,y> mod 8
+    carry both to the whole code."""
+    rows = c.basis
+    if c.size() <= 1 << 12:
+        words = list(oracles.codewords(c))
+    else:
+        words = rows
+    orthogonal = all(oracles.inner_product(w, y) == 0 for w in words for y in rows)
+    return orthogonal, orthogonal and all(oracles.euclidean_weight(w) % 8 == 0 for w in words)
+
+
+def test_packed_pairings_and_weights_match_the_digit_oracles():
+    rng = random.Random(40)
+    codes = []
+    for code_id in catalog.list_ids():
+        if code_id.startswith("z4-"):
+            code = catalog.get(code_id).code()
+            codes += [oracles.monomial_relabeling(code, rng) for _ in range(2)]
+    for _ in range(1000):
+        n = rng.randrange(1, 11)
+        codes.append(z4.z4_span(n, [tuple(rng.randrange(4) for _ in range(n))
+                                    for _ in range(rng.randrange(1, 4))]))
+        codes.append(oracles.random_self_orthogonal(n, rng.randrange(1, min(n, 4) + 1), rng))
+    answers = set()
+    for c in codes:
+        got = z4.is_self_orthogonal(c), z4.all_weights_divisible_by_8(c)
+        assert got == _digit_answers(c), str(c)
+        answers.add(got)
+    assert answers == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("text, self_orthogonal, divisible", [
+    # a lift paired with itself: |lo| = 2
+    ("1100", False, False),
+    # two lifts whose residues meet once, each paired with itself to 0
+    ("11100001/00001111", False, False),
+    # the Howell form is 11103330/00011110: the cross pair is odd, and the
+    # first row pairs with itself to 2
+    ("11110000/00011110", False, False),
+    # residues disjoint, but the Howell row 02221111 puts 2s on three
+    # coordinates of the first lift: 2(|lo & yhi| + |hi & ylo|) = 6
+    ("11110000/20001111", False, False),
+    # a lift and a half h = 0100 with |lo & h| odd
+    ("1111/0200", False, False),
+    # lifts of weight 8 whose residues meet once: the weights alone pass
+    ("111111100000001/000000011111111", False, False),
+    # self-orthogonal, but the half has odd weight: 2h weighs 4
+    ("0200", True, False),
+    # self-orthogonal, but the lift 1111 weighs 4
+    ("1111/0022", True, False),
+    ("0220", True, True),
+])
+def test_each_pairing_and_weight_term_decides_a_code(text, self_orthogonal, divisible):
+    c = z4.from_text(text.replace("/", "\n"))
+    assert (z4.is_self_orthogonal(c), z4.all_weights_divisible_by_8(c)) == (
+        self_orthogonal, divisible)
+    assert _digit_answers(c) == (self_orthogonal, divisible)
 
 
 def test_str_shows_group_shape():
